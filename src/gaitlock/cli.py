@@ -80,8 +80,10 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_features(args) -> int:
-    masks = _load_masks(args.in_dir, args.fps)
     sequence = args.sequence or Path(args.in_dir).name
+    pipeline.check_name(args.subject, "--subject")
+    pipeline.check_name(sequence, "--sequence" if args.sequence else f"directory {args.in_dir}")
+    masks = _load_masks(args.in_dir, args.fps)
     row = pipeline.masks_feature_row(args.subject, sequence, masks, args.fps)
     pipeline.write_features_csv([row], args.out)
     _say(args, f"features for {args.subject}/{sequence} written to {args.out}")

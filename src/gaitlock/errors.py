@@ -77,10 +77,19 @@ class SpecOutOfBounds(GaitlockError):
     """Walker geometry does not fit inside the frame."""
 
 
-class StageError(GaitlockError):
-    """A pipeline stage failed; carries the stage name and the cause."""
+class BadName(GaitlockError):
+    """A subject or sequence name cannot be written unquoted to the
+    features CSV and the model file."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
+
+class StageError(GaitlockError):
+    """A pipeline stage failed; carries the stage name, the
+    ``subject/sequence`` it failed on (None outside one sequence) and the
+    cause."""
+
+    def __init__(self, stage: str, cause: Exception, location: str | None = None):
+        where = f" {location}:" if location else ""
+        super().__init__(f"[{stage}]{where} {cause}")
         self.stage = stage
+        self.location = location
         self.cause = cause

@@ -9,6 +9,7 @@ configured output directory; reruns with ``resume`` reuse intermediates.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import features as feat
 from . import gaitcycle, metrics, svm
 from .background import TECHNIQUES, build_background
-from .errors import EmptyDirectory, EmptyInput, GaitlockError, StageError
+from .errors import BadName, EmptyDirectory, EmptyInput, GaitlockError, StageError
 from .imagery import load_sequence
 from .segmentation import clean_mask, difference_mask
 
@@ -123,6 +124,17 @@ class FeatureRow:
     period: int = 0
 
 
+def check_name(name: str, where: str) -> str:
+    """Subject and sequence names go unquoted into features.csv and
+    model.svm, so only printable ASCII without spaces or commas is
+    accepted; ``where`` names the directory, row or option it came from."""
+    if not name or not all("!" <= ch <= "~" and ch != "," for ch in name):
+        raise BadName(
+            f"name {name!r} in {where} must be printable ASCII without spaces or commas"
+        )
+    return name
+
+
 def discover_dataset(data_dir) -> list[tuple[str, str, Path]]:
     """(subject, sequence, path) triples, sorted for determinism."""
     root = Path(data_dir)
@@ -130,34 +142,36 @@ def discover_dataset(data_dir) -> list[tuple[str, str, Path]]:
         raise EmptyDirectory(f"dataset directory {root} does not exist")
     triples = []
     for subject_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        check_name(subject_dir.name, f"directory {subject_dir}")
         for seq_dir in sorted(p for p in subject_dir.iterdir() if p.is_dir()):
+            check_name(seq_dir.name, f"directory {seq_dir}")
             triples.append((subject_dir.name, seq_dir.name, seq_dir))
     if not triples:
         raise EmptyDirectory(f"no <subject>/<sequence> directories under {root}")
     return triples
 
 
-def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, GaitlockError) and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+@contextmanager
+def _stage(name: str, location: str | None = None):
+    """Re-raise a library error from the block as a StageError naming the
+    stage and, inside one sequence, its ``subject/sequence``."""
+    try:
+        yield
+    except StageError:
+        raise
+    except GaitlockError as exc:
+        raise StageError(name, exc, location) from exc
 
 
 def masks_feature_row(subject: str, sequence: str, masks, fps: float) -> FeatureRow:
     """Fused descriptor of an already-segmented silhouette sequence."""
-    with _stage("gait-cycle"):
+    location = f"{subject}/{sequence}"
+    with _stage("gait-cycle", location):
         signal = gaitcycle.width_signal(masks, fps)
         period = gaitcycle.estimate_period(signal)
         cycles = gaitcycle.partition_cycles(signal, period)
         window = gaitcycle.select_feature_window(cycles)
-    with _stage("features"):
+    with _stage("features", location):
         lo, hi = window[0].start_frame, window[-1].end_frame
         window_masks = masks[lo:hi + 1]
         spatial = feat.spatial_features([m.bbox for m in window_masks])
@@ -171,11 +185,12 @@ def masks_feature_row(subject: str, sequence: str, masks, fps: float) -> Feature
 def sequence_feature_row(subject: str, sequence: str, seq_dir, cfg: PipelineConfig) -> FeatureRow:
     """Run one sequence through ingestion, segmentation, cycle analysis
     and feature extraction."""
-    with _stage("ingestion"):
+    location = f"{subject}/{sequence}"
+    with _stage("ingestion", location):
         seq = load_sequence(seq_dir, cfg.fps)
-    with _stage("background"):
+    with _stage("background", location):
         bg = build_background(seq, cfg.background_technique, cfg.background_threshold)
-    with _stage("segmentation"):
+    with _stage("segmentation", location):
         masks = [clean_mask(difference_mask(f, bg, cfg.segmentation_threshold)) for f in seq]
     return masks_feature_row(subject, sequence, masks, cfg.fps)
 
@@ -204,13 +219,14 @@ def read_features_csv(path) -> list[FeatureRow]:
     if lines[0] != expected:
         raise ValueError(f"unexpected features header in {path}")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2 + len(feat.FEATURE_NAMES):
             raise ValueError(f"bad features row: {line!r}")
-        rows.append(FeatureRow(parts[0], parts[1], np.array([float(v) for v in parts[2:]])))
+        subject, sequence = (check_name(p, f"{path} line {number}") for p in parts[:2])
+        rows.append(FeatureRow(subject, sequence, np.array([float(v) for v in parts[2:]])))
     if not rows:
         raise EmptyInput(f"features file {path} has no rows")
     return rows

@@ -1,9 +1,14 @@
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaitlock import pipeline
+from gaitlock import pipeline, svm
 from gaitlock.cli import main
-from gaitlock.errors import StageError
+from gaitlock.errors import BadName, StageError
+from gaitlock.features import FEATURE_NAMES
 from gaitlock.imagery import save_sequence
 from gaitlock.synthgait import WalkerSpec, generate
 
@@ -83,6 +88,17 @@ class TestPipeline:
         with pytest.raises(StageError) as err:
             pipeline.run_pipeline(cfg)
         assert err.value.stage == "ingestion"
+
+    def test_stage_error_names_the_failing_sequence(self, small_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data)
+        frame = sorted((data / "walker1" / "take2").iterdir())[5]
+        frame.write_bytes(frame.read_bytes()[:40])  # header intact, raster cut short
+        with pytest.raises(StageError) as err:
+            pipeline.run_pipeline(make_cfg(data, tmp_path / "out"))
+        assert err.value.stage == "ingestion"
+        assert err.value.location == "walker1/take2"
+        assert str(err.value).startswith("[ingestion] walker1/take2: ")
 
     def test_gallery_holds_per_subject_training_means(self, small_dataset, tmp_path):
         result = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
@@ -263,3 +279,66 @@ class TestCli:
         assert main(["evaluate", "--model", str(model), "--features", str(feats),
                      "--labels", str(labels)]) == 2
         capsys.readouterr()
+
+
+BAD_NAMES = ("john smith", "a,b", "tab\tname", "bell\x07", "caf\u00e9")
+NAME_CHARS = st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters=",")
+
+
+class TestNames:
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    @pytest.mark.parametrize("level", ("subject", "sequence"))
+    def test_dataset_directory_rejected(self, tmp_path, capsys, name, level):
+        subject = tmp_path / "data" / (name if level == "subject" else "ann")
+        bad = subject / name if level == "sequence" else subject
+        (subject / "t0").mkdir(parents=True)
+        bad.mkdir(exist_ok=True)
+        (tmp_path / "data" / "bob" / "t0").mkdir(parents=True)
+        with pytest.raises(BadName) as err:
+            pipeline.discover_dataset(tmp_path / "data")
+        assert f"directory {bad} " in str(err.value)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--data", str(tmp_path / "data"), "--out", str(out),
+                     "--quiet"]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("name", ("john smith", "tab\tname", ""))
+    def test_features_row_rejected(self, tmp_path, capsys, name):
+        feats = tmp_path / "f.csv"
+        values = ",".join(["0.5"] * len(FEATURE_NAMES))
+        feats.write_text("subject,sequence," + ",".join(FEATURE_NAMES) + "\n"
+                         + "".join(f"{s},s{i},{values}\n"
+                                   for i, s in enumerate(["ann", "ann", name, name])))
+        with pytest.raises(BadName, match="line 4"):
+            pipeline.read_features_csv(feats)
+        assert main(["train", "--features", str(feats), "--out", str(tmp_path / "m.svm"),
+                     "--quiet"]) == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not (tmp_path / "m.svm").exists()
+
+    def test_features_command_rejects_subject(self, tmp_path, capsys):
+        assert main(["features", "--in", str(tmp_path), "--out", str(tmp_path / "f.csv"),
+                     "--subject", "john smith"]) == 2
+        assert "--subject" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(NAME_CHARS, min_size=1, max_size=8), min_size=2, max_size=3,
+                    unique=True))
+    def test_accepted_names_round_trip(self, tmp_path_factory, names):
+        """Every accepted name survives features.csv and model.svm."""
+        for name in names:
+            pipeline.check_name(name, "test")
+        out = tmp_path_factory.mktemp("names")
+        rows = [pipeline.FeatureRow(name, f"s{j}", np.full(14, i + 0.1 * j))
+                for i, name in enumerate(names) for j in range(2)]
+        pipeline.write_features_csv(rows, out / "f.csv")
+        back = pipeline.read_features_csv(out / "f.csv")
+        assert [(r.subject, r.sequence) for r in back] == [(r.subject, r.sequence) for r in rows]
+        x = np.array([r.vector for r in back])
+        model = svm.train_multiclass(x, [r.subject for r in back], svm.KernelSpec("linear", 1.0))
+        svm.save_model(model, out / "m.svm")
+        loaded = svm.load_model(out / "m.svm")
+        assert loaded.classes == model.classes
+        assert [m.class_pair for m in loaded.binaries] == [m.class_pair for m in model.binaries]
+        assert svm.predict_many(loaded, x) == svm.predict_many(model, x)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gaitlock.background import BackgroundModel
 from gaitlock.errors import DimensionMismatch
@@ -146,6 +149,55 @@ class TestConnectedComponents:
         grid[3, 6:8] = True
         kept = largest_component(grid)
         assert kept[1, 1] and kept[1, 2] and not kept[3, 6]
+
+
+@st.composite
+def diagonal_chains(draw):
+    """Masks whose pixels join only through corners: one pixel per row,
+    each a column step of +-1 from the one above, with gaps between chains."""
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(2, 24))
+    mask = np.zeros((h, w), dtype=bool)
+    col = draw(st.integers(0, w - 1))
+    for r in range(h):
+        if draw(st.integers(0, 5)) == 0:  # break the chain on this row
+            col = draw(st.integers(0, w - 1))
+            continue
+        mask[r, col] = True
+        col = min(max(col + draw(st.sampled_from((-1, 1))), 0), w - 1)
+    return mask
+
+
+MASKS = st.one_of(
+    arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)),
+    diagonal_chains(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASKS)
+@example(np.zeros((1, 24), dtype=bool))
+@example(np.ones((1, 24), dtype=bool))
+@example(np.ones((24, 1), dtype=bool))
+@example(np.zeros((24, 24), dtype=bool))
+@example(np.ones((24, 24), dtype=bool))
+@example(np.eye(24, dtype=bool))
+@example(np.eye(24, dtype=bool)[::-1])
+@example(np.indices((24, 24)).sum(axis=0) % 2 == 0)  # checkerboard: one component
+@example(np.indices((9, 24))[1] % 2 == 0)  # vertical stripes: twelve components
+def test_labels_match_flood_fill_oracle_property(mask):
+    labels, sizes = connected_components(mask)
+    oracle_labels, oracle_sizes = flood_fill_components(mask)
+    assert labels.dtype == np.int32 and labels.shape == mask.shape
+    # both number components in scan order of their first pixel
+    assert np.array_equal(labels, oracle_labels)
+    assert sizes == oracle_sizes
+    kept = largest_component(mask)
+    if oracle_sizes:
+        expected = oracle_labels == oracle_sizes.index(max(oracle_sizes)) + 1
+    else:
+        expected = np.zeros(mask.shape, dtype=bool)
+    assert np.array_equal(kept, expected)
 
 
 def test_bounding_box_tightness_property():
