@@ -110,9 +110,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = svm.load_model(args.model)
     rows = pipeline.read_features_csv(args.features)
+    predicted = svm.predict_many(model, np.array([r.vector for r in rows]))
     print("subject,sequence,predicted")
-    for row in rows:
-        print(f"{row.subject},{row.sequence},{svm.predict(model, row.vector)}")
+    for row, label in zip(rows, predicted):
+        print(f"{row.subject},{row.sequence},{label}")
     return EXIT_OK
 
 
@@ -129,7 +130,7 @@ def cmd_evaluate(args) -> int:
     truth = _read_labels(args.labels) if args.labels else [r.subject for r in rows]
     if len(truth) != len(rows):
         raise LengthMismatch(f"{len(truth)} labels for {len(rows)} feature rows")
-    predicted = [svm.predict(model, r.vector) for r in rows]
+    predicted = svm.predict_many(model, np.array([r.vector for r in rows]))
     cm = metrics.evaluate(truth, predicted)
     scores = metrics.measures(cm)
     print("confusion matrix (rows = truth, columns = predicted):")

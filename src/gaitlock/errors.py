@@ -58,7 +58,7 @@ class TooFewClasses(GaitlockError):
 
 
 class FormatError(GaitlockError):
-    """Model file is truncated or malformed."""
+    """A model file or features CSV is truncated or malformed."""
 
 
 class VersionMismatch(GaitlockError):

@@ -18,7 +18,7 @@ import numpy as np
 from . import features as feat
 from . import gaitcycle, metrics, svm
 from .background import TECHNIQUES, build_background
-from .errors import BadName, EmptyDirectory, EmptyInput, GaitlockError, StageError
+from .errors import BadName, EmptyDirectory, EmptyInput, FormatError, GaitlockError, StageError
 from .imagery import load_sequence
 from .segmentation import clean_mask, difference_mask
 
@@ -212,21 +212,29 @@ def write_features_csv(rows: list[FeatureRow], path) -> None:
 
 
 def read_features_csv(path) -> list[FeatureRow]:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from exc
     if not lines:
         raise EmptyInput(f"features file {path} is empty")
     expected = "subject,sequence," + ",".join(feat.FEATURE_NAMES)
     if lines[0] != expected:
-        raise ValueError(f"unexpected features header in {path}")
+        raise FormatError(f"{path} line 1: unexpected features header")
+    n_fields = 2 + len(feat.FEATURE_NAMES)
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 2 + len(feat.FEATURE_NAMES):
-            raise ValueError(f"bad features row: {line!r}")
+        if len(parts) != n_fields:
+            raise FormatError(f"{path} line {number}: expected {n_fields} fields, got {len(parts)}")
         subject, sequence = (check_name(p, f"{path} line {number}") for p in parts[:2])
-        rows.append(FeatureRow(subject, sequence, np.array([float(v) for v in parts[2:]])))
+        try:
+            vector = np.array([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise FormatError(f"{path} line {number}: {exc}") from exc
+        rows.append(FeatureRow(subject, sequence, vector))
     if not rows:
         raise EmptyInput(f"features file {path} has no rows")
     return rows

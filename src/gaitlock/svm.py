@@ -302,36 +302,53 @@ def train_multiclass(
 
 
 def predict(model: SvmModel, x) -> str:
-    """Majority vote over the pairwise machines.
-
-    Ties go to the tied label with the largest sum of absolute decision
-    values over the machines that voted for it, then to class order.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != model.dimension:
-        raise DimensionMismatch(f"expected {model.dimension} features, got {x.size}")
-    z = model.normalize(x)
-    votes = {cls: 0 for cls in model.classes}
-    strength = {cls: 0.0 for cls in model.classes}
-    for machine in model.binaries:
-        d = machine.decision(z)
-        winner = machine.class_pair[0] if d >= 0.0 else machine.class_pair[1]
-        votes[winner] += 1
-        strength[winner] += abs(d)
-    best_votes = max(votes.values())
-    tied = [cls for cls in model.classes if votes[cls] == best_votes]
-    if len(tied) == 1:
-        return tied[0]
-    best_strength = max(strength[cls] for cls in tied)
-    for cls in tied:
-        if strength[cls] == best_strength:
-            return cls
-    return tied[0]
+    """Label of one feature vector; see :func:`predict_many`."""
+    return predict_many(model, np.ravel(x)[None, :])[0]
 
 
 def predict_many(model: SvmModel, x) -> list[str]:
+    """Majority vote over the pairwise machines, one label per row.
+
+    Ties go to the tied label with the largest sum of absolute decision
+    values over the machines that voted for it, then to class order.
+    The support vectors of all machines sharing a kernel are stacked, so
+    each row costs one kernel evaluation per distinct kernel. The stacks
+    are rebuilt on every call, so their copy of the vectors does not
+    outlive it.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return [predict(model, row) for row in x]
+    if x.ndim != 2 or x.shape[1] != model.dimension:
+        raise DimensionMismatch(f"expected {model.dimension} features, got {x.shape[-1]}")
+    if not np.isfinite(x).all():
+        raise NonFinite("probe features contain NaN or infinity")
+    z = model.normalize(x)
+    n_machines = len(model.binaries)
+    column = {cls: i for i, cls in enumerate(model.classes)}
+    first = np.array([column[m.class_pair[0]] for m in model.binaries], dtype=np.intp)
+    second = np.array([column[m.class_pair[1]] for m in model.binaries], dtype=np.intp)
+    biases = np.array([m.bias for m in model.binaries])
+    by_kernel: dict[KernelSpec, list[int]] = {}
+    for i, machine in enumerate(model.binaries):
+        by_kernel.setdefault(machine.kernel, []).append(i)
+    groups = []
+    for spec, members in by_kernel.items():
+        machines = [model.binaries[i] for i in members]
+        vectors = np.concatenate([m.support_vectors for m in machines])
+        owner = np.repeat(members, [m.coefficients.size for m in machines])
+        coef = np.concatenate([m.coefficients for m in machines])
+        groups.append((spec, vectors, owner, coef))
+    labels = []
+    for row in z:
+        d = biases.copy()
+        for spec, vectors, owner, coef in groups:
+            k = kernel_matrix(spec, row[None, :], vectors)[0]
+            d += np.bincount(owner, weights=k * coef, minlength=n_machines)
+        winner = np.where(d >= 0.0, first, second)
+        votes = np.bincount(winner, minlength=len(model.classes))
+        strength = np.bincount(winner, weights=np.abs(d), minlength=len(model.classes))
+        best = np.argmax(np.where(votes == votes.max(), strength, -np.inf))
+        labels.append(model.classes[best])
+    return labels
 
 
 def _fmt(v: float) -> str:

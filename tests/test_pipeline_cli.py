@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gaitlock import pipeline, svm
 from gaitlock.cli import main
-from gaitlock.errors import BadName, StageError
+from gaitlock.errors import BadName, FormatError, StageError
 from gaitlock.features import FEATURE_NAMES
 from gaitlock.imagery import save_sequence
 from gaitlock.synthgait import WalkerSpec, generate
@@ -279,6 +279,54 @@ class TestCli:
         assert main(["evaluate", "--model", str(model), "--features", str(feats),
                      "--labels", str(labels)]) == 2
         capsys.readouterr()
+
+
+HEADER = "subject,sequence," + ",".join(FEATURE_NAMES) + "\n"
+
+
+def _row(subject, sequence, value="0.5", n=len(FEATURE_NAMES)):
+    return f"{subject},{sequence}," + ",".join([value] * n) + "\n"
+
+
+class TestFeaturesFile:
+    @pytest.fixture
+    def model(self, tmp_path):
+        x = np.vstack([np.full(14, 0.0), np.full(14, 0.2), np.full(14, 1.0), np.full(14, 1.2)])
+        model = svm.train_multiclass(x, ["ann", "ann", "bob", "bob"], svm.KernelSpec("linear", 1.0))
+        svm.save_model(model, tmp_path / "m.svm")
+        return tmp_path / "m.svm"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (HEADER.replace("sequence", "walk") + _row("ann", "s0"), "line 1: unexpected"),
+            (HEADER + _row("ann", "s0") + _row("ann", "s1", n=15), "line 3: expected 16 fields"),
+            (HEADER + _row("ann", "s0") + _row("ann", "s1", value="x"), "line 3: could not"),
+            (HEADER + _row("ann", "s0") + _row("zo\u00eb", "s1"), "not ASCII text"),
+        ],
+        ids=["header", "field-count", "non-numeric", "non-ascii"],
+    )
+    def test_malformed_file_is_a_data_error(self, tmp_path, capsys, model, text, message):
+        feats = tmp_path / "f.csv"
+        feats.write_bytes(text.encode("utf-8"))
+        with pytest.raises(FormatError, match=message):
+            pipeline.read_features_csv(feats)
+        assert main(["train", "--features", str(feats), "--out", str(tmp_path / "new.svm"),
+                     "--quiet"]) == 2
+        assert main(["predict", "--model", str(model), "--features", str(feats)]) == 2
+        assert main(["evaluate", "--model", str(model), "--features", str(feats)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count(f"{feats}") == 3
+
+    def test_non_finite_probe_is_a_data_error(self, tmp_path, capsys, model):
+        feats = tmp_path / "f.csv"
+        feats.write_text(HEADER + _row("ann", "s0") + _row("bob", "s0", value="nan"))
+        assert main(["predict", "--model", str(model), "--features", str(feats)]) == 2
+        assert main(["evaluate", "--model", str(model), "--features", str(feats)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("NaN or infinity") == 2
 
 
 BAD_NAMES = ("john smith", "a,b", "tab\tname", "bell\x07", "caf\u00e9")

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gaitlock import svm
 from gaitlock.errors import (
     DimensionMismatch,
     FormatError,
@@ -12,6 +16,7 @@ from gaitlock.errors import (
 from gaitlock.svm import (
     KernelSpec,
     kernel_eval,
+    kernel_matrix,
     kkt_violation,
     load_model,
     predict,
@@ -20,6 +25,57 @@ from gaitlock.svm import (
     train_binary,
     train_multiclass,
 )
+
+# A decision value, or a strength gap between two max-vote classes, this
+# close to zero relative to the magnitude of its terms can change sign when
+# the float64 arithmetic runs in another order, as the batched path's does.
+EDGE = 1e-9
+
+
+def reference_predict(model, x):
+    """The per-machine vote loop ``predict`` ran before prediction was
+    batched, kept as the oracle.
+
+    Returns the label and whether rounding can decide it: when a
+    decision value or a max-vote strength gap lies within ``EDGE`` of
+    zero, a different summation order may pick another label.
+    """
+    z = model.normalize(np.ravel(x))
+    votes = {cls: 0 for cls in model.classes}
+    strength = {cls: 0.0 for cls in model.classes}
+    edge, total_scale = False, 0.0
+    for machine in model.binaries:
+        d = machine.decision(z)
+        scale = 1.0 + abs(machine.bias)
+        if machine.support_vectors.size:
+            k = kernel_matrix(machine.kernel, z[None, :], machine.support_vectors)[0]
+            scale += float(np.abs(k) @ np.abs(machine.coefficients))
+        edge = edge or abs(d) <= EDGE * scale
+        total_scale += scale
+        winner = machine.class_pair[0] if d >= 0.0 else machine.class_pair[1]
+        votes[winner] += 1
+        strength[winner] += abs(d)
+    best_votes = max(votes.values())
+    tied = [cls for cls in model.classes if votes[cls] == best_votes]
+    if len(tied) == 1:
+        return tied[0], edge
+    best_strength = max(strength[cls] for cls in tied)
+    near = [cls for cls in tied if best_strength - strength[cls] <= EDGE * total_scale]
+    edge = edge or len(near) > 1
+    for cls in tied:
+        if strength[cls] == best_strength:
+            return cls, edge
+    return tied[0], edge
+
+
+def assert_matches_reference(model, rows):
+    got = predict_many(model, rows)
+    assert got == [predict(model, row) for row in rows]
+    for row, label in zip(rows, got):
+        expected, edge = reference_predict(model, row)
+        if not edge:
+            assert label == expected
+
 
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_Y = ["a", "a", "b", "b"]
@@ -249,3 +305,99 @@ def test_predict_dimension_mismatch():
     model = train_multiclass(x, ["a", "a", "b", "b"], KernelSpec("linear", 1.0))
     with pytest.raises(DimensionMismatch):
         predict(model, [1.0, 2.0, 3.0])
+
+
+KERNEL_PARAMS = (
+    ("linear", {}),
+    ("poly", {"degree": 1}),
+    ("poly", {"degree": 3}),
+    ("rbf", {"sigma": 0.5}),
+    ("rbf", {"sigma": 2.0}),
+)
+
+
+@st.composite
+def problems(draw):
+    """Small multi-class problems. Rounding makes duplicate rows, across
+    classes too; probes include the midpoint of every two training rows,
+    where the votes split into ties."""
+    per_class = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    dim = draw(st.integers(1, 4))
+    decimals = draw(st.sampled_from((0, 1, 3)))
+    values = st.floats(-3.0, 3.0)
+    x = draw(arrays(np.float64, (sum(per_class), dim), elements=values, fill=st.nothing()))
+    x = x.round(decimals)
+    labels = [f"c{i}" for i, count in enumerate(per_class) for _ in range(count)]
+    probes = draw(arrays(np.float64, (draw(st.integers(1, 6)), dim), elements=values,
+                         fill=st.nothing()))
+    kind, params = draw(st.sampled_from(KERNEL_PARAMS))
+    spec = KernelSpec(kind, draw(st.sampled_from((1e-3, 0.1, 1.0, 10.0))), **params)
+    i, j = np.triu_indices(len(x), 1)
+    return x, labels, spec, np.vstack([x, probes.round(decimals), (x[i] + x[j]) / 2.0])
+
+
+def _model_text(biases):
+    lines = ["GAITLOCK-SVM v1", "classes 3", "a", "b", "c", "normalization 1", "0 1",
+             "machines 3"]
+    for (first, second), bias in zip((("a", "b"), ("a", "c"), ("b", "c")), biases):
+        lines += [f"pair {first} {second}", "kernel linear 1", f"bias {bias}", "vectors 0 1"]
+    return "\n".join(lines + ["end", ""])
+
+
+class TestPredictMany:
+    @settings(max_examples=120, deadline=None)
+    @given(problems())
+    def test_matches_the_per_machine_loop(self, problem):
+        x, labels, spec, rows = problem
+        assert_matches_reference(train_multiclass(x, labels, spec), rows)
+
+    @pytest.mark.parametrize(
+        "biases, expected",
+        [
+            ((1, 1, -1), "a"),  # two votes for a
+            ((-1, -1, 1), "b"),  # two votes for b
+            ((0.5, -2, 1), "c"),  # one vote each: largest strength
+            ((1, -1, 1), "a"),  # one vote each, equal strength: class order
+            ((0, -0.0, 0), "a"),  # d = 0 votes for the first class of the pair
+        ],
+    )
+    def test_machines_without_vectors_vote_by_bias(self, tmp_path, biases, expected):
+        path = tmp_path / "m.svm"
+        path.write_text(_model_text(biases))
+        model = load_model(path)
+        assert [m.support_vectors.shape for m in model.binaries] == [(0, 1)] * 3
+        assert predict(model, [0.3]) == expected
+        assert predict_many(model, [[0.3], [-7.0]]) == [expected, expected]
+
+    def test_one_kernel_evaluation_per_probe_and_kernel(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = np.vstack([rng.normal(3.0 * i, 1.0, size=(5, 4)) for i in range(4)])
+        labels = [c for c in "abcd" for _ in range(5)]
+        save_model(train_multiclass(x, labels, KernelSpec("rbf", 10.0, sigma=2.0)),
+                   tmp_path / "m.svm")
+        # hand-edit the file so the six machines use three kernel records
+        records = iter(("kernel linear 10", "kernel poly 10 2", "kernel rbf 10 2") * 2)
+        lines = [next(records) if ln.startswith("kernel ") else ln
+                 for ln in (tmp_path / "m.svm").read_text().splitlines()]
+        (tmp_path / "edited.svm").write_text("\n".join(lines) + "\n")
+        model = load_model(tmp_path / "edited.svm")
+        assert len({m.kernel for m in model.binaries}) == 3
+        probes = rng.normal(4.0, 5.0, size=(25, 4))
+        calls = []
+
+        def counting(spec, a, b):
+            calls.append(a.shape[0])
+            return kernel_matrix(spec, a, b)
+
+        monkeypatch.setattr(svm, "kernel_matrix", counting)
+        predict_many(model, probes)
+        assert calls == [1] * (3 * len(probes))
+        monkeypatch.undo()
+        assert_matches_reference(model, probes)
+
+    def test_non_finite_probe_rejected(self):
+        model = train_multiclass(XOR_X, XOR_Y, KernelSpec("rbf", 10.0, sigma=0.5))
+        with pytest.raises(NonFinite):
+            predict(model, [np.nan, 0.0])
+        with pytest.raises(NonFinite):
+            predict_many(model, [[0.0, 0.0], [np.inf, 1.0]])
