@@ -90,18 +90,17 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _kernel_spec_from_args(args) -> svm.KernelSpec:
-    if args.kernel == svm.KERNEL_POLY:
-        return svm.KernelSpec(args.kernel, args.c, degree=args.degree)
-    if args.kernel == svm.KERNEL_RBF:
-        return svm.KernelSpec(args.kernel, args.c, sigma=args.sigma)
-    return svm.KernelSpec(args.kernel, args.c)
-
-
 def cmd_train(args) -> int:
+    cfg = _config(args, {key: getattr(args, key) for key in ("kernel", "c", "degree", "sigma")})
     rows = pipeline.read_features_csv(args.features)
     x = np.array([r.vector for r in rows])
-    model = svm.train_multiclass(x, [r.subject for r in rows], _kernel_spec_from_args(args))
+    model = svm.train_multiclass(
+        x,
+        [r.subject for r in rows],
+        cfg.kernel_spec(),
+        tol=cfg.smo_tol,
+        max_passes=cfg.smo_max_passes,
+    )
     svm.save_model(model, args.out)
     _say(args, f"model with {len(model.binaries)} machines written to {args.out}")
     return EXIT_OK
@@ -179,14 +178,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _config(args, overrides: dict) -> pipeline.PipelineConfig:
+    """The ``--config`` file's settings, if given, under the flags that are set."""
+    if args.config:
+        return pipeline.parse_config(args.config, overrides)
+    return pipeline.config_from_values({k: v for k, v in overrides.items() if v is not None})
+
+
 def _pipeline_config(args) -> pipeline.PipelineConfig:
     overrides = {"data_dir": args.data, "out_dir": args.out}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
         overrides["split_seed"] = str(args.seed)
-    if args.config:
-        return pipeline.parse_config(args.config, overrides)
-    return pipeline.config_from_values({k: v for k, v in overrides.items() if v is not None})
+    return _config(args, overrides)
 
 
 def cmd_pipeline(args) -> int:
@@ -256,10 +260,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", parents=[common], help="train the multi-class SVM")
     p.add_argument("--features", required=True)
-    p.add_argument("--kernel", choices=svm.KERNELS, default="rbf")
-    p.add_argument("--c", type=float, default=10.0)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--sigma", type=float, default=2.0)
+    # unset flags fall back to the --config file, then to the pipeline defaults
+    p.add_argument("--kernel", choices=svm.KERNELS)
+    p.add_argument("--c", type=float)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_train)
 

@@ -143,86 +143,149 @@ def train_binary(
     midpoint of the final gradient band. Training stops once the
     optimality gap closes below ``tol``, which bounds every sample's KKT
     violation by ``tol``. ``max_passes`` scales the iteration budget.
-    The solver is fully deterministic.
+    The solver is fully deterministic; this is the one-machine case of
+    the lockstep solver that :func:`train_multiclass` runs.
+    """
+    x, y = _validate_binary_input(x, y)
+    (machine,) = _train_machines(spec, x, [(slice(None), y, class_pair)], tol, max_passes)
+    return machine
+
+
+# Upper bound on the bytes of one stacked kernel array: machines beyond it
+# are trained in further lockstep batches, so memory stays bounded when
+# there are very many machines or large ones.
+_STACK_BYTES = 1 << 24
+
+
+def _train_machines(
+    spec: KernelSpec, x: np.ndarray, problems, tol: float, max_passes: int
+) -> list[BinarySvm]:
+    """Train one machine per ``(rows, y, class_pair)`` problem by lockstep SMO.
+
+    A machine trains on ``x[rows]``, a copy made only while it is needed.
+    Its kernel matrix comes from its own ``kernel_matrix(spec, xr, xr)``
+    call with the same array object twice: numpy then computes
+    ``xr @ xr.T`` by a symmetric product, whose rounding neither two
+    copies of ``xr`` nor a slice of a shared Gram matrix reproduce.
+    Machines are padded to the largest problem of their batch with label
+    0, which puts a padding slot in neither working set.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    x, y = _validate_binary_input(x, y)
-    n = x.shape[0]
-    c = spec.c
-    k = kernel_matrix(spec, x, x)
-    alpha = np.zeros(n)
-    # f_free[t] = sum_s alpha_s y_s K(s, t): the decision values without bias
-    f_free = np.zeros(n)
+    machines = []
+    batch = max(1, _STACK_BYTES // (8 * max(y.size for _, y, _ in problems) ** 2))
+    for start in range(0, len(problems), batch):
+        part = problems[start : start + batch]
+        n_max = max(y.size for _, y, _ in part)
+        k = np.zeros((len(part), n_max, n_max))
+        labels = np.zeros((len(part), n_max))
+        for m, (rows, y, _) in enumerate(part):
+            xr = x[rows]
+            k[m, : y.size, : y.size] = kernel_matrix(spec, xr, xr)
+            labels[m, : y.size] = y
+        budget = np.array([max(5000, 500 * max_passes * y.size) for _, y, _ in part], dtype=float)
+        alphas, f_frees = _smo_lockstep(k, labels, spec.c, tol, budget)
+        for (rows, y, pair), alpha, f_free in zip(part, alphas, f_frees):
+            machines.append(_machine(x[rows], y, alpha[: y.size], f_free[: y.size], spec, pair))
+    return machines
+
+
+def _smo_lockstep(k, y, c: float, tol: float, budget):
+    """Run the SMO iteration of every stacked machine at once.
+
+    ``k`` is (machines, n, n), ``y`` (machines, n) and ``budget`` each
+    machine's iteration limit. A machine leaves the active set at the
+    iteration where it stops: its gap is closed, its pair admits no
+    step, the step moves nothing, or its budget is spent. Returns the
+    final ``alpha`` and ``f_free`` of every machine.
+    """
+    alpha_out = np.zeros(y.shape)
+    f_out = np.zeros(y.shape)
+    ids = np.arange(y.shape[0])
+    alpha = np.zeros(y.shape)
+    # f_free[m, t] = sum_s alpha_s y_s K(s, t): the decision values without bias
+    f_free = np.zeros(y.shape)
+    diag = k.diagonal(axis1=1, axis2=2)
     snap = 1e-12 * max(1.0, c)  # keep alphas exactly on the box bounds
+
+    def boxed(value):
+        return np.where(value < snap, 0.0, np.where(value > c - snap, c, value))
+
     tau = 1e-12
-
-    def boxed(value: float) -> float:
-        if value < snap:
-            return 0.0
-        if value > c - snap:
-            return c
-        return value
-
-    max_iterations = max(5000, 500 * max_passes * n)
-    for _ in range(max_iterations):
+    iteration = 0
+    while ids.size:
+        rows = np.arange(ids.size)
         scores = y - f_free  # -y * dual gradient, bias-free optimality score
         up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
         low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
-        if not up.any() or not low.any():
-            break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = int(up_idx[np.argmax(scores[up_idx])])
-        if scores[i] - scores[low_idx].min() <= tol:
-            break
+        # excluded slots hold -inf/+inf, so argmax keeps the first of tied scores
+        i = np.where(up, scores, -np.inf).argmax(axis=1)
+        score_i = scores[rows, i]
+        gap = score_i - np.where(low, scores, np.inf).min(axis=1)
+        stop = ~up.any(axis=1) | ~low.any(axis=1) | (gap <= tol) | (budget <= iteration)
         # partner with the largest analytic objective gain
-        cand = low_idx[scores[low_idx] < scores[i]]
-        diffs = scores[i] - scores[cand]
-        etas = k[i, i] + k[cand, cand] - 2.0 * k[i, cand]
+        k_i = k[ids, i]
+        cand = low & (scores < score_i[:, None])
+        diffs = score_i[:, None] - scores
+        etas = k_i[rows, i][:, None] + diag[ids] - 2.0 * k_i
         etas = np.where(etas > tau, etas, tau)
-        j = int(cand[np.argmax(diffs * diffs / etas)])
+        j = np.where(cand, diffs * diffs / etas, -np.inf).argmax(axis=1)
+        k_j = k[ids, j]
 
-        yi, yj = y[i], y[j]
+        yi, yj = y[rows, i], y[rows, j]
         s = yi * yj
-        ai_old, aj_old = alpha[i], alpha[j]
-        if s < 0:
-            lo_b = max(0.0, aj_old - ai_old)
-            hi_b = min(c, c + aj_old - ai_old)
-        else:
-            lo_b = max(0.0, ai_old + aj_old - c)
-            hi_b = min(c, ai_old + aj_old)
-        if lo_b >= hi_b:
-            break
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        e_diff = (f_free[i] - yi) - (f_free[j] - yj)
-        if eta > tau:
-            aj = min(hi_b, max(lo_b, aj_old + yj * e_diff / eta))
-        else:
-            # flat direction: move to whichever clip end gains dual objective
-            best_gain, aj = 0.0, aj_old
-            for end in (lo_b, hi_b):
-                dj = end - aj_old
-                di = -s * dj
-                ui, uj = yi * di, yj * dj
-                gain = (
-                    di
-                    + dj
-                    - ui * f_free[i]
-                    - uj * f_free[j]
-                    - 0.5 * (ui * ui * k[i, i] + uj * uj * k[j, j] + 2.0 * ui * uj * k[i, j])
-                )
-                if gain > best_gain + 1e-15:
-                    best_gain, aj = gain, end
-            if aj == aj_old:
-                break
-        aj = boxed(aj)
-        ai = boxed(min(c, max(0.0, ai_old + s * (aj_old - aj))))
-        if ai == ai_old and aj == aj_old:
-            break
-        alpha[i], alpha[j] = ai, aj
-        f_free += (ai - ai_old) * yi * k[i] + (aj - aj_old) * yj * k[j]
+        ai_old, aj_old = alpha[rows, i], alpha[rows, j]
+        lo_b = np.where(
+            s < 0, np.maximum(0.0, aj_old - ai_old), np.maximum(0.0, ai_old + aj_old - c)
+        )
+        hi_b = np.where(s < 0, np.minimum(c, c + aj_old - ai_old), np.minimum(c, ai_old + aj_old))
+        k_ii, k_jj, k_ij = k_i[rows, i], k_j[rows, j], k_i[rows, j]
+        f_i, f_j = f_free[rows, i], f_free[rows, j]
+        eta = k_ii + k_jj - 2.0 * k_ij
+        steep = eta > tau
+        e_diff = (f_i - yi) - (f_j - yj)
+        # flat machines divide by 1, so their unused steep step stays finite
+        aj_steep = np.minimum(
+            hi_b, np.maximum(lo_b, aj_old + yj * e_diff / np.where(steep, eta, 1.0))
+        )
+        # flat direction: move to whichever clip end gains dual objective
+        best_gain, aj_flat = np.zeros(ids.size), aj_old
+        for end in (lo_b, hi_b):
+            dj = end - aj_old
+            di = -s * dj
+            ui, uj = yi * di, yj * dj
+            gain = (
+                di
+                + dj
+                - ui * f_i
+                - uj * f_j
+                - 0.5 * (ui * ui * k_ii + uj * uj * k_jj + 2.0 * ui * uj * k_ij)
+            )
+            better = gain > best_gain + 1e-15
+            best_gain, aj_flat = np.where(better, gain, best_gain), np.where(better, end, aj_flat)
+        aj = boxed(np.where(steep, aj_steep, aj_flat))
+        ai = boxed(np.minimum(c, np.maximum(0.0, ai_old + s * (aj_old - aj))))
+        stop |= (lo_b >= hi_b) | ((ai == ai_old) & (aj == aj_old))
 
+        if stop.any():
+            alpha_out[ids[stop]] = alpha[stop]
+            f_out[ids[stop]] = f_free[stop]
+            go = ~stop
+            y, alpha, f_free, budget, ids = (v[go] for v in (y, alpha, f_free, budget, ids))
+            i, j, ai, aj, ai_old, aj_old, yi, yj, k_i, k_j = (
+                v[go] for v in (i, j, ai, aj, ai_old, aj_old, yi, yj, k_i, k_j)
+            )
+            rows = rows[: ids.size]
+        alpha[rows, i] = ai
+        alpha[rows, j] = aj
+        f_free += ((ai - ai_old) * yi)[:, None] * k_i + ((aj - aj_old) * yj)[:, None] * k_j
+        iteration += 1
+    return alpha_out, f_out
+
+
+def _machine(x, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
+    """Bias and support vectors of one solved machine."""
+    c = spec.c
     scores = y - f_free
     up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
     low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
@@ -288,16 +351,15 @@ def train_multiclass(
     std = x.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
     z = (x - mean) / std
-    label_arr = np.asarray(labels, dtype=object)
-    binaries = []
+    column = {cls: i for i, cls in enumerate(classes)}
+    codes = np.array([column[lbl] for lbl in labels])
+    problems = []
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            pair = (classes[i], classes[j])
-            rows = np.flatnonzero((label_arr == pair[0]) | (label_arr == pair[1]))
-            y = np.where(label_arr[rows] == pair[0], 1.0, -1.0)
-            binaries.append(
-                train_binary(z[rows], y, spec, tol=tol, max_passes=max_passes, class_pair=pair)
-            )
+            rows = np.flatnonzero((codes == i) | (codes == j))
+            y = np.where(codes[rows] == i, 1.0, -1.0)
+            problems.append((rows, y, (classes[i], classes[j])))
+    binaries = _train_machines(spec, z, problems, tol, max_passes)
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)
 
 
@@ -427,6 +489,11 @@ def load_model(path) -> SvmModel:
             pair = reader.expect("pair")
             if len(pair) != 2:
                 raise FormatError("pair record needs two labels")
+            if pair[0] == pair[1] or not set(pair) <= set(classes):
+                raise FormatError(
+                    f"record 'pair {pair[0]} {pair[1]}' needs two different labels "
+                    "from the classes list"
+                )
             kparts = reader.expect("kernel")
             kind = kparts[0]
             if kind == KERNEL_LINEAR and len(kparts) == 2:

@@ -237,6 +237,35 @@ class TestCli:
         assert "accuracy = 1.000000" in out
         assert "measure,value" in out  # machine-readable block
 
+    def test_train_settings_come_from_config_then_flags(self, tmp_path):
+        rng = np.random.default_rng(2)
+        rows = [pipeline.FeatureRow(subject, f"s{i}", rng.normal(k, 1.0, 14))
+                for k, subject in enumerate(("x", "y", "z")) for i in range(3)]
+        feats = tmp_path / "f.csv"
+        pipeline.write_features_csv(rows, feats)
+        x = np.array([r.vector for r in rows])
+        labels = [r.subject for r in rows]
+
+        def train(*flags):
+            out = tmp_path / "m.svm"
+            assert main(["train", "--features", str(feats), "--out", str(out), "--quiet",
+                         *flags]) == 0
+            return out.read_text()
+
+        def library(spec, **kw):
+            svm.save_model(svm.train_multiclass(x, labels, spec, **kw), tmp_path / "lib.svm")
+            return (tmp_path / "lib.svm").read_text()
+
+        assert train() == library(svm.KernelSpec("rbf", 10.0, sigma=2.0))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("kernel = linear\nc = 3\nsmo_tol = 0.5\nsmo_max_passes = 2\n")
+        text = train("--config", str(cfg))
+        assert {ln for ln in text.splitlines() if ln.startswith("kernel ")} == {"kernel linear 3"}
+        spec = svm.KernelSpec("linear", 3.0)
+        assert text == library(spec, tol=0.5, max_passes=2) != library(spec)
+        text = train("--config", str(cfg), "--kernel", "poly", "--degree", "2")
+        assert {ln for ln in text.splitlines() if ln.startswith("kernel ")} == {"kernel poly 3 2"}
+
     def test_pipeline_command_with_config(self, small_dataset, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
@@ -288,14 +317,28 @@ def _row(subject, sequence, value="0.5", n=len(FEATURE_NAMES)):
     return f"{subject},{sequence}," + ",".join([value] * n) + "\n"
 
 
-class TestFeaturesFile:
-    @pytest.fixture
-    def model(self, tmp_path):
-        x = np.vstack([np.full(14, 0.0), np.full(14, 0.2), np.full(14, 1.0), np.full(14, 1.2)])
-        model = svm.train_multiclass(x, ["ann", "ann", "bob", "bob"], svm.KernelSpec("linear", 1.0))
-        svm.save_model(model, tmp_path / "m.svm")
-        return tmp_path / "m.svm"
+@pytest.fixture
+def model(tmp_path):
+    x = np.vstack([np.full(14, 0.0), np.full(14, 0.2), np.full(14, 1.0), np.full(14, 1.2)])
+    model = svm.train_multiclass(x, ["ann", "ann", "bob", "bob"], svm.KernelSpec("linear", 1.0))
+    svm.save_model(model, tmp_path / "m.svm")
+    return tmp_path / "m.svm"
 
+
+class TestModelFile:
+    @pytest.mark.parametrize("pair", ["ann zed", "bob bob"])
+    def test_pair_labels_outside_the_classes_are_a_data_error(self, tmp_path, capsys, model,
+                                                              pair):
+        model.write_text(model.read_text().replace("pair ann bob", f"pair {pair}"))
+        feats = tmp_path / "f.csv"
+        feats.write_text(HEADER + _row("ann", "s0"))
+        assert main(["predict", "--model", str(model), "--features", str(feats)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"'pair {pair}'" in err
+
+
+class TestFeaturesFile:
     @pytest.mark.parametrize(
         "text, message",
         [

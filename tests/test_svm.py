@@ -77,6 +77,116 @@ def assert_matches_reference(model, rows):
             assert label == expected
 
 
+def reference_train_binary(x, y, spec, tol=1e-3, max_passes=10, class_pair=("+1", "-1")):
+    """The per-machine SMO loop ``train_binary`` ran before machines were
+    trained in lockstep, kept as the oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.shape[0]
+    c = spec.c
+    k = kernel_matrix(spec, x, x)
+    alpha = np.zeros(n)
+    f_free = np.zeros(n)
+    snap = 1e-12 * max(1.0, c)
+    tau = 1e-12
+
+    def boxed(value):
+        if value < snap:
+            return 0.0
+        if value > c - snap:
+            return c
+        return value
+
+    for _ in range(max(5000, 500 * max_passes * n)):
+        scores = y - f_free
+        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
+        if not up.any() or not low.any():
+            break
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = int(up_idx[np.argmax(scores[up_idx])])
+        if scores[i] - scores[low_idx].min() <= tol:
+            break
+        cand = low_idx[scores[low_idx] < scores[i]]
+        diffs = scores[i] - scores[cand]
+        etas = k[i, i] + k[cand, cand] - 2.0 * k[i, cand]
+        etas = np.where(etas > tau, etas, tau)
+        j = int(cand[np.argmax(diffs * diffs / etas)])
+
+        yi, yj = y[i], y[j]
+        s = yi * yj
+        ai_old, aj_old = alpha[i], alpha[j]
+        if s < 0:
+            lo_b = max(0.0, aj_old - ai_old)
+            hi_b = min(c, c + aj_old - ai_old)
+        else:
+            lo_b = max(0.0, ai_old + aj_old - c)
+            hi_b = min(c, ai_old + aj_old)
+        if lo_b >= hi_b:
+            break
+        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        e_diff = (f_free[i] - yi) - (f_free[j] - yj)
+        if eta > tau:
+            aj = min(hi_b, max(lo_b, aj_old + yj * e_diff / eta))
+        else:
+            best_gain, aj = 0.0, aj_old
+            for end in (lo_b, hi_b):
+                dj = end - aj_old
+                di = -s * dj
+                ui, uj = yi * di, yj * dj
+                gain = (
+                    di
+                    + dj
+                    - ui * f_free[i]
+                    - uj * f_free[j]
+                    - 0.5 * (ui * ui * k[i, i] + uj * uj * k[j, j] + 2.0 * ui * uj * k[i, j])
+                )
+                if gain > best_gain + 1e-15:
+                    best_gain, aj = gain, end
+            if aj == aj_old:
+                break
+        aj = boxed(aj)
+        ai = boxed(min(c, max(0.0, ai_old + s * (aj_old - aj))))
+        if ai == ai_old and aj == aj_old:
+            break
+        alpha[i], alpha[j] = ai, aj
+        f_free += (ai - ai_old) * yi * k[i] + (aj - aj_old) * yj * k[j]
+
+    scores = y - f_free
+    up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
+    free = (alpha > 0.0) & (alpha < c)
+    if free.any():
+        bias = float(scores[free].mean())
+    elif up.any() and low.any():
+        bias = float((scores[up].max() + scores[low].min()) / 2.0)
+    else:
+        bias = float(scores.mean())
+    support = alpha > 0.0
+    return svm.BinarySvm(x[support].copy(), (alpha * y)[support].copy(), bias, spec, class_pair)
+
+
+def pair_problems(model, x, labels):
+    """Each machine of ``model`` with its normalized training rows and
+    +/-1 labels, cut from ``x`` as ``train_multiclass`` cuts them."""
+    z = model.normalize(x)
+    labels = np.asarray(labels)
+    for machine in model.binaries:
+        first, second = machine.class_pair
+        rows = np.flatnonzero((labels == first) | (labels == second))
+        yield machine, z[rows], np.where(labels[rows] == first, 1.0, -1.0)
+
+
+def assert_same_machine(got, want):
+    """Byte equality of everything a model file stores for a machine."""
+    assert got.class_pair == want.class_pair
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.support_vectors.shape == want.support_vectors.shape
+    assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
+
+
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_Y = ["a", "a", "b", "b"]
 
@@ -167,6 +277,17 @@ class TestTrainBinary:
                     spec = KernelSpec(kind, 3.0)
                 machine = train_binary(x, y, spec)
                 assert kkt_violation(machine, x, y) <= 1e-3 + 1e-9
+                assert abs(machine.coefficients.sum()) <= 1e-6
+                assert np.all(np.abs(machine.coefficients) <= 3.0 + 1e-6)
+        # every machine of a multi-class model on uneven classes, one of one row
+        for spec in (KernelSpec("linear", 3.0), KernelSpec("rbf", 3.0, sigma=1.5),
+                     KernelSpec("poly", 3.0, degree=2)):
+            sizes = [1] + [int(v) for v in rng.integers(2, 9, size=3)]
+            x = rng.normal(0, 2, size=(sum(sizes), 3))
+            labels = [f"c{i}" for i, count in enumerate(sizes) for _ in range(count)]
+            model = train_multiclass(x, labels, spec)
+            for machine, z, y in pair_problems(model, x, labels):
+                assert kkt_violation(machine, z, y) <= 1e-3 + 1e-9
                 assert abs(machine.coefficients.sum()) <= 1e-6
                 assert np.all(np.abs(machine.coefficients) <= 3.0 + 1e-6)
 
@@ -293,6 +414,13 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("pair", ["a zed", "b b"])
+    def test_pair_labels_must_be_two_classes(self, tmp_path, pair):
+        path = tmp_path / "m.svm"
+        path.write_text(_model_text((1, 1, 1)).replace("pair b c", f"pair {pair}"))
+        with pytest.raises(FormatError, match=f"pair {pair}"):
+            load_model(path)
+
     def test_foreign_file(self, tmp_path):
         path = tmp_path / "noise.svm"
         path.write_text("hello world\n")
@@ -401,3 +529,62 @@ class TestPredictMany:
             predict(model, [np.nan, 0.0])
         with pytest.raises(NonFinite):
             predict_many(model, [[0.0, 0.0], [np.inf, 1.0]])
+
+
+@st.composite
+def training_problems(draw):
+    """Uneven classes of 1 to 8 rows. Integer-grid rows repeat within and
+    across classes, which makes the flat-direction steps."""
+    per_class = draw(st.lists(st.integers(1, 8), min_size=2, max_size=6))
+    shape = (sum(per_class), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        x = draw(arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
+    else:
+        x = draw(arrays(np.float64, shape, elements=st.floats(-3.0, 3.0), fill=st.nothing()))
+    labels = [f"c{i}" for i, count in enumerate(per_class) for _ in range(count)]
+    kind, params = draw(st.sampled_from(KERNEL_PARAMS))
+    return x, labels, KernelSpec(kind, draw(st.sampled_from((1e-3, 1.0, 10.0))), **params)
+
+
+class TestLockstepTraining:
+    @settings(max_examples=100, deadline=None)
+    @given(training_problems())
+    def test_every_machine_matches_the_per_machine_loop(self, problem):
+        x, labels, spec = problem
+        model = train_multiclass(x, labels, spec)
+        for machine, z, y in pair_problems(model, x, labels):
+            want = reference_train_binary(z, y, spec, class_pair=machine.class_pair)
+            assert_same_machine(machine, want)
+            assert_same_machine(train_binary(z, y, spec, class_pair=machine.class_pair), want)
+
+    def test_each_machine_spends_its_own_budget(self):
+        # with a gap that cannot close, the machines keep moving until their
+        # budgets run out: 5000, 6500 and 5500 iterations for 8, 13 and 11 rows
+        x = np.random.default_rng(8).normal(size=(16, 2))
+        labels = ["a"] * 5 + ["b"] * 3 + ["c"] * 8
+        spec = KernelSpec("rbf", 1.0, sigma=1.0)
+        model = train_multiclass(x, labels, spec, tol=1e-300, max_passes=1)
+        for machine, z, y in pair_problems(model, x, labels):
+            want = reference_train_binary(
+                z, y, spec, tol=1e-300, max_passes=1, class_pair=machine.class_pair
+            )
+            assert_same_machine(machine, want)
+
+    @pytest.mark.parametrize("stack_bytes", [1, 8 * 9 * 9 * 2])
+    def test_batches_match_one_stack(self, monkeypatch, stack_bytes):
+        rng = np.random.default_rng(11)
+        sizes = (1, 4, 2, 5, 3)
+        x = rng.integers(-2, 3, size=(sum(sizes), 3)).astype(float)
+        labels = [f"c{i}" for i, count in enumerate(sizes) for _ in range(count)]
+        spec = KernelSpec("rbf", 1.0, sigma=1.0)
+        whole = train_multiclass(x, labels, spec)
+        # one machine per batch, or two of at most 9 rows
+        monkeypatch.setattr(svm, "_STACK_BYTES", stack_bytes)
+        for got, want in zip(train_multiclass(x, labels, spec).binaries, whole.binaries):
+            assert_same_machine(got, want)
+
+    def test_non_positive_tol_rejected(self):
+        with pytest.raises(ValueError):
+            train_multiclass(XOR_X, XOR_Y, KernelSpec("linear", 1.0), tol=0.0)
+        with pytest.raises(ValueError):
+            train_binary(XOR_X, [1, 1, -1, -1], KernelSpec("linear", 1.0), tol=-1.0)
