@@ -10,7 +10,6 @@ from .background import (
 from .errors import GaitlockError
 from .features import (
     FEATURE_NAMES,
-    FeatureVector,
     fuse,
     haar_dwt2,
     haar_idwt2,
@@ -52,7 +51,6 @@ __all__ = [
     "FEATURE_NAMES",
     "Frame",
     "FrameSequence",
-    "FeatureVector",
     "GaitCycle",
     "GaitlockError",
     "KernelSpec",

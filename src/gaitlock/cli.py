@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from pathlib import Path
 
-import numpy as np
-
-from . import metrics, pipeline, svm, synthgait
+from . import pipeline, svm, synthgait
 from .background import build_background, load_background, save_background
 from .errors import GaitlockError, LengthMismatch
 from .gaitcycle import estimate_period, partition_cycles, width_signal
@@ -31,10 +30,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _threshold(value: str):
-    return value if value == "auto" else int(value)
-
-
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -46,20 +41,22 @@ def _load_masks(directory, fps: float) -> list[SilhouetteMask]:
 
 
 def cmd_background(args) -> int:
+    threshold = pipeline.check_threshold(args.threshold)
     seq = load_sequence(args.in_dir, args.fps)
-    model = build_background(seq, args.technique, _threshold(args.threshold))
+    model = build_background(seq, args.technique, threshold)
     save_background(model, args.out)
     _say(args, f"background ({model.technique}) written to {args.out}")
     return EXIT_OK
 
 
 def cmd_segment(args) -> int:
+    threshold = pipeline.check_threshold(args.threshold)
     bg = load_background(args.bg)
     seq = load_sequence(args.in_dir, args.fps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(seq, start=1):
-        mask = clean_mask(difference_mask(frame, bg, _threshold(args.threshold)))
+        mask = clean_mask(difference_mask(frame, bg, threshold))
         write_pgm(out_dir / frame_filename(i), mask.to_pixels())
     _say(args, f"{len(seq)} silhouettes written to {out_dir}")
     return EXIT_OK
@@ -93,14 +90,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(args, {key: getattr(args, key) for key in ("kernel", "c", "degree", "sigma")})
     rows = pipeline.read_features_csv(args.features)
-    x = np.array([r.vector for r in rows])
-    model = svm.train_multiclass(
-        x,
-        [r.subject for r in rows],
-        cfg.kernel_spec(),
-        tol=cfg.smo_tol,
-        max_passes=cfg.smo_max_passes,
-    )
+    model = pipeline.train_rows(rows, cfg.kernel_spec(), cfg)
     svm.save_model(model, args.out)
     _say(args, f"model with {len(model.binaries)} machines written to {args.out}")
     return EXIT_OK
@@ -109,7 +99,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = svm.load_model(args.model)
     rows = pipeline.read_features_csv(args.features)
-    predicted = svm.predict_many(model, np.array([r.vector for r in rows]))
+    predicted = svm.predict_many(model, pipeline.feature_matrix(rows))
     print("subject,sequence,predicted")
     for row, label in zip(rows, predicted):
         print(f"{row.subject},{row.sequence},{label}")
@@ -129,48 +119,25 @@ def cmd_evaluate(args) -> int:
     truth = _read_labels(args.labels) if args.labels else [r.subject for r in rows]
     if len(truth) != len(rows):
         raise LengthMismatch(f"{len(truth)} labels for {len(rows)} feature rows")
-    predicted = svm.predict_many(model, np.array([r.vector for r in rows]))
-    cm = metrics.evaluate(truth, predicted)
-    scores = metrics.measures(cm)
-    print("confusion matrix (rows = truth, columns = predicted):")
-    width = max(len(c) for c in cm.classes) + 2
-    print(" " * width + "".join(c.rjust(width) for c in cm.classes))
-    for i, cls in enumerate(cm.classes):
-        print(cls.rjust(width) + "".join(str(v).rjust(width) for v in cm.counts[i]))
-    print()
-    for key in ("accuracy", "precision", "recall", "f_measure"):
-        print(f"{key} = {scores[key]:.6f}")
-    print()
-    print("csv:")
-    for line in pipeline.render_confusion(cm):
-        print(line)
-    print("measure,value")
-    for key in ("accuracy", "precision", "recall", "f_measure"):
-        print(f"{key},{scores[key]:.6f}")
+    cm, scores = pipeline.score_model(model, pipeline.feature_matrix(rows), truth)
+    print("\n".join(pipeline.render_scores(cm, scores)))
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     kv = pipeline.read_kv_file(args.spec)
-    spec = synthgait.WalkerSpec(
-        body_height=int(kv.get("body_height", 80)),
-        body_width=int(kv.get("body_width", 24)),
-        period_frames=int(kv.get("period_frames", 24)),
-        stride_px=int(kv.get("stride_px", 48)),
-        leg_swing_amplitude=int(kv.get("leg_swing_amplitude", 36)),
-        start_x=int(kv.get("start_x", 40)),
-        direction=int(kv.get("direction", 1)),
-        noise_rate=float(kv.get("noise_rate", 0.0)),
-        seed=int(kv.get("seed", args.seed or 0)),
-    )
-    seq, truth = synthgait.generate(
-        spec,
-        frame_w=int(kv.get("frame_w", 352)),
-        frame_h=int(kv.get("frame_h", 144)),
-        n_frames=int(kv.get("n_frames", 3 * spec.period_frames + 8)),
-        background_level=int(kv.get("background_level", 40)),
-        fps=float(kv.get("fps", 25.0)),
-    )
+    if args.seed is not None:
+        kv["seed"] = str(args.seed)
+    # spec keys: the WalkerSpec fields and the frame settings of generate
+    walker = typing.get_type_hints(synthgait.WalkerSpec)
+    hints = walker | typing.get_type_hints(synthgait.generate)
+    del hints["spec"], hints["return"]
+    for key in kv:
+        if key not in hints:
+            raise ValueError(f"unknown walker spec key {key!r}")
+    typed = {k: float(v) if hints[k] is float else int(v) for k, v in kv.items()}
+    spec = synthgait.WalkerSpec(**{k: v for k, v in typed.items() if k in walker})
+    seq, truth = synthgait.generate(spec, **{k: v for k, v in typed.items() if k not in walker})
     out_dir = Path(args.out)
     save_sequence(seq, out_dir)
     synthgait.write_truth_csv(truth, out_dir / "truth.csv")
@@ -202,20 +169,14 @@ def cmd_pipeline(args) -> int:
 def cmd_ablation(args) -> int:
     results = pipeline.run_ablation(_pipeline_config(args), resume=args.resume)
     if not args.quiet:
-        print("feature_set,dimension,accuracy")
-        for r in results:
-            print(f"{r['feature_set']},{r['dimension']},{r['accuracy']:.6f}")
+        print(pipeline.render_ablation(results), end="")
     return EXIT_OK
 
 
 def cmd_kernel_sweep(args) -> int:
     results = pipeline.run_kernel_sweep(_pipeline_config(args), resume=args.resume)
     if not args.quiet:
-        print("kernel,c,degree,sigma,accuracy")
-        for r in results:
-            degree = "" if r["degree"] is None else r["degree"]
-            sigma = "" if r["sigma"] is None else r["sigma"]
-            print(f"{r['kernel']},{r['c']},{degree},{sigma},{r['accuracy']:.6f}")
+        print(pipeline.render_sweep(results), end="")
     return EXIT_OK
 
 

@@ -73,6 +73,10 @@ class EmptyInput(GaitlockError):
     """An evaluation was attempted on zero samples."""
 
 
+class TooFewSequences(GaitlockError):
+    """A subject has too few sequences for a train/test split."""
+
+
 class SpecOutOfBounds(GaitlockError):
     """Walker geometry does not fit inside the frame."""
 

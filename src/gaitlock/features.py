@@ -7,8 +7,6 @@ The fused descriptor has 14 dimensions in fixed order: 4 box statistics,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadComponentLength, BadDimensions, EmptyWindow, TooFewFrames
@@ -19,24 +17,6 @@ SPATIAL_NAMES = ("mean_height", "mean_width", "mean_angle_deg", "mean_aspect_rat
 TEMPORAL_NAMES = ("stride_length", "step_length", "cadence", "velocity")
 WAVELET_NAMES = ("mu_ll", "sigma_ll", "mu_lh", "sigma_lh", "mu_hl", "sigma_hl")
 FEATURE_NAMES = SPATIAL_NAMES + TEMPORAL_NAMES + WAVELET_NAMES
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fused gait descriptor with per-block provenance."""
-
-    spatial: np.ndarray
-    temporal: np.ndarray
-    wavelet: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "spatial", _component(self.spatial, 4, "spatial"))
-        object.__setattr__(self, "temporal", _component(self.temporal, 4, "temporal"))
-        object.__setattr__(self, "wavelet", _component(self.wavelet, 6, "wavelet"))
-
-    @property
-    def fused(self) -> np.ndarray:
-        return np.concatenate([self.spatial, self.temporal, self.wavelet])
 
 
 def _component(values, length: int, name: str) -> np.ndarray:
@@ -180,8 +160,9 @@ def fuse(spatial=None, temporal=None, wavelet=None) -> np.ndarray:
     """Concatenate the given components in spatial, temporal, wavelet order.
 
     Each present component must carry its full dimension (4/4/6); passing
-    all three yields the 14-dimensional fused descriptor, subsets yield
-    the reduced variants used by the feature-set comparison.
+    all three yields the 14-dimensional fused descriptor. The feature-set
+    comparison does not fuse subsets: it selects columns of the full
+    descriptor (``pipeline.FEATURE_SETS``).
     """
     parts = []
     if spatial is not None:

@@ -18,18 +18,29 @@ import numpy as np
 from . import features as feat
 from . import gaitcycle, metrics, svm
 from .background import TECHNIQUES, build_background
-from .errors import BadName, EmptyDirectory, EmptyInput, FormatError, GaitlockError, StageError
+from .errors import (
+    BadName,
+    EmptyDirectory,
+    EmptyInput,
+    FormatError,
+    GaitlockError,
+    StageError,
+    TooFewSequences,
+)
 from .imagery import load_sequence
 from .segmentation import clean_mask, difference_mask
 
+_S, _T, _W = tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 14))
+# (name, descriptor columns) per feature set of the comparison
 FEATURE_SETS = (
-    ("S", (0, 4)),
-    ("T", (4, 8)),
-    ("W", (8, 14)),
-    ("S+T", (0, 8)),
-    ("S+W", None),  # non-contiguous: spatial + wavelet
-    ("S+T+W", (0, 14)),
+    ("S", _S),
+    ("T", _T),
+    ("W", _W),
+    ("S+T", _S + _T),
+    ("S+W", _S + _W),
+    ("S+T+W", _S + _T + _W),
 )
+ALL_COLUMNS = FEATURE_SETS[-1][1]
 
 SWEEP_C = (0.1, 1.0, 10.0, 100.0)
 SWEEP_DEGREE = (2, 3)
@@ -58,6 +69,8 @@ class PipelineConfig:
     smo_max_passes: int = 10
 
     def validate(self) -> None:
+        check_threshold(self.background_threshold, "background_threshold")
+        check_threshold(self.segmentation_threshold, "segmentation_threshold")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         if self.background_technique not in TECHNIQUES:
@@ -76,6 +89,13 @@ class PipelineConfig:
         if self.kernel == svm.KERNEL_RBF:
             return svm.KernelSpec(svm.KERNEL_RBF, self.c, sigma=self.sigma)
         return svm.KernelSpec(svm.KERNEL_LINEAR, self.c)
+
+
+def check_threshold(value, name: str = "threshold"):
+    """``auto`` or the integer in [0, 255] that ``value`` spells."""
+    if value != "auto" and not (str(value).isdecimal() and int(value) <= 255):
+        raise ValueError(f"{name} must be auto or an integer in [0, 255], got {value!r}")
+    return value if value == "auto" else int(value)
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -178,7 +198,7 @@ def masks_feature_row(subject: str, sequence: str, masks, fps: float) -> Feature
         centroids = [m.centroid_x() for m in window_masks]
         temporal = feat.temporal_features(centroids, period, fps)
         wavelet = feat.wavelet_features(window_masks)
-        vector = feat.FeatureVector(spatial, temporal, wavelet).fused
+        vector = feat.fuse(spatial, temporal, wavelet)
     return FeatureRow(subject, sequence, vector, period)
 
 
@@ -254,7 +274,7 @@ def split_rows(
         n = len(group)
         n_test = max(1, round(n * (1.0 - fraction)))
         if n_test >= n:
-            raise ValueError(f"subject {subject} has too few sequences to split ({n})")
+            raise TooFewSequences(f"subject {subject} has too few sequences to split ({n})")
         rng = np.random.default_rng([seed, idx])
         test_idx = set(rng.choice(n, size=n_test, replace=False).tolist())
         for i, row in enumerate(group):
@@ -262,35 +282,45 @@ def split_rows(
     return train, test
 
 
-def _subset_slice(vector: np.ndarray, name: str) -> np.ndarray:
-    if name == "S+W":
-        return np.concatenate([vector[0:4], vector[8:14]])
-    bounds = dict(FEATURE_SETS)[name]
-    return vector[bounds[0]:bounds[1]]
+def feature_matrix(rows: list[FeatureRow], columns=ALL_COLUMNS) -> np.ndarray:
+    """The rows' descriptors restricted to ``columns``. Selecting per row
+    keeps the matrix C-contiguous; a column selection of the stacked
+    matrix is not, and changes the last bits of the normalization."""
+    index = list(columns)
+    return np.array([r.vector[index] for r in rows])
 
 
-def _train_eval(
-    train: list[FeatureRow],
-    test: list[FeatureRow],
-    spec: svm.KernelSpec,
-    cfg: PipelineConfig,
-    subset: str = "S+T+W",
-) -> tuple[svm.SvmModel, metrics.ConfusionMatrix, dict]:
-    x_train = np.array([_subset_slice(r.vector, subset) for r in train])
-    x_test = np.array([_subset_slice(r.vector, subset) for r in test])
+def train_rows(
+    rows: list[FeatureRow], spec: svm.KernelSpec, cfg: PipelineConfig, columns=ALL_COLUMNS
+) -> svm.SvmModel:
+    """Multi-class model on ``columns`` of the rows, labelled by subject."""
     with _stage("training"):
-        model = svm.train_multiclass(
-            x_train,
-            [r.subject for r in train],
+        return svm.train_multiclass(
+            feature_matrix(rows, columns),
+            [r.subject for r in rows],
             spec,
             tol=cfg.smo_tol,
             max_passes=cfg.smo_max_passes,
         )
+
+
+def score_model(model: svm.SvmModel, x: np.ndarray, truth) -> tuple[metrics.ConfusionMatrix, dict]:
+    """Confusion matrix and measures of the model's labels for ``x``."""
+    cm = metrics.evaluate(truth, svm.predict_many(model, x))
+    return cm, metrics.measures(cm)
+
+
+def _accuracy(
+    train: list[FeatureRow],
+    test: list[FeatureRow],
+    spec: svm.KernelSpec,
+    cfg: PipelineConfig,
+    columns=ALL_COLUMNS,
+) -> float:
+    model = train_rows(train, spec, cfg, columns)
     with _stage("evaluation"):
-        predicted = svm.predict_many(model, x_test)
-        cm = metrics.evaluate([r.subject for r in test], predicted)
-        scores = metrics.measures(cm)
-    return model, cm, scores
+        _, scores = score_model(model, feature_matrix(test, columns), [r.subject for r in test])
+    return scores["accuracy"]
 
 
 def gallery_means(train: list[FeatureRow]) -> list[tuple[str, np.ndarray]]:
@@ -329,10 +359,14 @@ def _render_config(cfg: PipelineConfig) -> list[str]:
     return lines
 
 
-def render_confusion(cm: metrics.ConfusionMatrix) -> list[str]:
-    lines = ["truth\\predicted," + ",".join(cm.classes)]
+def render_scores(cm: metrics.ConfusionMatrix, scores: dict) -> list[str]:
+    """The report's ``[confusion-matrix]`` and ``[measures]`` sections."""
+    lines = ["[confusion-matrix]", "truth\\predicted," + ",".join(cm.classes)]
     for i, cls in enumerate(cm.classes):
         lines.append(cls + "," + ",".join(str(v) for v in cm.counts[i]))
+    lines += ["", "[measures]"]
+    for key in ("accuracy", "precision", "recall", "f_measure"):
+        lines.append(f"{key} = {scores[key]:.6f}")
     return lines
 
 
@@ -349,36 +383,38 @@ class PipelineResult:
     report: str = ""
 
 
-def _load_or_extract(cfg: PipelineConfig, resume: bool, out: Path) -> list[FeatureRow]:
+def _set_up(cfg: PipelineConfig, resume: bool):
+    """Validate ``cfg``, create its out_dir, take the features from
+    ``features_csv``, a resumable ``features.csv`` or the dataset, and
+    split them. Returns (out_dir, rows, train, test)."""
+    cfg.validate()
+    if not cfg.out_dir:
+        raise ValueError("the run needs an out_dir")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     features_path = out / "features.csv"
     if cfg.features_csv:
-        return read_features_csv(cfg.features_csv)
-    if resume and features_path.exists():
-        return read_features_csv(features_path)
-    rows = extract_features(cfg)
-    write_features_csv(rows, features_path)
-    return rows
+        rows = read_features_csv(cfg.features_csv)
+    elif resume and features_path.exists():
+        rows = read_features_csv(features_path)
+    else:
+        rows = extract_features(cfg)
+        write_features_csv(rows, features_path)
+    train, test = split_rows(rows, cfg.split_fraction, cfg.split_seed)
+    return out, rows, train, test
 
 
 def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> PipelineResult:
     """Full run: features, split, training, gallery, evaluation, report."""
-    cfg.validate()
-    out = Path(cfg.out_dir) if cfg.out_dir else None
-    if out is None:
-        raise ValueError("pipeline needs an out_dir")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _load_or_extract(cfg, resume, out)
-    train, test = split_rows(rows, cfg.split_fraction, cfg.split_seed)
+    out, rows, train, test = _set_up(cfg, resume)
     model_path = out / "model.svm"
     if resume and model_path.exists():
         model = svm.load_model(model_path)
-        with _stage("evaluation"):
-            predicted = svm.predict_many(model, np.array([r.vector for r in test]))
-            cm = metrics.evaluate([r.subject for r in test], predicted)
-            scores = metrics.measures(cm)
     else:
-        model, cm, scores = _train_eval(train, test, cfg.kernel_spec(), cfg)
+        model = train_rows(train, cfg.kernel_spec(), cfg)
         svm.save_model(model, model_path)
+    with _stage("evaluation"):
+        cm, scores = score_model(model, feature_matrix(test), [r.subject for r in test])
     gallery = gallery_means(train)
     write_gallery_csv(gallery, out / "gallery.csv")
     nn_accuracy = nearest_gallery_accuracy(gallery, test, model)
@@ -388,11 +424,7 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> PipelineResult:
     lines += ["", "[split]"]
     lines.append("train = " + " ".join(f"{r.subject}/{r.sequence}" for r in train))
     lines.append("test = " + " ".join(f"{r.subject}/{r.sequence}" for r in test))
-    lines += ["", "[confusion-matrix]"]
-    lines += render_confusion(cm)
-    lines += ["", "[measures]"]
-    for key in ("accuracy", "precision", "recall", "f_measure"):
-        lines.append(f"{key} = {scores[key]:.6f}")
+    lines += [""] + render_scores(cm, scores)
     lines.append(f"nn_baseline_accuracy = {nn_accuracy:.6f}")
     report = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(report, encoding="ascii")
@@ -401,23 +433,21 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> PipelineResult:
 
 def run_ablation(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
     """Train and evaluate one model per feature set, all else fixed."""
-    cfg.validate()
-    out = Path(cfg.out_dir) if cfg.out_dir else None
-    if out is None:
-        raise ValueError("ablation needs an out_dir")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _load_or_extract(cfg, resume, out)
-    train, test = split_rows(rows, cfg.split_fraction, cfg.split_seed)
+    out, _, train, test = _set_up(cfg, resume)
     results = []
-    for name, _ in FEATURE_SETS:
-        dim = _subset_slice(rows[0].vector, name).size
-        _, _, scores = _train_eval(train, test, cfg.kernel_spec(), cfg, subset=name)
-        results.append({"feature_set": name, "dimension": dim, "accuracy": scores["accuracy"]})
+    for name, columns in FEATURE_SETS:
+        accuracy = _accuracy(train, test, cfg.kernel_spec(), cfg, columns)
+        results.append({"feature_set": name, "dimension": len(columns), "accuracy": accuracy})
+    (out / "ablation.csv").write_text(render_ablation(results), encoding="ascii")
+    return results
+
+
+def render_ablation(results: list[dict]) -> str:
+    """``ablation.csv``: one row per feature set."""
     lines = ["feature_set,dimension,accuracy"]
     for r in results:
         lines.append(f"{r['feature_set']},{r['dimension']},{r['accuracy']:.6f}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    return results
+    return "\n".join(lines) + "\n"
 
 
 def sweep_grid(kernel: str) -> list[svm.KernelSpec]:
@@ -430,30 +460,29 @@ def sweep_grid(kernel: str) -> list[svm.KernelSpec]:
 
 def run_kernel_sweep(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
     """Evaluate every grid point per kernel kind; report each kind's best."""
-    cfg.validate()
-    out = Path(cfg.out_dir) if cfg.out_dir else None
-    if out is None:
-        raise ValueError("kernel sweep needs an out_dir")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _load_or_extract(cfg, resume, out)
-    train, test = split_rows(rows, cfg.split_fraction, cfg.split_seed)
+    out, _, train, test = _set_up(cfg, resume)
     results = []
     for kernel in svm.KERNELS:
+        grid = sweep_grid(kernel)
         best = None
-        evaluations = 0
-        for spec in sweep_grid(kernel):
-            _, _, scores = _train_eval(train, test, spec, cfg)
-            evaluations += 1
-            if best is None or scores["accuracy"] > best["accuracy"]:
+        for spec in grid:
+            accuracy = _accuracy(train, test, spec, cfg)
+            if best is None or accuracy > best["accuracy"]:
                 best = {
                     "kernel": kernel,
                     "c": spec.c,
                     "degree": spec.degree,
                     "sigma": spec.sigma,
-                    "accuracy": scores["accuracy"],
+                    "accuracy": accuracy,
                 }
-        best["evaluations"] = evaluations
+        best["evaluations"] = len(grid)
         results.append(best)
+    (out / "kernel_sweep.csv").write_text(render_sweep(results), encoding="ascii")
+    return results
+
+
+def render_sweep(results: list[dict]) -> str:
+    """``kernel_sweep.csv``: each kernel kind's best grid point."""
     lines = ["kernel,c,degree,sigma,accuracy,evaluations"]
     for r in results:
         degree = "" if r["degree"] is None else str(r["degree"])
@@ -461,5 +490,4 @@ def run_kernel_sweep(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
         lines.append(
             f"{r['kernel']},{r['c']:g},{degree},{sigma},{r['accuracy']:.6f},{r['evaluations']}"
         )
-    (out / "kernel_sweep.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    return results
+    return "\n".join(lines) + "\n"

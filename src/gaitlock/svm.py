@@ -464,6 +464,11 @@ class _LineReader:
         return parts[1:]
 
 
+def _check_finite(values, record: str) -> None:
+    if not np.isfinite(values).all():
+        raise FormatError(f"{record} holds a non-finite number")
+
+
 def load_model(path) -> SvmModel:
     """Parse a model file written by :func:`save_model`."""
     text = Path(path).read_text(encoding="ascii", errors="replace")
@@ -483,6 +488,10 @@ def load_model(path) -> SvmModel:
         for i in range(dim):
             m_str, s_str = reader.next().split()
             mean[i], std[i] = float(m_str), float(s_str)
+            if not (np.isfinite(mean[i]) and 0.0 < std[i] < np.inf):
+                raise FormatError(
+                    f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
+                )
         (m_count_str,) = reader.expect("machines")
         binaries = []
         for _ in range(int(m_count_str)):
@@ -496,6 +505,7 @@ def load_model(path) -> SvmModel:
                 )
             kparts = reader.expect("kernel")
             kind = kparts[0]
+            _check_finite([float(v) for v in kparts[1:]], f"record 'kernel {' '.join(kparts)}'")
             if kind == KERNEL_LINEAR and len(kparts) == 2:
                 spec = KernelSpec(KERNEL_LINEAR, float(kparts[1]))
             elif kind == KERNEL_POLY and len(kparts) == 3:
@@ -505,6 +515,8 @@ def load_model(path) -> SvmModel:
             else:
                 raise FormatError(f"bad kernel record {kparts}")
             (bias_str,) = reader.expect("bias")
+            of_pair = f"of pair {pair[0]} {pair[1]}"
+            _check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
             n_sv_str, sv_dim_str = reader.expect("vectors")
             n_sv, sv_dim = int(n_sv_str), int(sv_dim_str)
             if sv_dim != dim:
@@ -517,6 +529,7 @@ def load_model(path) -> SvmModel:
                     raise FormatError("support vector row has wrong arity")
                 coefs[i] = float(parts[0])
                 vecs[i] = [float(p) for p in parts[1:]]
+            _check_finite(np.column_stack([coefs, vecs]), f"a 'vectors' row {of_pair}")
             binaries.append(
                 BinarySvm(vecs, coefs, float(bias_str), spec, (pair[0], pair[1]))
             )

@@ -30,12 +30,12 @@ class WalkerSpec:
     advances ``stride_px`` pixels.
     """
 
-    body_height: int
-    body_width: int
-    period_frames: int
-    stride_px: int
-    leg_swing_amplitude: int
-    start_x: int
+    body_height: int = 80
+    body_width: int = 24
+    period_frames: int = 24
+    stride_px: int = 48
+    leg_swing_amplitude: int = 36
+    start_x: int = 40
     direction: int = 1
     noise_rate: float = 0.0
     seed: int = 0
@@ -101,19 +101,22 @@ def _walker_mask(spec: WalkerSpec, t: int, frame_w: int, frame_h: int) -> np.nda
 
 def generate(
     spec: WalkerSpec,
-    frame_w: int,
-    frame_h: int,
-    n_frames: int,
+    frame_w: int = 352,
+    frame_h: int = 144,
+    n_frames: int | None = None,
     background_level: int = 40,
     fps: float = 25.0,
 ) -> tuple[FrameSequence, WalkerTruth]:
-    """Render ``n_frames`` frames plus the exact per-frame ground truth.
+    """Render ``n_frames`` frames (default three periods plus 8) and the
+    exact per-frame ground truth.
 
     The walker is drawn at ``background_level + 100`` (clamped) on a
     uniform background; salt noise flips background pixels to the walker
     intensity with probability ``noise_rate`` per frame. All randomness
     derives from ``spec.seed``.
     """
+    if n_frames is None:
+        n_frames = 3 * spec.period_frames + 8
     if n_frames < 3 * spec.period_frames:
         raise ValueError(
             f"need n_frames >= 3 * period ({3 * spec.period_frames}), got {n_frames}"

@@ -11,7 +11,6 @@ from gaitlock.errors import (
 )
 from gaitlock.features import (
     FEATURE_NAMES,
-    FeatureVector,
     fuse,
     haar_dwt2,
     haar_idwt2,
@@ -184,7 +183,6 @@ class TestFuse:
         with pytest.raises(BadComponentLength):
             fuse()
 
-    def test_feature_vector_ordering_and_names(self):
-        vec = FeatureVector(np.arange(4), np.arange(4, 8), np.arange(8, 14))
-        assert vec.fused.tolist() == list(range(14))
+    def test_fused_ordering_and_names(self):
+        assert fuse(np.arange(4), np.arange(4, 8), np.arange(8, 14)).tolist() == list(range(14))
         assert len(FEATURE_NAMES) == 14

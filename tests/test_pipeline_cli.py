@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gaitlock import pipeline, svm
 from gaitlock.cli import main
-from gaitlock.errors import BadName, FormatError, StageError
+from gaitlock.errors import BadName, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
 from gaitlock.imagery import save_sequence
 from gaitlock.synthgait import WalkerSpec, generate
@@ -235,7 +235,7 @@ class TestCli:
         assert main(["evaluate", "--model", str(model), "--features", str(merged)]) == 0
         out = capsys.readouterr().out
         assert "accuracy = 1.000000" in out
-        assert "measure,value" in out  # machine-readable block
+        assert "[confusion-matrix]" in out and "[measures]" in out  # the report's sections
 
     def test_train_settings_come_from_config_then_flags(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -338,6 +338,32 @@ class TestModelFile:
         assert f"'pair {pair}'" in err
 
 
+    @pytest.mark.parametrize(
+        "keyword, offset, text, message",
+        [
+            ("normalization", 1, "0.5 0", "normalization record '0.5 0' needs"),
+            ("normalization", 1, "inf 1", "normalization record 'inf 1' needs"),
+            ("kernel", 0, "kernel linear inf", "record 'kernel linear inf' holds"),
+            ("bias", 0, "bias nan", "record 'bias nan' of pair ann bob holds"),
+            ("vectors", 1, "1" + " nan" * 14, "a 'vectors' row of pair ann bob holds"),
+        ],
+        ids=["zero-std", "infinite-mean", "infinite-c", "nan-bias", "nan-vector"],
+    )
+    def test_corrupt_numbers_are_a_data_error(self, tmp_path, capsys, model, keyword, offset,
+                                              text, message):
+        lines = model.read_text().splitlines()
+        lines[next(i for i, ln in enumerate(lines) if ln.startswith(keyword)) + offset] = text
+        model.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message):
+            svm.load_model(model)
+        feats = tmp_path / "f.csv"
+        feats.write_text(HEADER + _row("ann", "s0"))
+        assert main(["predict", "--model", str(model), "--features", str(feats)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+
 class TestFeaturesFile:
     @pytest.mark.parametrize(
         "text, message",
@@ -370,6 +396,17 @@ class TestFeaturesFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("NaN or infinity") == 2
+
+    def test_subject_with_one_sequence_is_a_data_error(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text(HEADER + "".join(_row(s, q) for s in "ab" for q in ("s0", "s1"))
+                         + _row("c", "s0"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"features_csv = {feats}\nout_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(TooFewSequences, match="subject c "):
+            pipeline.run_pipeline(pipeline.parse_config(cfg))
+        assert main(["pipeline", "--config", str(cfg), "--quiet"]) == 2
+        assert "subject c has too few sequences to split (1)" in capsys.readouterr().err
 
 
 BAD_NAMES = ("john smith", "a,b", "tab\tname", "bell\x07", "caf\u00e9")
@@ -433,3 +470,130 @@ class TestNames:
         assert loaded.classes == model.classes
         assert [m.class_pair for m in loaded.binaries] == [m.class_pair for m in model.binaries]
         assert svm.predict_many(loaded, x) == svm.predict_many(model, x)
+
+
+def _random_features(path, subjects=6, sequences=8, seed=5):
+    """Features CSV of Gaussian subject clusters, enough rows per column
+    that summation order shows in the normalization statistics."""
+    rng = np.random.default_rng(seed)
+    rows = [pipeline.FeatureRow(f"w{k}", f"s{i}", rng.normal(k, 2.0, 14) * np.arange(1, 15))
+            for k in range(subjects) for i in range(sequences)]
+    pipeline.write_features_csv(rows, path)
+    return path
+
+
+class TestFeatureSets:
+    def test_pipeline_model_equals_training_on_the_stacked_vectors(self, tmp_path):
+        feats = _random_features(tmp_path / "f.csv")
+        cfg = pipeline.PipelineConfig(features_csv=str(feats), out_dir=str(tmp_path / "run"))
+        result = pipeline.run_pipeline(cfg)
+        reference = svm.train_multiclass(
+            np.array([r.vector for r in result.train]),
+            [r.subject for r in result.train],
+            cfg.kernel_spec(),
+            tol=cfg.smo_tol,
+            max_passes=cfg.smo_max_passes,
+        )
+        svm.save_model(reference, tmp_path / "reference.svm")
+        assert (tmp_path / "run" / "model.svm").read_bytes() == (
+            tmp_path / "reference.svm").read_bytes()
+        cfg = pipeline.PipelineConfig(features_csv=str(feats), out_dir=str(tmp_path / "ablation"))
+        full = pipeline.run_ablation(cfg)[-1]
+        assert full["feature_set"] == "S+T+W"
+        assert full["accuracy"] == result.scores["accuracy"]
+
+    def test_columns_select_the_named_components(self):
+        names = dict(pipeline.FEATURE_SETS)
+        assert [FEATURE_NAMES[i] for i in names["S+W"]] == list(
+            FEATURE_NAMES[:4] + FEATURE_NAMES[8:])
+        assert names["S+T+W"] == tuple(range(14)) == pipeline.ALL_COLUMNS
+
+
+class TestCommandOutput:
+    def test_evaluate_prints_the_report_sections(self, tmp_path, capsys):
+        feats = _random_features(tmp_path / "f.csv")
+        cfg = pipeline.PipelineConfig(features_csv=str(feats), out_dir=str(tmp_path / "run"))
+        result = pipeline.run_pipeline(cfg)
+        pipeline.write_features_csv(result.test, tmp_path / "test.csv")
+        assert main(["evaluate", "--model", str(tmp_path / "run" / "model.svm"),
+                     "--features", str(tmp_path / "test.csv")]) == 0
+        report = result.report.splitlines()
+        start = report.index("[confusion-matrix]")
+        end = next(i for i, ln in enumerate(report) if ln.startswith("nn_baseline_accuracy"))
+        assert capsys.readouterr().out.splitlines() == report[start:end]
+
+    @pytest.mark.parametrize("command, csv", [("ablation", "ablation.csv"),
+                                              ("kernel-sweep", "kernel_sweep.csv")])
+    def test_comparisons_print_the_csv_they_write(self, tmp_path, capsys, command, csv):
+        feats = _random_features(tmp_path / "f.csv", subjects=3, sequences=4)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"features_csv = {feats}\nout_dir = {tmp_path / 'out'}\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (tmp_path / "out" / csv).read_text()
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("key", ["background_threshold", "segmentation_threshold"])
+    @pytest.mark.parametrize("value", ["-5", "abc", "300", "2.5"])
+    def test_config_rejects_values_outside_auto_and_0_to_255(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            pipeline.config_from_values({key: value})
+
+    def test_config_accepts_auto_and_0_to_255(self):
+        cfg = pipeline.config_from_values(
+            {"background_threshold": "0", "segmentation_threshold": "255"})
+        assert (cfg.background_threshold, cfg.segmentation_threshold) == ("0", "255")
+        pipeline.config_from_values({"segmentation_threshold": "auto"})
+
+    def test_rejected_before_any_stage_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("segmentation_threshold = -5\n")
+        assert main(["pipeline", "--config", str(cfg), "--data", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert main(["background", "--threshold", "300", "--in", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "bg.pgm")]) == 1
+        assert main(["segment", "--threshold", "abc", "--bg", str(tmp_path / "none.pgm"),
+                     "--in", str(tmp_path / "none"), "--out", str(tmp_path / "sil")]) == 1
+        err = capsys.readouterr().err
+        assert "[ingestion]" not in err and err.count("must be auto or an integer in [0, 255]") == 3
+        assert not (tmp_path / "out").exists()
+
+
+SYNTH_SPEC = (
+    "body_height = 50\nbody_width = 15\nperiod_frames = 16\nstride_px = 30\n"
+    "leg_swing_amplitude = 28\nstart_x = 36\nnoise_rate = 0.01\nframe_w = 240\nframe_h = 96\n"
+)
+
+
+def _frame_bytes(directory):
+    return [p.read_bytes() for p in sorted(directory.glob("*.pgm"))]
+
+
+class TestSynth:
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "walker.cfg"
+        spec.write_text(SYNTH_SPEC + "noise = 0.2\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "f"), "--quiet"]) == 1
+        assert "unknown walker spec key 'noise'" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
+    def test_seed_flag_overrides_the_spec(self, tmp_path):
+        spec = tmp_path / "walker.cfg"
+        for seed in (3, 9):
+            spec.write_text(SYNTH_SPEC + f"seed = {seed}\n")
+            assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / f"s{seed}"),
+                         "--quiet"]) == 0
+        spec.with_name("flag.cfg").write_text(SYNTH_SPEC + "seed = 3\n")
+        assert main(["synth", "--spec", str(spec.with_name("flag.cfg")), "--out",
+                     str(tmp_path / "flag"), "--seed", "9", "--quiet"]) == 0
+        assert _frame_bytes(tmp_path / "flag") == _frame_bytes(tmp_path / "s9")
+        assert _frame_bytes(tmp_path / "flag") != _frame_bytes(tmp_path / "s3")
+
+    def test_unset_keys_keep_the_library_defaults(self, tmp_path):
+        spec = tmp_path / "walker.cfg"
+        spec.write_text("# every key unset\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cli"), "--quiet"]) == 0
+        seq, _ = generate(WalkerSpec())
+        save_sequence(seq, tmp_path / "lib")
+        assert len(seq) == 3 * 24 + 8
+        assert _frame_bytes(tmp_path / "cli") == _frame_bytes(tmp_path / "lib")
