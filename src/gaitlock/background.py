@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewFrames
+from .errors import DecodeError, TooFewFrames
 from .imagery import Frame, FrameSequence, read_pnm, write_pgm
 
 TECHNIQUE_CDM = "cdm"
@@ -192,5 +192,8 @@ def load_background(path) -> BackgroundModel:
                 if key == "technique" and value in TECHNIQUES:
                     technique = value
                 elif key == "threshold":
-                    cdm_threshold = int(value)
+                    try:
+                        cdm_threshold = int(value)
+                    except ValueError as exc:
+                        raise DecodeError(f"{path}: bad threshold in comment {line!r}") from exc
     return BackgroundModel(Frame(pixels), technique, cdm_threshold)

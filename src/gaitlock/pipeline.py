@@ -4,11 +4,13 @@ training, evaluation, and the feature-set / kernel comparison harnesses.
 A dataset is a directory tree ``<data_dir>/<subject>/<sequence>/`` where
 each sequence directory holds numbered PGM frames. Every run writes its
 artifacts (features.csv, model.svm, gallery.csv, report.txt) into the
-configured output directory; reruns with ``resume`` reuse intermediates.
+configured output directory; reruns with ``resume`` reuse features.csv
+when it was extracted under the same imaging settings.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -43,8 +45,8 @@ FEATURE_SETS = (
 ALL_COLUMNS = FEATURE_SETS[-1][1]
 
 SWEEP_C = (0.1, 1.0, 10.0, 100.0)
-SWEEP_DEGREE = (2, 3)
-SWEEP_SIGMA = (0.5, 1.0, 2.0, 5.0)
+# grid values of each parameter named in svm.KERNEL_PARAMS
+SWEEP_PARAMS = {"degree": (2, 3), "sigma": (0.5, 1.0, 2.0, 5.0)}
 
 
 @dataclass
@@ -75,8 +77,7 @@ class PipelineConfig:
             raise ValueError("split_fraction must lie in (0, 1)")
         if self.background_technique not in TECHNIQUES:
             raise ValueError(f"unknown background technique {self.background_technique!r}")
-        if self.kernel not in svm.KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        self.kernel_spec()
         if not self.fps > 0:
             raise ValueError("fps must be positive")
         named = [p for p in (self.data_dir, self.out_dir, self.features_csv) if p]
@@ -84,11 +85,11 @@ class PipelineConfig:
             raise ValueError("data_dir, out_dir and features_csv must be distinct paths")
 
     def kernel_spec(self) -> svm.KernelSpec:
-        if self.kernel == svm.KERNEL_POLY:
-            return svm.KernelSpec(svm.KERNEL_POLY, self.c, degree=self.degree)
-        if self.kernel == svm.KERNEL_RBF:
-            return svm.KernelSpec(svm.KERNEL_RBF, self.c, sigma=self.sigma)
-        return svm.KernelSpec(svm.KERNEL_LINEAR, self.c)
+        return svm.KernelSpec(
+            self.kernel,
+            self.c,
+            **{name: getattr(self, name) for name in svm.KERNEL_PARAMS.get(self.kernel, ())},
+        )
 
 
 def check_threshold(value, name: str = "threshold"):
@@ -383,6 +384,18 @@ class PipelineResult:
     report: str = ""
 
 
+def _same_imaging(cfg: PipelineConfig, report_path: Path) -> bool:
+    """Whether the report's ``[config]`` block records ``cfg``'s values of
+    every setting that features.csv depends on."""
+    if not report_path.exists():
+        return False
+    text = report_path.read_text(encoding="ascii", errors="replace")
+    block = text.partition("\n[config]\n")[2].partition("\n\n")[0].splitlines()
+    keys = ("data_dir", "fps", "background_technique", "background_threshold",
+            "segmentation_threshold")
+    return {f"{key} = {getattr(cfg, key)}" for key in keys} <= set(block)
+
+
 def _set_up(cfg: PipelineConfig, resume: bool):
     """Validate ``cfg``, create its out_dir, take the features from
     ``features_csv``, a resumable ``features.csv`` or the dataset, and
@@ -395,7 +408,7 @@ def _set_up(cfg: PipelineConfig, resume: bool):
     features_path = out / "features.csv"
     if cfg.features_csv:
         rows = read_features_csv(cfg.features_csv)
-    elif resume and features_path.exists():
+    elif resume and features_path.exists() and _same_imaging(cfg, out / "report.txt"):
         rows = read_features_csv(features_path)
     else:
         rows = extract_features(cfg)
@@ -407,12 +420,8 @@ def _set_up(cfg: PipelineConfig, resume: bool):
 def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> PipelineResult:
     """Full run: features, split, training, gallery, evaluation, report."""
     out, rows, train, test = _set_up(cfg, resume)
-    model_path = out / "model.svm"
-    if resume and model_path.exists():
-        model = svm.load_model(model_path)
-    else:
-        model = train_rows(train, cfg.kernel_spec(), cfg)
-        svm.save_model(model, model_path)
+    model = train_rows(train, cfg.kernel_spec(), cfg)
+    svm.save_model(model, out / "model.svm")
     with _stage("evaluation"):
         cm, scores = score_model(model, feature_matrix(test), [r.subject for r in test])
     gallery = gallery_means(train)
@@ -451,11 +460,13 @@ def render_ablation(results: list[dict]) -> str:
 
 
 def sweep_grid(kernel: str) -> list[svm.KernelSpec]:
-    if kernel == svm.KERNEL_LINEAR:
-        return [svm.KernelSpec(kernel, c) for c in SWEEP_C]
-    if kernel == svm.KERNEL_POLY:
-        return [svm.KernelSpec(kernel, c, degree=d) for c in SWEEP_C for d in SWEEP_DEGREE]
-    return [svm.KernelSpec(kernel, c, sigma=s) for c in SWEEP_C for s in SWEEP_SIGMA]
+    """Every grid point of ``kernel``: c major, then its parameters."""
+    names = svm.KERNEL_PARAMS[kernel]
+    return [
+        svm.KernelSpec(kernel, c, **dict(zip(names, values)))
+        for c in SWEEP_C
+        for values in itertools.product(*(SWEEP_PARAMS[name] for name in names))
+    ]
 
 
 def run_kernel_sweep(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
@@ -464,19 +475,16 @@ def run_kernel_sweep(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
     results = []
     for kernel in svm.KERNELS:
         grid = sweep_grid(kernel)
-        best = None
-        for spec in grid:
-            accuracy = _accuracy(train, test, spec, cfg)
-            if best is None or accuracy > best["accuracy"]:
-                best = {
-                    "kernel": kernel,
-                    "c": spec.c,
-                    "degree": spec.degree,
-                    "sigma": spec.sigma,
-                    "accuracy": accuracy,
-                }
-        best["evaluations"] = len(grid)
-        results.append(best)
+        accuracies = [_accuracy(train, test, spec, cfg) for spec in grid]
+        best = grid[accuracies.index(max(accuracies))]  # the first of equal accuracies
+        results.append({
+            "kernel": kernel,
+            "c": best.c,
+            "degree": best.degree,
+            "sigma": best.sigma,
+            "accuracy": max(accuracies),
+            "evaluations": len(grid),
+        })
     (out / "kernel_sweep.csv").write_text(render_sweep(results), encoding="ascii")
     return results
 

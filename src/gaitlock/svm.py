@@ -8,6 +8,7 @@ one-vs-one with majority voting over z-score-normalized features.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,10 @@ from .errors import (
 KERNEL_LINEAR = "linear"
 KERNEL_POLY = "poly"
 KERNEL_RBF = "rbf"
-KERNELS = (KERNEL_LINEAR, KERNEL_POLY, KERNEL_RBF)
+# the parameters each kernel kind takes after c, in the order the model
+# file's kernel record writes them
+KERNEL_PARAMS = {KERNEL_LINEAR: (), KERNEL_POLY: ("degree",), KERNEL_RBF: ("sigma",)}
+KERNELS = tuple(KERNEL_PARAMS)
 
 MODEL_MAGIC = "GAITLOCK-SVM"
 MODEL_VERSION = "v1"
@@ -41,25 +45,22 @@ class KernelSpec:
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KERNELS:
+        if self.kind not in KERNEL_PARAMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.c > 0:
             raise ValueError("regularization parameter c must be positive")
-        if self.kind == KERNEL_POLY:
-            if self.degree is None or int(self.degree) < 1:
-                raise ValueError("polynomial kernel needs degree >= 1")
-            if self.sigma is not None:
-                raise ValueError("polynomial kernel takes no sigma")
+        for name in ("degree", "sigma"):
+            takes = name in KERNEL_PARAMS[self.kind]
+            if takes != (getattr(self, name) is not None):
+                raise ValueError(f"{self.kind} kernel {'needs' if takes else 'takes no'} {name}")
+        if self.degree is not None:
+            if not (float(self.degree).is_integer() and self.degree >= 1):
+                raise ValueError(f"kernel degree must be an integer >= 1, got {self.degree!r}")
             object.__setattr__(self, "degree", int(self.degree))
-        elif self.kind == KERNEL_RBF:
-            if self.sigma is None or not self.sigma > 0:
+        if self.sigma is not None:
+            if not self.sigma > 0:
                 raise ValueError("RBF kernel needs sigma > 0")
-            if self.degree is not None:
-                raise ValueError("RBF kernel takes no degree")
             object.__setattr__(self, "sigma", float(self.sigma))
-        else:
-            if self.degree is not None or self.sigma is not None:
-                raise ValueError("linear kernel takes neither degree nor sigma")
         object.__setattr__(self, "c", float(self.c))
 
 
@@ -309,7 +310,9 @@ def _machine(x, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
 
 @dataclass
 class SvmModel:
-    """One-vs-one ensemble plus the training normalization statistics."""
+    """One-vs-one ensemble plus the training normalization statistics:
+    one machine per pair of the sorted classes, in training order, all
+    under one kernel."""
 
     classes: list[str]
     binaries: list[BinarySvm]
@@ -319,6 +322,10 @@ class SvmModel:
     @property
     def dimension(self) -> int:
         return self.norm_mean.size
+
+    @property
+    def kernel(self) -> KernelSpec:
+        return self.binaries[0].kernel
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.norm_mean) / self.norm_std
@@ -354,11 +361,10 @@ def train_multiclass(
     column = {cls: i for i, cls in enumerate(classes)}
     codes = np.array([column[lbl] for lbl in labels])
     problems = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            rows = np.flatnonzero((codes == i) | (codes == j))
-            y = np.where(codes[rows] == i, 1.0, -1.0)
-            problems.append((rows, y, (classes[i], classes[j])))
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        rows = np.flatnonzero((codes == i) | (codes == j))
+        y = np.where(codes[rows] == i, 1.0, -1.0)
+        problems.append((rows, y, (classes[i], classes[j])))
     binaries = _train_machines(spec, z, problems, tol, max_passes)
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)
 
@@ -373,10 +379,9 @@ def predict_many(model: SvmModel, x) -> list[str]:
 
     Ties go to the tied label with the largest sum of absolute decision
     values over the machines that voted for it, then to class order.
-    The support vectors of all machines sharing a kernel are stacked, so
-    each row costs one kernel evaluation per distinct kernel. The stacks
-    are rebuilt on every call, so their copy of the vectors does not
-    outlive it.
+    The support vectors of all machines are stacked, so each row costs
+    one kernel evaluation. The stack is rebuilt on every call, so its
+    copy of the vectors does not outlive it.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != model.dimension:
@@ -385,26 +390,15 @@ def predict_many(model: SvmModel, x) -> list[str]:
         raise NonFinite("probe features contain NaN or infinity")
     z = model.normalize(x)
     n_machines = len(model.binaries)
-    column = {cls: i for i, cls in enumerate(model.classes)}
-    first = np.array([column[m.class_pair[0]] for m in model.binaries], dtype=np.intp)
-    second = np.array([column[m.class_pair[1]] for m in model.binaries], dtype=np.intp)
+    first, second = np.triu_indices(len(model.classes), 1)
     biases = np.array([m.bias for m in model.binaries])
-    by_kernel: dict[KernelSpec, list[int]] = {}
-    for i, machine in enumerate(model.binaries):
-        by_kernel.setdefault(machine.kernel, []).append(i)
-    groups = []
-    for spec, members in by_kernel.items():
-        machines = [model.binaries[i] for i in members]
-        vectors = np.concatenate([m.support_vectors for m in machines])
-        owner = np.repeat(members, [m.coefficients.size for m in machines])
-        coef = np.concatenate([m.coefficients for m in machines])
-        groups.append((spec, vectors, owner, coef))
+    vectors = np.concatenate([m.support_vectors for m in model.binaries])
+    owner = np.repeat(np.arange(n_machines), [m.coefficients.size for m in model.binaries])
+    coef = np.concatenate([m.coefficients for m in model.binaries])
     labels = []
     for row in z:
-        d = biases.copy()
-        for spec, vectors, owner, coef in groups:
-            k = kernel_matrix(spec, row[None, :], vectors)[0]
-            d += np.bincount(owner, weights=k * coef, minlength=n_machines)
+        k = kernel_matrix(model.kernel, row[None, :], vectors)[0]
+        d = biases + np.bincount(owner, weights=k * coef, minlength=n_machines)
         winner = np.where(d >= 0.0, first, second)
         votes = np.bincount(winner, minlength=len(model.classes))
         strength = np.bincount(winner, weights=np.abs(d), minlength=len(model.classes))
@@ -417,6 +411,11 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _kernel_record(spec: KernelSpec) -> str:
+    params = [getattr(spec, name) for name in KERNEL_PARAMS[spec.kind]]
+    return " ".join(["kernel", spec.kind] + [_fmt(v) for v in (spec.c, *params)])
+
+
 def save_model(model: SvmModel, path) -> None:
     """Write the versioned plain-text model file."""
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
@@ -426,15 +425,10 @@ def save_model(model: SvmModel, path) -> None:
     for m, s in zip(model.norm_mean, model.norm_std):
         lines.append(f"{_fmt(m)} {_fmt(s)}")
     lines.append(f"machines {len(model.binaries)}")
+    kernel = _kernel_record(model.kernel)
     for machine in model.binaries:
         lines.append(f"pair {machine.class_pair[0]} {machine.class_pair[1]}")
-        spec = machine.kernel
-        if spec.kind == KERNEL_POLY:
-            lines.append(f"kernel poly {_fmt(spec.c)} {spec.degree}")
-        elif spec.kind == KERNEL_RBF:
-            lines.append(f"kernel rbf {_fmt(spec.c)} {_fmt(spec.sigma)}")
-        else:
-            lines.append(f"kernel linear {_fmt(spec.c)}")
+        lines.append(kernel)
         lines.append(f"bias {_fmt(machine.bias)}")
         n_sv = machine.support_vectors.shape[0]
         dim = model.dimension
@@ -445,25 +439,6 @@ def save_model(model: SvmModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-class _LineReader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError("model file is truncated")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, keyword: str) -> list[str]:
-        parts = self.next().split()
-        if not parts or parts[0] != keyword:
-            raise FormatError(f"expected '{keyword}' record")
-        return parts[1:]
-
-
 def _check_finite(values, record: str) -> None:
     if not np.isfinite(values).all():
         raise FormatError(f"{record} holds a non-finite number")
@@ -471,70 +446,81 @@ def _check_finite(values, record: str) -> None:
 
 def load_model(path) -> SvmModel:
     """Parse a model file written by :func:`save_model`."""
-    text = Path(path).read_text(encoding="ascii", errors="replace")
-    reader = _LineReader(text.splitlines())
-    header = reader.next().split()
+    lines = iter(Path(path).read_text(encoding="ascii", errors="replace").splitlines())
+    header = next(lines, "").split()
     if len(header) != 2 or header[0] != MODEL_MAGIC:
         raise FormatError("not a gaitlock SVM model file")
     if header[1] != MODEL_VERSION:
         raise VersionMismatch(f"unsupported model version {header[1]!r}")
+
+    def expect(keyword: str) -> list[str]:
+        parts = next(lines).split()
+        if not parts or parts[0] != keyword:
+            raise FormatError(f"expected '{keyword}' record")
+        return parts[1:]
+
     try:
-        (k_str,) = reader.expect("classes")
-        classes = [reader.next() for _ in range(int(k_str))]
-        (dim_str,) = reader.expect("normalization")
+        (k_str,) = expect("classes")
+        classes = [next(lines) for _ in range(int(k_str))]
+        if len(classes) < 2 or classes != sorted(set(classes)):
+            raise FormatError(f"record 'classes {k_str}' needs 2 or more distinct sorted classes")
+        (dim_str,) = expect("normalization")
         dim = int(dim_str)
         mean = np.empty(dim)
         std = np.empty(dim)
         for i in range(dim):
-            m_str, s_str = reader.next().split()
+            m_str, s_str = next(lines).split()
             mean[i], std[i] = float(m_str), float(s_str)
             if not (np.isfinite(mean[i]) and 0.0 < std[i] < np.inf):
                 raise FormatError(
                     f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
                 )
-        (m_count_str,) = reader.expect("machines")
+        (m_count_str,) = expect("machines")
+        n_pairs = len(classes) * (len(classes) - 1) // 2
+        if int(m_count_str) != n_pairs:
+            raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
         binaries = []
-        for _ in range(int(m_count_str)):
-            pair = reader.expect("pair")
-            if len(pair) != 2:
-                raise FormatError("pair record needs two labels")
-            if pair[0] == pair[1] or not set(pair) <= set(classes):
-                raise FormatError(
-                    f"record 'pair {pair[0]} {pair[1]}' needs two different labels "
-                    "from the classes list"
-                )
-            kparts = reader.expect("kernel")
-            kind = kparts[0]
-            _check_finite([float(v) for v in kparts[1:]], f"record 'kernel {' '.join(kparts)}'")
-            if kind == KERNEL_LINEAR and len(kparts) == 2:
-                spec = KernelSpec(KERNEL_LINEAR, float(kparts[1]))
-            elif kind == KERNEL_POLY and len(kparts) == 3:
-                spec = KernelSpec(KERNEL_POLY, float(kparts[1]), degree=int(kparts[2]))
-            elif kind == KERNEL_RBF and len(kparts) == 3:
-                spec = KernelSpec(KERNEL_RBF, float(kparts[1]), sigma=float(kparts[2]))
-            else:
-                raise FormatError(f"bad kernel record {kparts}")
-            (bias_str,) = reader.expect("bias")
+        for pair in itertools.combinations(classes, 2):  # the order of train_multiclass
+            labels = expect("pair")
+            if labels != list(pair):
+                want = " ".join(pair)
+                raise FormatError(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
+            kparts = expect("kernel")
+            record = f"record 'kernel {' '.join(kparts)}'"
+            if not binaries:
+                first_kernel = kparts
+                names = KERNEL_PARAMS.get(kparts[0]) if kparts else None
+                if names is None or len(kparts) != 2 + len(names):
+                    raise FormatError(f"{record} needs a kernel kind, c and its parameters")
+                try:
+                    values = [float(v) for v in kparts[1:]]
+                    _check_finite(values, record)
+                    spec = KernelSpec(kparts[0], values[0], **dict(zip(names, values[1:])))
+                except ValueError as exc:
+                    raise FormatError(f"{record}: {exc}") from exc
+            elif kparts != first_kernel:
+                raise FormatError(f"{record} differs from the model's first kernel record")
+            (bias_str,) = expect("bias")
             of_pair = f"of pair {pair[0]} {pair[1]}"
             _check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
-            n_sv_str, sv_dim_str = reader.expect("vectors")
+            n_sv_str, sv_dim_str = expect("vectors")
             n_sv, sv_dim = int(n_sv_str), int(sv_dim_str)
             if sv_dim != dim:
                 raise FormatError("support vector dimension differs from normalization")
             coefs = np.empty(n_sv)
             vecs = np.empty((n_sv, dim))
             for i in range(n_sv):
-                parts = reader.next().split()
+                parts = next(lines).split()
                 if len(parts) != dim + 1:
                     raise FormatError("support vector row has wrong arity")
                 coefs[i] = float(parts[0])
                 vecs[i] = [float(p) for p in parts[1:]]
             _check_finite(np.column_stack([coefs, vecs]), f"a 'vectors' row {of_pair}")
-            binaries.append(
-                BinarySvm(vecs, coefs, float(bias_str), spec, (pair[0], pair[1]))
-            )
-        if reader.next() != "end":
+            binaries.append(BinarySvm(vecs, coefs, float(bias_str), spec, pair))
+        if next(lines) != "end":
             raise FormatError("missing end record")
+    except StopIteration:
+        raise FormatError("model file is truncated") from None
     except (ValueError, IndexError) as exc:
         raise FormatError(f"malformed model file: {exc}") from exc
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlock import pipeline, svm
+from gaitlock.background import load_background
 from gaitlock.cli import main
-from gaitlock.errors import BadName, FormatError, StageError, TooFewSequences
+from gaitlock.errors import BadName, DecodeError, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
-from gaitlock.imagery import save_sequence
+from gaitlock.imagery import save_sequence, write_pgm
 from gaitlock.synthgait import WalkerSpec, generate
 
 SUBJECTS = (
@@ -66,13 +67,37 @@ class TestPipeline:
         fix = lambda text, tag: text.replace(str(tmp_path / tag), "OUT")
         assert fix(a.report, "a") == fix(b.report, "b")
 
-    def test_resume_skips_stages_and_matches(self, small_dataset, tmp_path):
+    def test_resume_skips_stages_and_matches(self, small_dataset, tmp_path, monkeypatch):
         cfg = make_cfg(small_dataset, tmp_path / "out")
         first = pipeline.run_pipeline(cfg)
         features = (tmp_path / "out" / "features.csv").read_bytes()
+        monkeypatch.setattr(pipeline, "extract_features", lambda cfg: pytest.fail("extracted"))
         again = pipeline.run_pipeline(cfg, resume=True)
         assert (tmp_path / "out" / "features.csv").read_bytes() == features
         assert again.report == first.report
+
+    def test_resume_retrains_under_the_new_kernel(self, small_dataset, tmp_path, monkeypatch):
+        pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
+        cfg = make_cfg(small_dataset, tmp_path / "out", kernel="linear")
+        monkeypatch.setattr(pipeline, "extract_features", lambda cfg: pytest.fail("extracted"))
+        resumed = pipeline.run_pipeline(cfg, resume=True)
+        assert svm.load_model(tmp_path / "out" / "model.svm").kernel == svm.KernelSpec("linear", 10)
+        svm.save_model(pipeline.train_rows(resumed.train, cfg.kernel_spec(), cfg),
+                       tmp_path / "linear.svm")
+        assert (tmp_path / "out" / "model.svm").read_bytes() == (
+            tmp_path / "linear.svm").read_bytes()
+
+    def test_resume_extracts_again_under_another_background(self, small_dataset, tmp_path):
+        pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
+        median = (tmp_path / "out" / "features.csv").read_bytes()
+        cdm = dict(background_technique="cdm")
+        resumed = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out", **cdm),
+                                        resume=True)
+        fresh = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "fresh", **cdm))
+        assert (tmp_path / "fresh" / "features.csv").read_bytes() != median
+        assert (tmp_path / "out" / "features.csv").read_bytes() == (
+            tmp_path / "fresh" / "features.csv").read_bytes()
+        assert resumed.scores == fresh.scores
 
     def test_missing_dataset_names_ingestion(self, tmp_path):
         cfg = pipeline.PipelineConfig(data_dir=str(tmp_path / "missing"),
@@ -141,6 +166,14 @@ class TestKernelSweep:
         for r in results:
             assert r["c"] in (0.1, 1.0, 10.0, 100.0)
 
+    def test_grid_per_kernel_in_sweep_order(self):
+        cs = (0.1, 1.0, 10.0, 100.0)
+        assert pipeline.sweep_grid("linear") == [svm.KernelSpec("linear", c) for c in cs]
+        assert pipeline.sweep_grid("poly") == [
+            svm.KernelSpec("poly", c, degree=d) for c in cs for d in (2, 3)]
+        assert pipeline.sweep_grid("rbf") == [
+            svm.KernelSpec("rbf", c, sigma=s) for c in cs for s in (0.5, 1.0, 2.0, 5.0)]
+
 
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
@@ -167,6 +200,15 @@ class TestConfigFile:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             pipeline.PipelineConfig(split_fraction=1.5).validate()
+
+    @pytest.mark.parametrize("setting", ["c = -1", "sigma = 0", "kernel = poly\ndegree = 0"])
+    def test_bad_kernel_settings_rejected_before_any_stage(self, small_dataset, tmp_path, capsys,
+                                                          setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {small_dataset}\nout_dir = {tmp_path / 'out'}\n{setting}\n")
+        assert main(["pipeline", "--config", str(cfg), "--quiet"]) == 1
+        assert "[ingestion]" not in capsys.readouterr().err
+        assert not (tmp_path / "out" / "features.csv").exists()
 
 
 class TestCli:
@@ -275,6 +317,15 @@ class TestCli:
         assert (tmp_path / "out" / "report.txt").exists()
         assert main(["ablation", "--config", str(cfg_file), "--resume", "--quiet"]) == 0
         assert (tmp_path / "out" / "ablation.csv").exists()
+
+    def test_bad_background_provenance_is_a_data_error(self, tmp_path, capsys):
+        bg = tmp_path / "bg.pgm"
+        write_pgm(bg, np.zeros((4, 4)), comment="gaitlock-background technique=cdm threshold=x1")
+        with pytest.raises(DecodeError, match="threshold=x1"):
+            load_background(bg)
+        assert main(["segment", "--bg", str(bg), "--in", str(tmp_path / "frames"),
+                     "--out", str(tmp_path / "sil")]) == 2
+        assert f"error: {bg}: " in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["background"]) == 1  # required flags missing

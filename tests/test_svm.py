@@ -235,6 +235,14 @@ class TestKernels:
             KernelSpec("linear", 1.0, sigma=2.0)
         with pytest.raises(ValueError):
             KernelSpec("sigmoid", 1.0)
+        for degree in (0, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="degree must be an integer >= 1"):
+                KernelSpec("poly", 1.0, degree=degree)
+        assert KernelSpec("poly", 1.0, degree=2.0).degree == 2
+        with pytest.raises(ValueError):
+            KernelSpec("rbf", 1.0, sigma=0.0)
+        with pytest.raises(ValueError):
+            KernelSpec("poly", 1.0, degree=2, sigma=1.0)
 
 
 class TestTrainBinary:
@@ -427,6 +435,49 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(svm.KERNELS), c=st.floats(1e-3, 1e3),
+           degree=st.integers(1, 6), sigma=st.floats(1e-2, 1e2))
+    def test_every_kernel_round_trips(self, tmp_path_factory, kind, c, degree, sigma):
+        params = {"degree": degree, "sigma": sigma}
+        spec = KernelSpec(kind, c, **{name: params[name] for name in svm.KERNEL_PARAMS[kind]})
+        x = np.array([[0.0, 1.0], [0.5, 1.5], [3.0, 0.0], [3.5, 0.5], [0.0, 4.0], [1.0, 4.0]])
+        path = tmp_path_factory.mktemp("kernel") / "m.svm"
+        save_model(train_multiclass(x, list("aabbcc"), spec), path)
+        back = load_model(path)
+        assert back.kernel == spec
+        assert all(m.kernel == spec for m in back.binaries)
+        save_model(back, path.with_name("again.svm"))
+        assert path.with_name("again.svm").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new, record",
+        [
+            ("kernel linear 1\nbias -1", "kernel linear 2\nbias -1", "'kernel linear 2' differs"),
+            ("kernel linear 1\nbias -1", "kernel rbf 1 1\nbias -1", "'kernel rbf 1 1' differs"),
+            ("kernel linear 1\nbias 1", "kernel poly 10 2.5\nbias 1", "'kernel poly 10 2.5'"),
+            ("kernel linear 1\nbias 1", "kernel poly 10\nbias 1", "'kernel poly 10' needs"),
+            ("classes 3\na\nb\n", "classes 3\nb\na\n", "'classes 3' needs"),
+            ("classes 3\na\nb\n", "classes 3\na\na\n", "'classes 3' needs"),
+            ("classes 3\na\nb\nc\n", "classes 1\na\n", "'classes 1' needs"),
+            ("machines 3", "machines 2", "'machines 2' should be 'machines 3'"),
+            ("pair a c", "pair b c", "'pair b c' should be 'pair a c'"),
+            ("pair a c", "pair a b", "'pair a b' should be 'pair a c'"),
+            ("pair a c", "pair c a", "'pair c a' should be 'pair a c'"),
+            ("pair a b", "pair a c", "'pair a c' should be 'pair a b'"),
+        ],
+        ids=["other-c", "other-kind", "fractional-degree", "missing-degree", "unsorted-classes",
+             "duplicate-classes", "one-class", "machine-count", "missing-pair", "duplicate-pair",
+             "reversed-pair", "out-of-order-pair"],
+    )
+    def test_model_training_cannot_make_is_rejected(self, tmp_path, old, new, record):
+        text = _model_text((1, -1, 1))
+        assert text.count(old) >= 1
+        path = tmp_path / "m.svm"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError, match=f"record {record}"):
+            load_model(path)
+
 
 def test_predict_dimension_mismatch():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [4.0, 4.0]])
@@ -435,7 +486,7 @@ def test_predict_dimension_mismatch():
         predict(model, [1.0, 2.0, 3.0])
 
 
-KERNEL_PARAMS = (
+KERNEL_CASES = (
     ("linear", {}),
     ("poly", {"degree": 1}),
     ("poly", {"degree": 3}),
@@ -458,7 +509,7 @@ def problems(draw):
     labels = [f"c{i}" for i, count in enumerate(per_class) for _ in range(count)]
     probes = draw(arrays(np.float64, (draw(st.integers(1, 6)), dim), elements=values,
                          fill=st.nothing()))
-    kind, params = draw(st.sampled_from(KERNEL_PARAMS))
+    kind, params = draw(st.sampled_from(KERNEL_CASES))
     spec = KernelSpec(kind, draw(st.sampled_from((1e-3, 0.1, 1.0, 10.0))), **params)
     i, j = np.triu_indices(len(x), 1)
     return x, labels, spec, np.vstack([x, probes.round(decimals), (x[i] + x[j]) / 2.0])
@@ -497,7 +548,25 @@ class TestPredictMany:
         assert predict(model, [0.3]) == expected
         assert predict_many(model, [[0.3], [-7.0]]) == [expected, expected]
 
-    def test_one_kernel_evaluation_per_probe_and_kernel(self, tmp_path, monkeypatch):
+    def test_one_kernel_evaluation_per_probe(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = np.vstack([rng.normal(3.0 * i, 1.0, size=(5, 4)) for i in range(4)])
+        labels = [c for c in "abcd" for _ in range(5)]
+        model = train_multiclass(x, labels, KernelSpec("rbf", 10.0, sigma=2.0))
+        probes = rng.normal(4.0, 5.0, size=(25, 4))
+        calls = []
+
+        def counting(spec, a, b):
+            calls.append(a.shape[0])
+            return kernel_matrix(spec, a, b)
+
+        monkeypatch.setattr(svm, "kernel_matrix", counting)
+        predict_many(model, probes)
+        assert calls == [1] * len(probes)
+        monkeypatch.undo()
+        assert_matches_reference(model, probes)
+
+    def test_machines_under_different_kernels_are_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
         x = np.vstack([rng.normal(3.0 * i, 1.0, size=(5, 4)) for i in range(4)])
         labels = [c for c in "abcd" for _ in range(5)]
@@ -508,20 +577,8 @@ class TestPredictMany:
         lines = [next(records) if ln.startswith("kernel ") else ln
                  for ln in (tmp_path / "m.svm").read_text().splitlines()]
         (tmp_path / "edited.svm").write_text("\n".join(lines) + "\n")
-        model = load_model(tmp_path / "edited.svm")
-        assert len({m.kernel for m in model.binaries}) == 3
-        probes = rng.normal(4.0, 5.0, size=(25, 4))
-        calls = []
-
-        def counting(spec, a, b):
-            calls.append(a.shape[0])
-            return kernel_matrix(spec, a, b)
-
-        monkeypatch.setattr(svm, "kernel_matrix", counting)
-        predict_many(model, probes)
-        assert calls == [1] * (3 * len(probes))
-        monkeypatch.undo()
-        assert_matches_reference(model, probes)
+        with pytest.raises(FormatError, match="record 'kernel poly 10 2' differs"):
+            load_model(tmp_path / "edited.svm")
 
     def test_non_finite_probe_rejected(self):
         model = train_multiclass(XOR_X, XOR_Y, KernelSpec("rbf", 10.0, sigma=0.5))
@@ -542,7 +599,7 @@ def training_problems(draw):
     else:
         x = draw(arrays(np.float64, shape, elements=st.floats(-3.0, 3.0), fill=st.nothing()))
     labels = [f"c{i}" for i, count in enumerate(per_class) for _ in range(count)]
-    kind, params = draw(st.sampled_from(KERNEL_PARAMS))
+    kind, params = draw(st.sampled_from(KERNEL_CASES))
     return x, labels, KernelSpec(kind, draw(st.sampled_from((1e-3, 1.0, 10.0))), **params)
 
 
