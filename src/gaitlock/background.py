@@ -71,22 +71,17 @@ def otsu_threshold(values) -> int:
     return int(np.argmax(sigma_b))
 
 
-def _lower_median(sorted_stack: np.ndarray) -> np.ndarray:
-    # lower middle order statistic: avoids blending two pixel values on
-    # even counts
-    n = sorted_stack.shape[0]
-    return sorted_stack[(n - 1) // 2]
-
-
 def model_median(seq: FrameSequence) -> BackgroundModel:
     """Per-pixel temporal median of the whole sequence.
 
     Exact whenever the true background is visible at a pixel in strictly
     more than half of the frames. Even frame counts take the lower of the
-    two middle order statistics.
+    two middle order statistics, so two pixel values are never blended.
+    The order statistic is found by selection, not by a full sort.
     """
-    stack = np.sort(seq.stack(), axis=0)
-    return BackgroundModel(Frame(_lower_median(stack)), TECHNIQUE_MEDIAN)
+    stack = seq.stack()
+    k = (len(stack) - 1) // 2
+    return BackgroundModel(Frame(np.partition(stack, k, axis=0)[k]), TECHNIQUE_MEDIAN)
 
 
 def model_histogram(seq: FrameSequence) -> BackgroundModel:
@@ -146,18 +141,18 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     threshold = int(threshold)
     if not 0 <= threshold <= 255:
         raise ValueError("cdm threshold must lie in [0, 255]")
-    fired = diffs >= threshold
-    run_id = np.zeros((n, p), dtype=np.int64)
-    run_id[1:] = np.cumsum(fired.reshape(n - 1, p), axis=0)
-    n_runs = int(run_id[-1].max()) + 1
-    codes = np.arange(p, dtype=np.int64) * n_runs + run_id
-    counts = np.bincount(codes.ravel(), minlength=p * n_runs).reshape(p, n_runs)
-    best = counts.argmax(axis=1)  # first maximum: earlier run wins ties
-    selected = run_id == best
-    lengths = selected.sum(axis=0)
-    vals = np.where(selected, stack.reshape(n, p).astype(np.int16), 256)
+    # frame indices in the narrowest signed type that holds -n, so that
+    # differences of two indices cannot overflow
+    frame = np.arange(n, dtype=np.min_scalar_type(-n))[:, None]
+    breaks = np.insert(diffs.reshape(n - 1, p) >= threshold, 0, True, axis=0)
+    # start[t]: first frame of the run holding frame t
+    start = np.maximum.accumulate(np.where(breaks, frame, 0), axis=0)
+    last = np.argmax(frame - start, axis=0)  # first maximum: earlier run wins ties
+    first = start[last, np.arange(p)]
+    inside = (frame >= first) & (frame <= last)
+    vals = np.where(inside, stack.reshape(n, p).astype(np.int16), 256)
     vals.sort(axis=0)
-    median = np.take_along_axis(vals, ((lengths - 1) // 2)[None, :], axis=0)[0]
+    median = np.take_along_axis(vals, ((last - first) // 2)[None, :], axis=0)[0]
     reference = median.astype(np.uint8).reshape(h, w)
     return BackgroundModel(Frame(reference), TECHNIQUE_CDM, cdm_threshold=threshold)
 

@@ -80,6 +80,12 @@ class PipelineConfig:
         self.kernel_spec()
         if not self.fps > 0:
             raise ValueError("fps must be positive")
+        if not self.smo_tol > 0:
+            raise ValueError("smo_tol must be positive")
+        if self.smo_max_passes < 1:
+            raise ValueError("smo_max_passes must be at least 1")
+        if self.split_seed < 0:
+            raise ValueError("split_seed must be non-negative")
         named = [p for p in (self.data_dir, self.out_dir, self.features_csv) if p]
         if len(set(Path(p).resolve() for p in named)) != len(named):
             raise ValueError("data_dir, out_dir and features_csv must be distinct paths")
@@ -412,6 +418,8 @@ def _set_up(cfg: PipelineConfig, resume: bool):
         rows = read_features_csv(features_path)
     else:
         rows = extract_features(cfg)
+        # a report of earlier features no longer describes these
+        (out / "report.txt").unlink(missing_ok=True)
         write_features_csv(rows, features_path)
     train, test = split_rows(rows, cfg.split_fraction, cfg.split_seed)
     return out, rows, train, test

@@ -47,8 +47,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_PARAMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.c > 0:
-            raise ValueError("regularization parameter c must be positive")
+        if not 0 < self.c < np.inf:
+            raise ValueError("regularization parameter c must be positive and finite")
         for name in ("degree", "sigma"):
             takes = name in KERNEL_PARAMS[self.kind]
             if takes != (getattr(self, name) is not None):
@@ -58,8 +58,8 @@ class KernelSpec:
                 raise ValueError(f"kernel degree must be an integer >= 1, got {self.degree!r}")
             object.__setattr__(self, "degree", int(self.degree))
         if self.sigma is not None:
-            if not self.sigma > 0:
-                raise ValueError("RBF kernel needs sigma > 0")
+            if not 0 < self.sigma < np.inf:
+                raise ValueError("RBF kernel needs a finite sigma > 0")
             object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "c", float(self.c))
 
@@ -459,22 +459,33 @@ def load_model(path) -> SvmModel:
             raise FormatError(f"expected '{keyword}' record")
         return parts[1:]
 
+    def rows(count_str: str, record: str) -> list[str]:
+        # the lines a record announces, read before any array is sized by the count
+        count = int(count_str)
+        if count < 0:
+            raise FormatError(f"{record} has a negative count")
+        taken = list(itertools.islice(lines, count))
+        if len(taken) < count:
+            raise FormatError(f"{record} announces {count} lines, the file holds {len(taken)}")
+        return taken
+
     try:
         (k_str,) = expect("classes")
-        classes = [next(lines) for _ in range(int(k_str))]
+        classes = rows(k_str, f"record 'classes {k_str}'")
         if len(classes) < 2 or classes != sorted(set(classes)):
             raise FormatError(f"record 'classes {k_str}' needs 2 or more distinct sorted classes")
         (dim_str,) = expect("normalization")
-        dim = int(dim_str)
-        mean = np.empty(dim)
-        std = np.empty(dim)
-        for i in range(dim):
-            m_str, s_str = next(lines).split()
-            mean[i], std[i] = float(m_str), float(s_str)
-            if not (np.isfinite(mean[i]) and 0.0 < std[i] < np.inf):
+        mean, std = [], []
+        for line in rows(dim_str, f"record 'normalization {dim_str}'"):
+            m_str, s_str = line.split()
+            mean.append(float(m_str))
+            std.append(float(s_str))
+            if not (np.isfinite(mean[-1]) and 0.0 < std[-1] < np.inf):
                 raise FormatError(
                     f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
                 )
+        dim = len(mean)
+        mean, std = np.array(mean), np.array(std)
         (m_count_str,) = expect("machines")
         n_pairs = len(classes) * (len(classes) - 1) // 2
         if int(m_count_str) != n_pairs:
@@ -504,18 +515,17 @@ def load_model(path) -> SvmModel:
             of_pair = f"of pair {pair[0]} {pair[1]}"
             _check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
             n_sv_str, sv_dim_str = expect("vectors")
-            n_sv, sv_dim = int(n_sv_str), int(sv_dim_str)
-            if sv_dim != dim:
+            if int(sv_dim_str) != dim:
                 raise FormatError("support vector dimension differs from normalization")
-            coefs = np.empty(n_sv)
-            vecs = np.empty((n_sv, dim))
-            for i in range(n_sv):
-                parts = next(lines).split()
+            table = []
+            for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
+                parts = line.split()
                 if len(parts) != dim + 1:
                     raise FormatError("support vector row has wrong arity")
-                coefs[i] = float(parts[0])
-                vecs[i] = [float(p) for p in parts[1:]]
-            _check_finite(np.column_stack([coefs, vecs]), f"a 'vectors' row {of_pair}")
+                table.append([float(p) for p in parts])
+            table = np.array(table, dtype=float).reshape(len(table), dim + 1)
+            _check_finite(table, f"a 'vectors' row {of_pair}")
+            coefs, vecs = table[:, 0].copy(), table[:, 1:].copy()
             binaries.append(BinarySvm(vecs, coefs, float(bias_str), spec, pair))
         if next(lines) != "end":
             raise FormatError("missing end record")

@@ -2,6 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaitlock.background import (
     load_background,
@@ -35,6 +38,42 @@ def brute_mode(values):
 
 def brute_lower_median(values):
     return sorted(values)[(len(values) - 1) // 2]
+
+
+def brute_cdm(values, threshold):
+    # walk the frames, breaking where a change fires; the first longest run wins
+    runs = [[values[0]]]
+    for prev, cur in zip(values, values[1:]):
+        if abs(int(cur) - int(prev)) >= threshold:
+            runs.append([])
+        runs[-1].append(cur)
+    return brute_lower_median(max(runs, key=len))
+
+
+def brute_between_class_variance(values, t):
+    # w0 * w1 * (mu0 - mu1)^2 for the classes <= t and > t; 0 when one is empty
+    low = [v for v in values if v <= t]
+    high = [v for v in values if v > t]
+    if not low or not high:
+        return 0.0
+    w0, w1 = len(low) / len(values), len(high) / len(values)
+    return w0 * w1 * (sum(low) / len(low) - sum(high) / len(high)) ** 2
+
+
+@st.composite
+def cdm_cases(draw):
+    n = draw(st.integers(2, 12))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # few distinct levels make equal-length runs and all-firing pixels common
+    levels = draw(st.sampled_from(((0, 255), (10, 30, 50), None)))
+    elements = st.integers(0, 255) if levels is None else st.sampled_from(levels)
+    stack = draw(arrays(np.uint8, (n, h, w), elements=elements))
+    threshold = draw(st.one_of(st.sampled_from(("auto", 0, 1, 255)), st.integers(0, 255)))
+    return stack, threshold
+
+
+def _column(values):
+    return np.array(values, dtype=np.uint8)[:, None, None]
 
 
 class TestMedian:
@@ -134,6 +173,44 @@ class TestCdm:
         with pytest.raises(TooFewFrames):
             model_cdm(seq_1x1([10]), threshold=20)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cdm_cases())
+    @example((_column([10, 10, 50, 50, 90, 90]), 20))  # three runs of equal length
+    @example((_column([0, 255, 0, 255, 0]), 255))  # every transition fires
+    @example((_column([0, 255, 0, 255, 0]), "auto"))
+    @example((_column([0, 254, 0, 254]), 255))  # nothing fires at 255
+    @example((_column([10, 10, 10, 50, 10]), 0))  # threshold 0: every run is one frame
+    @example((_column([3, 200]), 20))  # two frames, two runs
+    @example((_column([3, 4]), 20))  # two frames, one run
+    def test_matches_brute_oracle(self, case):
+        stack, threshold = case
+        seq = seq_from_stack(stack)
+        if threshold == "auto":
+            diffs = np.abs(np.diff(stack.astype(np.int16), axis=0)).astype(np.uint8)
+            threshold = otsu_threshold(diffs) + 1
+            if threshold == 256:
+                # every pooled difference is 255, so Otsu's '> t' class is
+                # empty and no threshold in [0, 255] encodes it
+                with pytest.raises(ValueError, match="cdm threshold"):
+                    model_cdm(seq, threshold="auto")
+                return
+            model = model_cdm(seq, threshold="auto")
+        else:
+            model = model_cdm(seq, threshold=threshold)
+        assert model.cdm_threshold == threshold
+        n, h, w = stack.shape
+        for r in range(h):
+            for c in range(w):
+                expected = brute_cdm(stack[:, r, c].tolist(), model.cdm_threshold)
+                assert model.reference.pixels[r, c] == expected
+
+    def test_run_starts_past_the_int16_frame_range(self):
+        # 40,000 frames: a 5,001-frame run, then single-frame runs, then the
+        # longest run starting at frame 33,000, beyond 32,767
+        values = [20] * 5000 + [0, 100] * 14000 + [7, 8] * 3500
+        model = model_cdm(seq_1x1(values), threshold=50)
+        assert model.reference.pixels[0, 0] == brute_cdm(values, 50) == 7
+
     def test_auto_threshold_on_walker(self):
         spec = WalkerSpec(
             body_height=40, body_width=12, period_frames=12, stride_px=30,
@@ -154,6 +231,21 @@ def test_otsu_separates_bimodal_values():
     assert otsu_threshold(np.array([42] * 10, dtype=np.uint8)) == 42
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.uint8, st.integers(1, 60),
+              elements=st.one_of(st.integers(0, 255), st.sampled_from((0, 9, 255)))))
+@example(np.full(7, 42, dtype=np.uint8))  # single value: no split exists
+@example(np.array([0, 255], dtype=np.uint8))
+def test_otsu_maximises_between_class_variance(values):
+    values = values.tolist()
+    t = otsu_threshold(values)
+    variances = [brute_between_class_variance(values, s) for s in range(256)]
+    best = max(variances)
+    assert abs(variances[t] - best) <= 1e-9 * best
+    if len(set(values)) == 1:
+        assert t == values[0]
+
+
 def test_background_file_round_trip(tmp_path):
     model = model_cdm(seq_1x1([10, 10, 10, 50, 10]), threshold=20)
     path = tmp_path / "bg.pgm"
@@ -166,7 +258,7 @@ def test_background_file_round_trip(tmp_path):
 
 @pytest.mark.slow
 def test_modelling_time_ordering():
-    """Counting beats sorting beats change analysis on a long walker shot."""
+    """Counting beats selection beats change analysis on a long walker shot."""
     spec = WalkerSpec(
         body_height=70, body_width=22, period_frames=24, stride_px=48,
         leg_swing_amplitude=40, start_x=45, noise_rate=0.005, seed=9,

@@ -99,6 +99,17 @@ class TestPipeline:
             tmp_path / "fresh" / "features.csv").read_bytes()
         assert resumed.scores == fresh.scores
 
+    def test_resume_after_an_ablation_under_another_background(self, small_dataset, tmp_path):
+        pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
+        pipeline.run_ablation(make_cfg(small_dataset, tmp_path / "out",
+                                       background_technique="cdm"))
+        assert not (tmp_path / "out" / "report.txt").exists()
+        resumed = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"), resume=True)
+        fresh = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "fresh"))
+        assert (tmp_path / "out" / "features.csv").read_bytes() == (
+            tmp_path / "fresh" / "features.csv").read_bytes()
+        assert resumed.scores == fresh.scores
+
     def test_missing_dataset_names_ingestion(self, tmp_path):
         cfg = pipeline.PipelineConfig(data_dir=str(tmp_path / "missing"),
                                       out_dir=str(tmp_path / "out"))
@@ -208,6 +219,25 @@ class TestConfigFile:
         cfg.write_text(f"data_dir = {small_dataset}\nout_dir = {tmp_path / 'out'}\n{setting}\n")
         assert main(["pipeline", "--config", str(cfg), "--quiet"]) == 1
         assert "[ingestion]" not in capsys.readouterr().err
+        assert not (tmp_path / "out" / "features.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("c = inf", "regularization parameter c must be positive and finite"),
+            ("sigma = inf", "RBF kernel needs a finite sigma > 0"),
+            ("smo_tol = 0", "smo_tol must be positive"),
+            ("split_seed = -1", "split_seed must be non-negative"),
+            ("smo_max_passes = -3", "smo_max_passes must be at least 1"),
+        ],
+        ids=["c", "sigma", "smo_tol", "split_seed", "smo_max_passes"],
+    )
+    def test_out_of_range_value_names_its_key_before_any_stage(self, small_dataset, tmp_path,
+                                                               capsys, setting, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {small_dataset}\nout_dir = {tmp_path / 'out'}\n{setting}\n")
+        assert main(["pipeline", "--config", str(cfg), "--quiet"]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "features.csv").exists()
 
 
@@ -397,8 +427,17 @@ class TestModelFile:
             ("kernel", 0, "kernel linear inf", "record 'kernel linear inf' holds"),
             ("bias", 0, "bias nan", "record 'bias nan' of pair ann bob holds"),
             ("vectors", 1, "1" + " nan" * 14, "a 'vectors' row of pair ann bob holds"),
+            # counts beyond the file must not size an allocation
+            ("vectors", 0, "vectors 100000000000 14", "record 'vectors 100000000000 14'"),
+            ("normalization", 0, "normalization 100000000000",
+             "record 'normalization 100000000000'"),
+            ("vectors", 0, "vectors -1 14", "record 'vectors -1 14' of pair ann bob has"),
+            ("normalization", 0, "normalization -14", "record 'normalization -14' has"),
+            ("classes", 0, "classes -2", "record 'classes -2' has"),
         ],
-        ids=["zero-std", "infinite-mean", "infinite-c", "nan-bias", "nan-vector"],
+        ids=["zero-std", "infinite-mean", "infinite-c", "nan-bias", "nan-vector",
+             "huge-vectors-count", "huge-normalization-count", "negative-vectors-count",
+             "negative-normalization-count", "negative-classes-count"],
     )
     def test_corrupt_numbers_are_a_data_error(self, tmp_path, capsys, model, keyword, offset,
                                               text, message):
