@@ -126,7 +126,11 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     intensity difference reaches the threshold; runs break exactly at
     firing transitions. Ties between equal-length runs go to the earlier
     run. ``threshold="auto"`` picks the value by Otsu analysis of the
-    pooled inter-frame absolute differences.
+    pooled inter-frame absolute differences: it fires on Otsu's ``> t``
+    class. When every pooled difference is 255 that class is empty, the
+    auto threshold is 256, no transition fires, and the reference is the
+    lower median of the whole sequence. A threshold the caller passes
+    must lie in [0, 255].
     """
     if len(seq) < 2:
         raise TooFewFrames("change analysis needs at least 2 frames")
@@ -136,11 +140,11 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     diffs = np.abs(np.diff(stack.astype(np.int16), axis=0))
     if threshold == "auto":
         # Otsu yields classes <= t / > t; fire on the '> t' class
-        t = otsu_threshold(diffs.astype(np.uint8))
-        threshold = t + 1
-    threshold = int(threshold)
-    if not 0 <= threshold <= 255:
-        raise ValueError("cdm threshold must lie in [0, 255]")
+        threshold = otsu_threshold(diffs.astype(np.uint8)) + 1
+    else:
+        threshold = int(threshold)
+        if not 0 <= threshold <= 255:
+            raise ValueError("cdm threshold must lie in [0, 255]")
     # frame indices in the narrowest signed type that holds -n, so that
     # differences of two indices cannot overflow
     frame = np.arange(n, dtype=np.min_scalar_type(-n))[:, None]

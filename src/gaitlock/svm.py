@@ -93,19 +93,26 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 class BinarySvm:
     """One trained two-class machine of the one-vs-one ensemble.
 
-    ``coefficients`` holds alpha_i * y_i for the support vectors; positive
-    sign pulls toward class_pair[0], negative toward class_pair[1].
+    The support vectors are the rows ``index`` of ``pool``, an array the
+    machines of one model share. ``coefficients`` holds alpha_i * y_i for
+    the support vectors; positive sign pulls toward class_pair[0],
+    negative toward class_pair[1].
     """
 
-    support_vectors: np.ndarray
+    pool: np.ndarray = field(repr=False)
+    index: np.ndarray
     coefficients: np.ndarray
     bias: float
     kernel: KernelSpec
     class_pair: tuple[str, str]
 
+    @property
+    def support_vectors(self) -> np.ndarray:
+        return self.pool[self.index]
+
     def decision_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.support_vectors.size == 0:
+        if self.index.size == 0:
             return np.full(x.shape[0], self.bias)
         k = kernel_matrix(self.kernel, x, self.support_vectors)
         return k @ self.coefficients + self.bias
@@ -145,10 +152,12 @@ def train_binary(
     optimality gap closes below ``tol``, which bounds every sample's KKT
     violation by ``tol``. ``max_passes`` scales the iteration budget.
     The solver is fully deterministic; this is the one-machine case of
-    the lockstep solver that :func:`train_multiclass` runs.
+    the lockstep solver that :func:`train_multiclass` runs. The machine's
+    pool is a copy of ``x``.
     """
     x, y = _validate_binary_input(x, y)
-    (machine,) = _train_machines(spec, x, [(slice(None), y, class_pair)], tol, max_passes)
+    problem = (np.arange(y.size), y, class_pair)
+    (machine,) = _train_machines(spec, x.copy(), [problem], tol, max_passes)
     return machine
 
 
@@ -163,7 +172,8 @@ def _train_machines(
 ) -> list[BinarySvm]:
     """Train one machine per ``(rows, y, class_pair)`` problem by lockstep SMO.
 
-    A machine trains on ``x[rows]``, a copy made only while it is needed.
+    A machine trains on ``x[rows]``, a copy made only while it is needed,
+    and keeps ``x`` as its pool.
     Its kernel matrix comes from its own ``kernel_matrix(spec, xr, xr)``
     call with the same array object twice: numpy then computes
     ``xr @ xr.T`` by a symmetric product, whose rounding neither two
@@ -187,7 +197,7 @@ def _train_machines(
         budget = np.array([max(5000, 500 * max_passes * y.size) for _, y, _ in part], dtype=float)
         alphas, f_frees = _smo_lockstep(k, labels, spec.c, tol, budget)
         for (rows, y, pair), alpha, f_free in zip(part, alphas, f_frees):
-            machines.append(_machine(x[rows], y, alpha[: y.size], f_free[: y.size], spec, pair))
+            machines.append(_machine(x, rows, y, alpha[: y.size], f_free[: y.size], spec, pair))
     return machines
 
 
@@ -284,8 +294,8 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
     return alpha_out, f_out
 
 
-def _machine(x, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
-    """Bias and support vectors of one solved machine."""
+def _machine(pool, rows, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
+    """Bias and support vectors of one solved machine on ``pool[rows]``."""
     c = spec.c
     scores = y - f_free
     up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
@@ -300,8 +310,9 @@ def _machine(x, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
 
     support = alpha > 0.0
     return BinarySvm(
-        support_vectors=x[support].copy(),
-        coefficients=(alpha * y)[support].copy(),
+        pool=pool,
+        index=rows[support],
+        coefficients=(alpha * y)[support],
         bias=bias,
         kernel=spec,
         class_pair=class_pair,
@@ -312,12 +323,16 @@ def _machine(x, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
 class SvmModel:
     """One-vs-one ensemble plus the training normalization statistics:
     one machine per pair of the sorted classes, in training order, all
-    under one kernel."""
+    under one kernel, all with support vectors in one pool."""
 
     classes: list[str]
     binaries: list[BinarySvm]
     norm_mean: np.ndarray
     norm_std: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if any(m.pool is not self.binaries[0].pool for m in self.binaries):
+            raise ValueError("the machines of a model must share one support-vector pool")
 
     @property
     def dimension(self) -> int:
@@ -326,6 +341,10 @@ class SvmModel:
     @property
     def kernel(self) -> KernelSpec:
         return self.binaries[0].kernel
+
+    @property
+    def pool(self) -> np.ndarray:
+        return self.binaries[0].pool
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.norm_mean) / self.norm_std
@@ -379,9 +398,8 @@ def predict_many(model: SvmModel, x) -> list[str]:
 
     Ties go to the tied label with the largest sum of absolute decision
     values over the machines that voted for it, then to class order.
-    The support vectors of all machines are stacked, so each row costs
-    one kernel evaluation. The stack is rebuilt on every call, so its
-    copy of the vectors does not outlive it.
+    Each row costs one kernel evaluation against the model's pool; every
+    machine's decision value sums its own columns of it.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != model.dimension:
@@ -392,13 +410,13 @@ def predict_many(model: SvmModel, x) -> list[str]:
     n_machines = len(model.binaries)
     first, second = np.triu_indices(len(model.classes), 1)
     biases = np.array([m.bias for m in model.binaries])
-    vectors = np.concatenate([m.support_vectors for m in model.binaries])
-    owner = np.repeat(np.arange(n_machines), [m.coefficients.size for m in model.binaries])
+    index = np.concatenate([m.index for m in model.binaries])
+    owner = np.repeat(np.arange(n_machines), [m.index.size for m in model.binaries])
     coef = np.concatenate([m.coefficients for m in model.binaries])
     labels = []
     for row in z:
-        k = kernel_matrix(model.kernel, row[None, :], vectors)[0]
-        d = biases + np.bincount(owner, weights=k * coef, minlength=n_machines)
+        k = kernel_matrix(model.kernel, row[None, :], model.pool)[0]
+        d = biases + np.bincount(owner, weights=k[index] * coef, minlength=n_machines)
         winner = np.where(d >= 0.0, first, second)
         votes = np.bincount(winner, minlength=len(model.classes))
         strength = np.bincount(winner, weights=np.abs(d), minlength=len(model.classes))
@@ -417,7 +435,8 @@ def _kernel_record(spec: KernelSpec) -> str:
 
 
 def save_model(model: SvmModel, path) -> None:
-    """Write the versioned plain-text model file."""
+    """Write the versioned plain-text model file; each pool row is
+    formatted once, however many support vectors repeat it."""
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
     lines.append(f"classes {len(model.classes)}")
     lines.extend(model.classes)
@@ -426,15 +445,14 @@ def save_model(model: SvmModel, path) -> None:
         lines.append(f"{_fmt(m)} {_fmt(s)}")
     lines.append(f"machines {len(model.binaries)}")
     kernel = _kernel_record(model.kernel)
+    text = ["".join(" " + _fmt(v) for v in row) for row in model.pool]
     for machine in model.binaries:
         lines.append(f"pair {machine.class_pair[0]} {machine.class_pair[1]}")
         lines.append(kernel)
         lines.append(f"bias {_fmt(machine.bias)}")
-        n_sv = machine.support_vectors.shape[0]
-        dim = model.dimension
-        lines.append(f"vectors {n_sv} {dim}")
-        for coef, vec in zip(machine.coefficients, machine.support_vectors):
-            lines.append(" ".join([_fmt(coef)] + [_fmt(v) for v in vec]))
+        lines.append(f"vectors {machine.index.size} {model.dimension}")
+        vectors = zip(machine.coefficients.tolist(), machine.index.tolist())
+        lines.extend(f"{_fmt(coef)}{text[i]}" for coef, i in vectors)
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -445,7 +463,8 @@ def _check_finite(values, record: str) -> None:
 
 
 def load_model(path) -> SvmModel:
-    """Parse a model file written by :func:`save_model`."""
+    """Parse a model file written by :func:`save_model`. Support-vector
+    rows with the same text are parsed once, as one row of the pool."""
     lines = iter(Path(path).read_text(encoding="ascii", errors="replace").splitlines())
     header = next(lines, "").split()
     if len(header) != 2 or header[0] != MODEL_MAGIC:
@@ -490,7 +509,7 @@ def load_model(path) -> SvmModel:
         n_pairs = len(classes) * (len(classes) - 1) // 2
         if int(m_count_str) != n_pairs:
             raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
-        binaries = []
+        machines, pool, slot = [], [], {}  # slot: row text -> pool row
         for pair in itertools.combinations(classes, 2):  # the order of train_multiclass
             labels = expect("pair")
             if labels != list(pair):
@@ -498,7 +517,7 @@ def load_model(path) -> SvmModel:
                 raise FormatError(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
             kparts = expect("kernel")
             record = f"record 'kernel {' '.join(kparts)}'"
-            if not binaries:
+            if not machines:
                 first_kernel = kparts
                 names = KERNEL_PARAMS.get(kparts[0]) if kparts else None
                 if names is None or len(kparts) != 2 + len(names):
@@ -517,22 +536,30 @@ def load_model(path) -> SvmModel:
             n_sv_str, sv_dim_str = expect("vectors")
             if int(sv_dim_str) != dim:
                 raise FormatError("support vector dimension differs from normalization")
-            table = []
+            coefs, index = [], []
             for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
-                parts = line.split()
-                if len(parts) != dim + 1:
-                    raise FormatError("support vector row has wrong arity")
-                table.append([float(p) for p in parts])
-            table = np.array(table, dtype=float).reshape(len(table), dim + 1)
-            _check_finite(table, f"a 'vectors' row {of_pair}")
-            coefs, vecs = table[:, 0].copy(), table[:, 1:].copy()
-            binaries.append(BinarySvm(vecs, coefs, float(bias_str), spec, pair))
+                parts = line.split(maxsplit=1)
+                text = parts[1] if len(parts) == 2 else ""
+                if text not in slot:
+                    values = text.split()
+                    if not parts or len(values) != dim:
+                        raise FormatError(f"a 'vectors' row {of_pair} has wrong arity")
+                    slot[text] = len(pool)
+                    pool.append([float(v) for v in values])
+                    _check_finite(pool[-1], f"a 'vectors' row {of_pair}")
+                coefs.append(float(parts[0]))
+                index.append(slot[text])
+            coefs = np.array(coefs, dtype=float)
+            _check_finite(coefs, f"a 'vectors' row {of_pair}")
+            machines.append((np.array(index, dtype=np.intp), coefs, float(bias_str), spec, pair))
         if next(lines) != "end":
             raise FormatError("missing end record")
     except StopIteration:
         raise FormatError("model file is truncated") from None
     except (ValueError, IndexError) as exc:
         raise FormatError(f"malformed model file: {exc}") from exc
+    pool = np.array(pool, dtype=float).reshape(len(pool), dim)
+    binaries = [BinarySvm(pool, *machine) for machine in machines]
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)
 
 
@@ -548,16 +575,15 @@ def kkt_violation(machine: BinarySvm, x, y, atol: float = 1e-9) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     c = machine.kernel.c
-    consumed = np.zeros(machine.support_vectors.shape[0], dtype=bool)
+    vectors = machine.support_vectors
+    consumed = np.zeros(vectors.shape[0], dtype=bool)
     alphas = np.zeros(y.size)
     for i in range(y.size):
         for sv_idx in range(consumed.size):
             if consumed[sv_idx]:
                 continue
             coef = machine.coefficients[sv_idx]
-            if np.sign(coef) == np.sign(y[i]) and np.array_equal(
-                machine.support_vectors[sv_idx], x[i]
-            ):
+            if np.sign(coef) == np.sign(y[i]) and np.array_equal(vectors[sv_idx], x[i]):
                 alphas[i] = abs(coef)
                 consumed[sv_idx] = True
                 break

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlock import pipeline, svm
-from gaitlock.background import load_background
+from gaitlock.background import load_background, save_background
 from gaitlock.cli import main
 from gaitlock.errors import BadName, DecodeError, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
@@ -347,6 +347,21 @@ class TestCli:
         assert (tmp_path / "out" / "report.txt").exists()
         assert main(["ablation", "--config", str(cfg_file), "--resume", "--quiet"]) == 0
         assert (tmp_path / "out" / "ablation.csv").exists()
+
+    def test_cdm_auto_threshold_when_every_difference_is_255(self, tmp_path):
+        # Otsu's '> t' class is empty, so no transition fires
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i, v in enumerate([0, 255, 0, 255, 0, 255], start=1):
+            write_pgm(frames / f"frame_{i:04d}.pgm", np.full((1, 1), v, np.uint8))
+        bg = tmp_path / "bg.pgm"
+        assert main(["background", "--technique", "cdm", "--in", str(frames),
+                     "--out", str(bg), "--quiet"]) == 0
+        back = load_background(bg)
+        assert (back.technique, back.cdm_threshold) == ("cdm", 256)
+        assert back.reference.pixels.tolist() == [[0]]  # lower median of all six frames
+        save_background(back, tmp_path / "again.pgm")
+        assert (tmp_path / "again.pgm").read_bytes() == bg.read_bytes()
 
     def test_bad_background_provenance_is_a_data_error(self, tmp_path, capsys):
         bg = tmp_path / "bg.pgm"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,7 +166,9 @@ def reference_train_binary(x, y, spec, tol=1e-3, max_passes=10, class_pair=("+1"
     else:
         bias = float(scores.mean())
     support = alpha > 0.0
-    return svm.BinarySvm(x[support].copy(), (alpha * y)[support].copy(), bias, spec, class_pair)
+    return svm.BinarySvm(
+        x.copy(), np.flatnonzero(support), (alpha * y)[support].copy(), bias, spec, class_pair
+    )
 
 
 def pair_problems(model, x, labels):
@@ -479,6 +483,62 @@ class TestPersistence:
             load_model(path)
 
 
+class TestPool:
+    def test_a_gallery_sized_model_round_trips_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(12)
+        x = rng.normal(0, 1, size=(48, 1, 14)) + rng.normal(0, 0.9, size=(48, 8, 14))
+        labels = [f"s{i:02d}" for i in range(48) for _ in range(8)]
+        model = train_multiclass(x.reshape(-1, 14), labels, KernelSpec("rbf", 10.0, sigma=2.0))
+        assert model.pool.shape == (48 * 8, 14)
+        path = tmp_path / "m.svm"
+        save_model(model, path)
+        back = load_model(path)
+        save_model(back, tmp_path / "again.svm")
+        assert (tmp_path / "again.svm").read_bytes() == path.read_bytes()
+        assert all(m.pool is back.pool for m in back.binaries)
+        assert back.pool.shape[0] <= 48 * 8
+        for a, b in zip(model.binaries, back.binaries):
+            assert_same_machine(b, a)
+
+    def test_model_rejects_machines_on_different_pools(self):
+        model = train_multiclass(XOR_X, XOR_Y, KernelSpec("linear", 1.0))
+        (machine,) = model.binaries
+        other = dataclasses.replace(machine, pool=machine.pool.copy())
+        with pytest.raises(ValueError, match="share one support-vector pool"):
+            svm.SvmModel(["a", "b"], [machine, other], model.norm_mean, model.norm_std)
+
+    def test_train_binary_keeps_its_own_copy_of_x(self):
+        x, y = two_clusters()
+        machine = train_binary(x, y, KernelSpec("rbf", 10.0, sigma=2.0))
+        probes = x + 0.3
+        before = machine.decision_many(probes)
+        x[:] = 0.0
+        assert machine.decision_many(probes).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("0.25 inf", "holds a non-finite number"), ("nan 2", "holds a non-finite number"),
+         ("0.25 1 2", "has wrong arity"), ("0.25", "has wrong arity")],
+        ids=["non-finite-value", "non-finite-coef-of-a-known-row", "long-row", "short-row"],
+    )
+    def test_bad_row_first_in_the_second_machine_names_its_pair(self, tmp_path, row, problem):
+        path = tmp_path / "m.svm"
+        path.write_text(_model_text((1, -1, 1), (["0.5 2"], ["-0.5 2", row], [])))
+        with pytest.raises(FormatError, match=f"a 'vectors' row of pair a c {problem}"):
+            load_model(path)
+
+    def test_a_row_repeated_across_machines_is_one_pool_entry(self, tmp_path):
+        path = tmp_path / "m.svm"
+        path.write_text(_model_text((1, -1, 1), (["0.5 2"], ["-0.5 2", "0.25 3"], ["0.75 2"])))
+        model = load_model(path)
+        assert model.pool.tolist() == [[2.0], [3.0]]
+        assert [m.index.tolist() for m in model.binaries] == [[0], [0, 1], [0]]
+        assert [m.support_vectors.tolist() for m in model.binaries] == [[[2.0]], [[2.0], [3.0]],
+                                                                        [[2.0]]]
+        save_model(model, tmp_path / "again.svm")
+        assert (tmp_path / "again.svm").read_bytes() == path.read_bytes()
+
+
 def test_predict_dimension_mismatch():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [4.0, 4.0]])
     model = train_multiclass(x, ["a", "a", "b", "b"], KernelSpec("linear", 1.0))
@@ -515,11 +575,15 @@ def problems(draw):
     return x, labels, spec, np.vstack([x, probes.round(decimals), (x[i] + x[j]) / 2.0])
 
 
-def _model_text(biases):
+def _model_text(biases, vectors=((), (), ())):
+    """A hand-written 3-class, 1-D linear model; ``vectors`` holds each
+    machine's ``coef value`` rows."""
     lines = ["GAITLOCK-SVM v1", "classes 3", "a", "b", "c", "normalization 1", "0 1",
              "machines 3"]
-    for (first, second), bias in zip((("a", "b"), ("a", "c"), ("b", "c")), biases):
-        lines += [f"pair {first} {second}", "kernel linear 1", f"bias {bias}", "vectors 0 1"]
+    pairs = (("a", "b"), ("a", "c"), ("b", "c"))
+    for (first, second), bias, rows in zip(pairs, biases, vectors):
+        lines += [f"pair {first} {second}", "kernel linear 1", f"bias {bias}",
+                  f"vectors {len(rows)} 1", *rows]
     return "\n".join(lines + ["end", ""])
 
 
