@@ -51,12 +51,22 @@ def otsu_threshold(values) -> int:
 
     Maximizes the between-class variance of the 256-bin histogram. On a
     degenerate single-valued input the value itself is returned, so the
-    foreground class ``> t`` stays empty.
+    foreground class ``> t`` stays empty. Values must be integers in
+    [0, 255]. Only the non-zero values are counted one by one; bin 0
+    takes the rest, since differences of static pixels are mostly 0.
     """
-    arr = np.asarray(values, dtype=np.uint8).ravel()
+    arr = np.asarray(values)
     if arr.size == 0:
         raise ValueError("otsu_threshold needs at least one value")
-    hist = np.bincount(arr, minlength=256).astype(np.float64)
+    if arr.dtype != np.uint8:
+        if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() > 255:
+            raise ValueError("otsu_threshold needs integer values in [0, 255]")
+        arr = arr.astype(np.uint8)
+    arr = arr.ravel()
+    nonzero = arr[arr != 0]
+    hist = np.bincount(nonzero, minlength=256)
+    hist[0] = arr.size - nonzero.size
+    hist = hist.astype(np.float64)
     prob = hist / hist.sum()
     omega = np.cumsum(prob)
     mu = np.cumsum(prob * np.arange(256))
@@ -137,26 +147,33 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     stack = seq.stack()
     n, h, w = stack.shape
     p = h * w
-    diffs = np.abs(np.diff(stack.astype(np.int16), axis=0))
+    flat = stack.reshape(n, p)
+    diffs = np.maximum(flat[1:], flat[:-1]) - np.minimum(flat[1:], flat[:-1])  # uint8
     if threshold == "auto":
         # Otsu yields classes <= t / > t; fire on the '> t' class
-        threshold = otsu_threshold(diffs.astype(np.uint8)) + 1
+        threshold = otsu_threshold(diffs) + 1
     else:
         threshold = int(threshold)
         if not 0 <= threshold <= 255:
             raise ValueError("cdm threshold must lie in [0, 255]")
-    # frame indices in the narrowest signed type that holds -n, so that
-    # differences of two indices cannot overflow
-    frame = np.arange(n, dtype=np.min_scalar_type(-n))[:, None]
-    breaks = np.insert(diffs.reshape(n - 1, p) >= threshold, 0, True, axis=0)
-    # start[t]: first frame of the run holding frame t
-    start = np.maximum.accumulate(np.where(breaks, frame, 0), axis=0)
-    last = np.argmax(frame - start, axis=0)  # first maximum: earlier run wins ties
-    first = start[last, np.arange(p)]
-    inside = (frame >= first) & (frame <= last)
-    vals = np.where(inside, stack.reshape(n, p).astype(np.int16), 256)
-    vals.sort(axis=0)
-    median = np.take_along_axis(vals, ((last - first) // 2)[None, :], axis=0)[0]
+    fires = diffs >= threshold  # all False at 256
+    # one scan over the frames. A run gets the key length * n + (n - 1 - start),
+    # so the largest key is the longest run and, on equal lengths, the earlier
+    key = np.full(p, 2 * n - 1, dtype=np.int64)  # frame 0: length 1, start 0
+    best = key.copy()
+    for t in range(1, n):
+        key += n  # one frame longer
+        np.copyto(key, 2 * n - 1 - t, where=fires[t - 1])  # a new run starts at t
+        np.maximum(best, key, out=best)
+    length = best // n
+    first = n - 1 - best % n
+    # frames outside a pixel's run gain 256, so they sort after the run;
+    # a sequence holds far fewer than 2**31 frames, so indices fit int32
+    frame = np.arange(n, dtype=np.int32)[:, None]
+    outside = (frame < first.astype(np.int32)) | (frame >= (first + length).astype(np.int32))
+    vals = (flat + outside * np.uint16(256)).T.copy()  # one row per pixel
+    vals.sort(axis=1)
+    median = np.take_along_axis(vals, ((length - 1) // 2)[:, None], axis=1)[:, 0]
     reference = median.astype(np.uint8).reshape(h, w)
     return BackgroundModel(Frame(reference), TECHNIQUE_CDM, cdm_threshold=threshold)
 

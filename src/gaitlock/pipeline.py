@@ -71,6 +71,11 @@ class PipelineConfig:
     smo_max_passes: int = 10
 
     def validate(self) -> None:
+        # report.txt is ASCII; a value it cannot hold fails here, before any stage
+        for f in fields(self):
+            value = str(getattr(self, f.name))
+            if not value.isascii():
+                raise ValueError(f"config value of {f.name} must be ASCII, got {ascii(value)}")
         check_threshold(self.background_threshold, "background_threshold")
         check_threshold(self.segmentation_threshold, "segmentation_threshold")
         if not 0.0 < self.split_fraction < 1.0:
@@ -100,7 +105,8 @@ class PipelineConfig:
 
 def check_threshold(value, name: str = "threshold"):
     """``auto`` or the integer in [0, 255] that ``value`` spells."""
-    if value != "auto" and not (str(value).isdecimal() and int(value) <= 255):
+    text = str(value)
+    if value != "auto" and not (text.isascii() and text.isdecimal() and int(text) <= 255):
         raise ValueError(f"{name} must be auto or an integer in [0, 255], got {value!r}")
     return value if value == "auto" else int(value)
 

@@ -90,9 +90,10 @@ def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> Silh
         raise DimensionMismatch(
             f"frame {frame.width}x{frame.height} vs background {bg.width}x{bg.height}"
         )
-    diff = np.abs(frame.pixels.astype(np.int16) - bg.reference.pixels.astype(np.int16))
+    a, b = frame.pixels, bg.reference.pixels
+    diff = np.maximum(a, b) - np.minimum(a, b)  # |a - b| without leaving uint8
     if threshold == "auto":
-        threshold = otsu_threshold(diff.astype(np.uint8))
+        threshold = otsu_threshold(diff)
     threshold = int(threshold)
     return SilhouetteMask(diff > threshold)
 

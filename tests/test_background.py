@@ -182,6 +182,8 @@ class TestCdm:
     @example((_column([10, 10, 10, 50, 10]), 0))  # threshold 0: every run is one frame
     @example((_column([3, 200]), 20))  # two frames, two runs
     @example((_column([3, 4]), 20))  # two frames, one run
+    # two 130-frame runs: equal lengths, starts more than 127 frames apart
+    @example((_column([10] * 130 + [200] * 130), 20))
     def test_matches_brute_oracle(self, case):
         stack, threshold = case
         seq = seq_from_stack(stack)
@@ -239,6 +241,55 @@ def test_otsu_maximises_between_class_variance(values):
     assert abs(variances[t] - best) <= 1e-9 * best
     if len(set(values)) == 1:
         assert t == values[0]
+
+
+def brute_otsu(values):
+    # first threshold of maximal between-class variance
+    variances = [brute_between_class_variance(values, s) for s in range(256)]
+    return variances.index(max(variances))
+
+
+class TestOtsuEdges:
+    def test_all_zeros(self):
+        assert otsu_threshold(np.zeros(50, np.uint8)) == 0
+
+    def test_no_zeros(self):
+        # classes {100} and {200}: a phantom zero would split off {0}
+        assert otsu_threshold(np.array([100, 200], np.uint8)) == 100
+        rng = np.random.default_rng(8)
+        values = rng.integers(1, 256, size=300).astype(np.uint8)
+        assert otsu_threshold(values) == brute_otsu(values.tolist())
+
+    def test_single_nonzero_value(self):
+        for v in (1, 9, 255):
+            values = [0] * 40 + [v]
+            assert otsu_threshold(np.array(values, np.uint8)) == brute_otsu(values) == 0
+
+    def test_zero_weight_moves_the_split(self):
+        # four zeros split {0, 30} from {60}, five split {0} from {30, 60}
+        splits = []
+        for zeros in range(1, 9):
+            values = [0] * zeros + [30] * 5 + [60] * 5
+            splits.append(otsu_threshold(np.array(values, np.uint8)))
+            assert splits[-1] == brute_otsu(values)
+        assert splits == [30] * 4 + [0] * 4
+
+    def test_values_beyond_8_bits_rejected(self):
+        # 300 would wrap to 44 as uint8
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            otsu_threshold(np.array([10] * 50 + [300] * 50, np.int16))
+        with pytest.raises(ValueError):
+            otsu_threshold([-1, 10])
+
+    def test_non_integer_values_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            otsu_threshold(np.array([10.0, 200.5]))
+
+    def test_two_dimensional_input_equals_its_ravel(self):
+        rng = np.random.default_rng(9)
+        stack = rng.integers(0, 4, size=(12, 5, 7)).astype(np.uint8) * 60
+        diffs = np.abs(np.diff(stack.astype(np.int16), axis=0)).astype(np.uint8).reshape(11, 35)
+        assert otsu_threshold(diffs) == otsu_threshold(diffs.ravel())
 
 
 def test_background_file_round_trip(tmp_path):

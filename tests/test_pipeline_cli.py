@@ -240,6 +240,28 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "features.csv").exists()
 
+    def test_non_ascii_data_dir_rejected_before_any_stage(self, small_dataset, tmp_path, capsys):
+        # report.txt is ASCII, so a path it cannot hold must fail up front
+        data = tmp_path / "donn\u00e9e"
+        shutil.copytree(small_dataset, data)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--data", str(data), "--out", str(out), "--quiet"]) == 1
+        assert "data_dir" in capsys.readouterr().err
+        assert not (out / "features.csv").exists() and not (out / "report.txt").exists()
+
+    def test_non_ascii_digit_threshold_rejected_before_any_stage(self, small_dataset, tmp_path,
+                                                                capsys):
+        # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit to str.isdecimal
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {small_dataset}\nout_dir = {tmp_path / 'out'}\n"
+                       "segmentation_threshold = \u0663\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg), "--quiet"]) == 1
+        assert "segmentation_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "features.csv").exists()
+        assert not (tmp_path / "out" / "report.txt").exists()
+        with pytest.raises(ValueError, match="threshold"):
+            pipeline.check_threshold("\u0663")
+
 
 class TestCli:
     def test_full_command_chain(self, tmp_path, capsys):

@@ -16,6 +16,8 @@ from gaitlock.segmentation import (
     largest_component,
 )
 
+from test_background import brute_between_class_variance
+
 
 def bg_of(pixels):
     return BackgroundModel(Frame(np.asarray(pixels, dtype=np.uint8)), "median")
@@ -79,6 +81,37 @@ class TestDifferenceMask:
         mask = difference_mask(Frame(pixels), bg_of(np.zeros((8, 8))), 100)
         assert (mask.bbox.x_min, mask.bbox.y_min, mask.bbox.x_max, mask.bbox.y_max) == (3, 2, 6, 4)
         assert (mask.bbox.width, mask.bbox.height) == (4, 3)
+
+
+@st.composite
+def frame_pairs(draw):
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    # few levels make ties and zero differences common
+    elements = st.one_of(st.integers(0, 255), st.sampled_from((0, 128, 255)))
+    frame = draw(arrays(np.uint8, (h, w), elements=elements))
+    reference = draw(arrays(np.uint8, (h, w), elements=elements))
+    return frame, reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_pairs())
+@example((np.full((3, 4), 77, np.uint8), np.full((3, 4), 77, np.uint8)))  # all equal
+@example((np.full((3, 4), 255, np.uint8), np.zeros((3, 4), np.uint8)))  # every difference 255
+@example((np.full((2, 2), 255, np.uint8), np.full((2, 2), 255, np.uint8)))
+def test_auto_difference_mask_matches_brute_otsu(pair):
+    frame, reference = pair
+    mask = difference_mask(Frame(frame), bg_of(reference)).mask
+    diffs = [abs(int(a) - int(b)) for a, b in zip(frame.ravel(), reference.ravel())]
+    if len(set(diffs)) == 1:
+        # no split exists: the foreground class stays empty
+        assert not mask.any()
+        return
+    variances = [brute_between_class_variance(diffs, t) for t in range(256)]
+    best = max(variances)
+    # the mask must be the split of a threshold of maximal variance; two
+    # different splits can tie, and rounding may then favour either
+    splits = {tuple(d > t for d in diffs) for t in range(256) if variances[t] >= best * (1 - 1e-9)}
+    assert tuple(mask.ravel().tolist()) in splits
 
 
 class TestCleanMask:
