@@ -27,7 +27,13 @@ from .gaitcycle import (
 )
 from .imagery import Frame, FrameSequence, load_sequence
 from .metrics import ConfusionMatrix, evaluate, measures
-from .segmentation import BoundingBox, SilhouetteMask, clean_mask, difference_mask
+from .segmentation import (
+    BoundingBox,
+    SilhouetteMask,
+    clean_mask,
+    difference_mask,
+    segment_sequence,
+)
 from .svm import (
     BinarySvm,
     KernelSpec,
@@ -78,6 +84,7 @@ __all__ = [
     "partition_cycles",
     "predict",
     "save_model",
+    "segment_sequence",
     "select_feature_window",
     "spatial_features",
     "temporal_features",

@@ -52,8 +52,7 @@ def otsu_threshold(values) -> int:
     Maximizes the between-class variance of the 256-bin histogram. On a
     degenerate single-valued input the value itself is returned, so the
     foreground class ``> t`` stays empty. Values must be integers in
-    [0, 255]. Only the non-zero values are counted one by one; bin 0
-    takes the rest, since differences of static pixels are mostly 0.
+    [0, 255].
     """
     arr = np.asarray(values)
     if arr.size == 0:
@@ -62,23 +61,33 @@ def otsu_threshold(values) -> int:
         if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() > 255:
             raise ValueError("otsu_threshold needs integer values in [0, 255]")
         arr = arr.astype(np.uint8)
-    arr = arr.ravel()
-    nonzero = arr[arr != 0]
-    hist = np.bincount(nonzero, minlength=256)
-    hist[0] = arr.size - nonzero.size
-    hist = hist.astype(np.float64)
-    prob = hist / hist.sum()
-    omega = np.cumsum(prob)
-    mu = np.cumsum(prob * np.arange(256))
-    mu_total = mu[-1]
+    return int(otsu_thresholds(arr.reshape(1, -1))[0])
+
+
+def otsu_thresholds(rows: np.ndarray) -> np.ndarray:
+    """:func:`otsu_threshold` of each row of a non-empty (n, p) uint8
+    array. One ``bincount`` counts the non-zero values of every row; bin
+    0 takes the rest, since differences of static pixels are mostly 0.
+    """
+    n, p = rows.shape
+    flat = rows.ravel()
+    index = np.flatnonzero(flat != 0)
+    keys = index // p * 256  # row r counts in bins 256 r .. 256 r + 255
+    keys += flat[index]
+    hist = np.bincount(keys, minlength=256 * n).reshape(n, 256)
+    hist[:, 0] = p - hist.sum(axis=1)
+    prob = hist / p
+    omega = np.cumsum(prob, axis=1)
+    mu = np.cumsum(prob * np.arange(256), axis=1)
     valid = (omega > 0.0) & (omega < 1.0)
-    if not valid.any():
-        return int(arr[0])
-    sigma_b = np.zeros(256)
-    sigma_b[valid] = (mu_total * omega[valid] - mu[valid]) ** 2 / (
-        omega[valid] * (1.0 - omega[valid])
-    )
-    return int(np.argmax(sigma_b))
+    mu_total = np.broadcast_to(mu[:, -1:], mu.shape)[valid]
+    w = omega[valid]
+    sigma_b = np.zeros((n, 256))
+    sigma_b[valid] = (mu_total * w - mu[valid]) ** 2 / (w * (1.0 - w))
+    thresholds = sigma_b.argmax(axis=1)
+    single = ~valid.any(axis=1)  # one value only: the class '> t' stays empty
+    thresholds[single] = rows[single, 0]
+    return thresholds
 
 
 def model_median(seq: FrameSequence) -> BackgroundModel:

@@ -10,12 +10,14 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import pipeline, svm, synthgait
 from .background import build_background, load_background, save_background
 from .errors import GaitlockError, LengthMismatch
 from .gaitcycle import estimate_period, partition_cycles, width_signal
 from .imagery import frame_filename, load_sequence, save_sequence, write_pgm
-from .segmentation import SilhouetteMask, clean_mask, difference_mask
+from .segmentation import bounding_boxes, segment_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,9 +37,8 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _load_masks(directory, fps: float) -> list[SilhouetteMask]:
-    seq = load_sequence(directory, fps)
-    return [SilhouetteMask(f.pixels > 127) for f in seq]
+def _load_masks(directory, fps: float) -> np.ndarray:
+    return load_sequence(directory, fps).stack() > 127
 
 
 def cmd_background(args) -> int:
@@ -55,16 +56,14 @@ def cmd_segment(args) -> int:
     seq = load_sequence(args.in_dir, args.fps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(seq, start=1):
-        mask = clean_mask(difference_mask(frame, bg, threshold))
-        write_pgm(out_dir / frame_filename(i), mask.to_pixels())
+    for i, mask in enumerate(segment_sequence(seq, bg, threshold), start=1):
+        write_pgm(out_dir / frame_filename(i), mask * np.uint8(255))
     _say(args, f"{len(seq)} silhouettes written to {out_dir}")
     return EXIT_OK
 
 
 def cmd_cycles(args) -> int:
-    masks = _load_masks(args.in_dir, args.fps)
-    signal = width_signal(masks, args.fps)
+    signal = width_signal(bounding_boxes(_load_masks(args.in_dir, args.fps)), args.fps)
     period = estimate_period(signal)
     cycles = partition_cycles(signal, period)
     print(f"period_frames,{period}")

@@ -27,15 +27,19 @@ def _component(values, length: int, name: str) -> np.ndarray:
 
 
 def spatial_features(boxes) -> np.ndarray:
-    """Mean box height, width, diagonal angle (degrees) and aspect ratio.
+    """Mean box height, width, diagonal angle (degrees) and aspect ratio
+    of box rows [x_min, y_min, x_max, y_max].
 
-    Frames without a box are excluded from the averages.
+    Rows of frames without a silhouette (width 0, as
+    ``segmentation.EMPTY_BOX``) are excluded from the averages.
     """
-    present = [b for b in boxes if b is not None]
-    if not present:
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    widths = (boxes[:, 2] - boxes[:, 0] + 1).astype(np.float64)
+    heights = (boxes[:, 3] - boxes[:, 1] + 1).astype(np.float64)
+    present = widths > 0
+    if not present.any():
         raise EmptyWindow("no frame in the window has a silhouette")
-    heights = np.array([b.height for b in present], dtype=np.float64)
-    widths = np.array([b.width for b in present], dtype=np.float64)
+    heights, widths = heights[present], widths[present]
     mean_h = heights.mean()
     mean_w = widths.mean()
     angles = np.degrees(np.arctan2(heights, widths))
@@ -50,8 +54,8 @@ def temporal_features(centroids, period: int, fps: float) -> np.ndarray:
     skipped. One cycle covers two steps, so cadence doubles the cycle rate.
     """
     x = np.asarray(centroids, dtype=np.float64)
-    if not fps > 0:
-        raise ValueError("fps must be positive")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     if period < 1 or x.size < period + 1:
         raise EmptyWindow(
             f"window of {x.size} frames cannot span a cycle of {period} frames at lag distance"
@@ -67,6 +71,16 @@ def temporal_features(centroids, period: int, fps: float) -> np.ndarray:
     return np.array([stride, step, cadence, velocity])
 
 
+def _haar_sums(x: np.ndarray):
+    # a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d of each 2x2 block [[a, b], [c, d]]
+    # over the last two axes, in x's dtype
+    a = x[..., 0::2, 0::2]
+    b = x[..., 0::2, 1::2]
+    c = x[..., 1::2, 0::2]
+    d = x[..., 1::2, 1::2]
+    return a + b + c + d, a - b + c - d, a + b - c - d, a - b - c + d
+
+
 def haar_dwt2(image) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One-level orthonormal 2-D Haar transform of a square power-of-two grid.
 
@@ -79,15 +93,7 @@ def haar_dwt2(image) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     side = x.shape[0]
     if side < 2 or side & (side - 1):
         raise BadDimensions(f"side must be a power of two >= 2, got {side}")
-    a = x[0::2, 0::2]
-    b = x[0::2, 1::2]
-    c = x[1::2, 0::2]
-    d = x[1::2, 1::2]
-    ll = (a + b + c + d) / 2.0
-    lh = (a - b + c - d) / 2.0
-    hl = (a + b - c - d) / 2.0
-    hh = (a - b - c + d) / 2.0
-    return ll, lh, hl, hh
+    return tuple(s / 2.0 for s in _haar_sums(x))
 
 
 def haar_idwt2(ll, lh, hl, hh) -> np.ndarray:
@@ -120,40 +126,60 @@ def series_stats(values) -> tuple[float, float]:
     return mu, sigma
 
 
-def _resample_nearest(grid: np.ndarray, side: int) -> np.ndarray:
-    h, w = grid.shape
-    rows = (np.arange(side) * h) // side
-    cols = (np.arange(side) * w) // side
-    return grid[np.ix_(rows, cols)]
+def subband_energies(masks, boxes) -> np.ndarray:
+    """LL/LH/HL energies of each silhouette of an (n, h, w) mask stack
+    with an (n, 4) box row, one row per frame with a silhouette.
+
+    Each silhouette is cropped to its box and resampled to the wavelet
+    grid (nearest neighbour); HH carries near-zero energy for smooth
+    silhouettes and is discarded. The grids are gathered as 0/1 integers:
+    every Haar coefficient of a 0/1 grid is an integer k over 2, so a
+    band's energy is exactly sum(k**2) / 4 / band size.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    _, h, w = masks.shape
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    present = np.flatnonzero(boxes[:, 2] >= boxes[:, 0])
+    x_min, y_min, x_max, y_max = boxes[present].T
+    steps = np.arange(WAVELET_GRID)
+    rows = (present * h + y_min)[:, None] + steps * (y_max - y_min + 1)[:, None] // WAVELET_GRID
+    cols = x_min[:, None] + steps * (x_max - x_min + 1)[:, None] // WAVELET_GRID
+    grids = masks.ravel().take((rows * w)[:, :, None] + cols[:, None, :])
+    bands = _haar_sums(grids.view(np.int8))[:3]
+    squares = np.stack([(k * k).sum(axis=(1, 2)) for k in bands], axis=1)
+    return squares / 4 / (WAVELET_GRID // 2) ** 2
 
 
 def silhouette_subband_energies(mask) -> tuple[float, float, float]:
-    """LL/LH/HL energies of one silhouette, cropped to its box and
-    resampled to the wavelet grid (nearest neighbour)."""
+    """LL/LH/HL energies of one silhouette: the one-frame case of
+    :func:`subband_energies`."""
     box = mask.bbox
     if box is None:
         raise EmptyWindow("cannot transform an empty silhouette")
-    crop = mask.mask[box.y_min:box.y_max + 1, box.x_min:box.x_max + 1]
-    grid = _resample_nearest(crop.astype(np.float64), WAVELET_GRID)
-    # HH carries near-zero energy for smooth silhouettes and is discarded
-    ll, lh, hl, _ = haar_dwt2(grid)
-    return subband_energy(ll), subband_energy(lh), subband_energy(hl)
+    row = (box.x_min, box.y_min, box.x_max, box.y_max)
+    return tuple(subband_energies(mask.mask[None], row)[0].tolist())
 
 
-def wavelet_features(masks) -> np.ndarray:
-    """Mean and standard deviation of the per-frame LL/LH/HL energies,
-    ordered [mu_LL, sigma_LL, mu_LH, sigma_LH, mu_HL, sigma_HL]."""
-    usable = [m for m in masks if m.bbox is not None]
-    if not usable:
+def wavelet_statistics(energies) -> np.ndarray:
+    """Mean and standard deviation of per-frame LL/LH/HL energies, one
+    row per silhouette, ordered [mu_LL, sigma_LL, mu_LH, sigma_LH, mu_HL,
+    sigma_HL]."""
+    energies = np.asarray(energies, dtype=np.float64).reshape(-1, 3)
+    if len(energies) == 0:
         raise EmptyWindow("no silhouettes in the feature window")
-    if len(usable) < 2:
+    if len(energies) < 2:
         raise TooFewFrames("wavelet statistics need >= 2 silhouettes")
-    energies = np.array([silhouette_subband_energies(m) for m in usable])
     out = []
     for s in range(3):
         mu, sigma = series_stats(energies[:, s])
         out.extend((mu, sigma))
     return np.array(out)
+
+
+def wavelet_features(masks) -> np.ndarray:
+    """:func:`wavelet_statistics` of a list of silhouette masks; frames
+    without a silhouette are skipped."""
+    return wavelet_statistics([silhouette_subband_energies(m) for m in masks if m.bbox is not None])
 
 
 def fuse(spatial=None, temporal=None, wavelet=None) -> np.ndarray:

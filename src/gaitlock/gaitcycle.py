@@ -51,10 +51,11 @@ class GaitCycle:
             raise ValueError("cycle bounds do not span period_frames frames")
 
 
-def width_signal(masks, fps: float) -> WidthSignal:
-    """Width signal of a silhouette sequence."""
-    widths = [0 if m.bbox is None else m.bbox.width for m in masks]
-    return WidthSignal(np.asarray(widths, dtype=np.float64), fps)
+def width_signal(boxes, fps: float) -> WidthSignal:
+    """Width signal of a silhouette sequence from its (n, 4) box rows
+    [x_min, y_min, x_max, y_max] (``segmentation.bounding_boxes``)."""
+    boxes = np.asarray(boxes).reshape(-1, 4)
+    return WidthSignal(boxes[:, 2] - boxes[:, 0] + 1, fps)
 
 
 def autocorrelation(values: np.ndarray, max_lag: int) -> np.ndarray:

@@ -7,6 +7,7 @@ converted to luminance. Emitted images are always P5 PGM.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -67,8 +68,8 @@ class FrameSequence:
                 raise DimensionMismatch(
                     f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
                 )
-        if not fps > 0:
-            raise ValueError("fps must be positive")
+        if not 0 < fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {fps}")
         self.frames = frames
         self.fps = float(fps)
 

@@ -11,6 +11,7 @@ when it was extracted under the same imaging settings.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,7 +31,11 @@ from .errors import (
     TooFewSequences,
 )
 from .imagery import load_sequence
-from .segmentation import clean_mask, difference_mask
+from .segmentation import bounding_boxes, centroids_x, segment_sequence
+
+# not called here; gaitbench/tracer.py wraps pipeline.difference_mask and
+# pipeline.clean_mask by name and fails every traced call without them
+from .segmentation import clean_mask, difference_mask  # noqa: F401
 
 _S, _T, _W = tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 14))
 # (name, descriptor columns) per feature set of the comparison
@@ -83,10 +88,10 @@ class PipelineConfig:
         if self.background_technique not in TECHNIQUES:
             raise ValueError(f"unknown background technique {self.background_technique!r}")
         self.kernel_spec()
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
-        if not self.smo_tol > 0:
-            raise ValueError("smo_tol must be positive")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
+        if not 0 < self.smo_tol < math.inf:
+            raise ValueError(f"smo_tol must be positive and finite, got {self.smo_tol}")
         if self.smo_max_passes < 1:
             raise ValueError("smo_max_passes must be at least 1")
         if self.split_seed < 0:
@@ -197,20 +202,20 @@ def _stage(name: str, location: str | None = None):
 
 
 def masks_feature_row(subject: str, sequence: str, masks, fps: float) -> FeatureRow:
-    """Fused descriptor of an already-segmented silhouette sequence."""
+    """Fused descriptor of an already-segmented silhouette sequence, an
+    (n, h, w) bool array."""
     location = f"{subject}/{sequence}"
     with _stage("gait-cycle", location):
-        signal = gaitcycle.width_signal(masks, fps)
+        boxes = bounding_boxes(masks)
+        signal = gaitcycle.width_signal(boxes, fps)
         period = gaitcycle.estimate_period(signal)
         cycles = gaitcycle.partition_cycles(signal, period)
         window = gaitcycle.select_feature_window(cycles)
     with _stage("features", location):
-        lo, hi = window[0].start_frame, window[-1].end_frame
-        window_masks = masks[lo:hi + 1]
-        spatial = feat.spatial_features([m.bbox for m in window_masks])
-        centroids = [m.centroid_x() for m in window_masks]
-        temporal = feat.temporal_features(centroids, period, fps)
-        wavelet = feat.wavelet_features(window_masks)
+        frames = slice(window[0].start_frame, window[-1].end_frame + 1)
+        spatial = feat.spatial_features(boxes[frames])
+        temporal = feat.temporal_features(centroids_x(masks[frames]), period, fps)
+        wavelet = feat.wavelet_statistics(feat.subband_energies(masks[frames], boxes[frames]))
         vector = feat.fuse(spatial, temporal, wavelet)
     return FeatureRow(subject, sequence, vector, period)
 
@@ -224,7 +229,7 @@ def sequence_feature_row(subject: str, sequence: str, seq_dir, cfg: PipelineConf
     with _stage("background", location):
         bg = build_background(seq, cfg.background_technique, cfg.background_threshold)
     with _stage("segmentation", location):
-        masks = [clean_mask(difference_mask(f, bg, cfg.segmentation_threshold)) for f in seq]
+        masks = segment_sequence(seq, bg, cfg.segmentation_threshold)
     return masks_feature_row(subject, sequence, masks, cfg.fps)
 
 

@@ -1,4 +1,8 @@
-"""Silhouette extraction: frame differencing, cleanup, bounding boxes."""
+"""Silhouette extraction: frame differencing, cleanup, bounding boxes.
+
+A walk is segmented in blocks of frames with whole-array numpy passes;
+the per-frame functions are the one-frame case of the same code.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BackgroundModel, otsu_threshold
+from .background import BackgroundModel, otsu_thresholds
 from .errors import DimensionMismatch
-from .imagery import Frame
+from .imagery import Frame, FrameSequence
+
+# a walk is segmented in blocks of frames of about this many bytes, which
+# stay in cache through every pass; no output depends on it
+_BLOCK_BYTES = 1 << 19
+
+# box row of an empty mask: x_max < x_min, so width and height are 0
+EMPTY_BOX = (0, 0, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -31,9 +42,6 @@ class BoundingBox:
     @property
     def height(self) -> int:
         return self.y_max - self.y_min + 1
-
-    def shifted(self, dx: int, dy: int) -> "BoundingBox":
-        return BoundingBox(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
 
 
 def bounding_box(mask: np.ndarray) -> BoundingBox | None:
@@ -72,79 +80,102 @@ class SilhouetteMask:
 
     def centroid_x(self) -> float:
         """Mean column of the foreground pixels (NaN when empty)."""
-        if self.bbox is None:
-            return float("nan")
-        return float(np.nonzero(self.mask)[1].mean())
-
-    def to_pixels(self) -> np.ndarray:
-        """0/255 uint8 rendering for PGM output."""
-        return np.where(self.mask, 255, 0).astype(np.uint8)
+        return float(centroids_x(self.mask[None])[0])
 
 
-def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> SilhouetteMask:
-    """Mark pixels whose absolute difference from the reference exceeds
-    the threshold (strictly). ``auto`` chooses the threshold by Otsu
-    analysis of this frame's difference image.
-    """
-    if frame.width != bg.width or frame.height != bg.height:
+def bounding_boxes(masks) -> np.ndarray:
+    """Tight box of each mask of an (n, h, w) stack, one int64 row
+    [x_min, y_min, x_max, y_max] per mask. An empty mask gets
+    ``EMPTY_BOX``, so its width and height come out 0."""
+    masks = np.asarray(masks, dtype=bool)
+    _, h, w = masks.shape
+    rows = masks.any(axis=2)
+    cols = masks.any(axis=1)
+    boxes = np.stack([
+        cols.argmax(axis=1),
+        rows.argmax(axis=1),
+        w - 1 - cols[:, ::-1].argmax(axis=1),
+        h - 1 - rows[:, ::-1].argmax(axis=1),
+    ], axis=1).astype(np.int64)
+    boxes[~rows.any(axis=1)] = EMPTY_BOX
+    return boxes
+
+
+def centroids_x(masks) -> np.ndarray:
+    """Mean foreground column of each mask of an (n, h, w) stack, NaN
+    where a mask is empty. Integer column sums stay far below 2**53, so
+    each value equals the mean of the foreground column indices bit for
+    bit."""
+    masks = np.asarray(masks, dtype=bool)
+    counts = np.count_nonzero(masks, axis=1)  # (n, w) pixels per column
+    with np.errstate(invalid="ignore"):
+        return (counts @ np.arange(masks.shape[2])) / counts.sum(axis=1)
+
+
+def _check_size(image, bg: BackgroundModel) -> None:
+    if image.width != bg.width or image.height != bg.height:
         raise DimensionMismatch(
-            f"frame {frame.width}x{frame.height} vs background {bg.width}x{bg.height}"
+            f"frame {image.width}x{image.height} vs background {bg.width}x{bg.height}"
         )
-    a, b = frame.pixels, bg.reference.pixels
-    diff = np.maximum(a, b) - np.minimum(a, b)  # |a - b| without leaving uint8
+
+
+def _foreground(frames: np.ndarray, reference: np.ndarray, threshold) -> np.ndarray:
+    # |frame - reference| > threshold over an (n, h, w) uint8 block; auto
+    # takes one Otsu threshold per frame
+    diff = np.maximum(frames, reference) - np.minimum(frames, reference)  # stays uint8
     if threshold == "auto":
-        threshold = otsu_threshold(diff)
-    threshold = int(threshold)
-    return SilhouetteMask(diff > threshold)
+        limits = otsu_thresholds(diff.reshape(len(diff), -1)).astype(np.uint8)
+        return diff > limits[:, None, None]
+    return diff > int(threshold)
 
 
-def _majority_vote(mask: np.ndarray) -> np.ndarray:
-    # one smoothing pass: each pixel becomes the majority of its 3x3
-    # neighbourhood, borders padded with background; the 3x3 sum is a
-    # 3-sum over rows followed by a 3-sum over columns
-    h, w = mask.shape
-    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask
-    rows = padded[:-2] + padded[1:-1] + padded[2:]
-    counts = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
+def _majority_vote(masks: np.ndarray) -> np.ndarray:
+    # one smoothing pass over an (n, h, w) stack: each pixel becomes the
+    # majority of its 3x3 neighbourhood, borders padded with background;
+    # the 3x3 sum is a 3-sum over rows followed by a 3-sum over columns
+    n, h, w = masks.shape
+    padded = np.zeros((n, h + 2, w + 2), dtype=np.uint8)
+    padded[:, 1:-1, 1:-1] = masks
+    rows = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
+    counts = rows[:, :, :-2] + rows[:, :, 1:-1] + rows[:, :, 2:]
     return counts >= 5
 
 
-def connected_components(mask: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Label 8-connected foreground components.
+def _label_runs(masks: np.ndarray):
+    """Row runs of an (n, h, w) bool stack and the 8-connected component
+    of each run.
 
-    Returns (labels, sizes): labels is int32 with 0 for background and
-    1..k for components in scan order of their first pixel; sizes[i] is
-    the pixel count of component i+1. Run-based labeling in whole-array
-    numpy passes (He, Chao & Suzuki, IEEE TIP 2008): row runs are joined
-    to the runs they touch on the row above, so cost scales with the run
-    count rather than the pixel count.
+    Run-based labeling in whole-array numpy passes (He, Chao & Suzuki,
+    IEEE TIP 2008): row runs are joined to the runs they touch on the row
+    above, so cost scales with the run count rather than the pixel count.
+    The stack is laid out as one image whose rows are w + 1 keys wide,
+    each frame followed by one blank row, so no run wraps a row and no
+    component spans two frames. Returns (starts, ends, component): run
+    i covers keys [starts[i], ends[i]), and components are numbered from
+    0 in scan order of their first run.
     """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    stride = w + 1  # each row gets one background column, so no run wraps
-    flat = np.zeros(h * stride + 1, dtype=bool)
-    flat[1:].reshape(h, stride)[:, :w] = mask
+    n, h, w = masks.shape
+    stride = w + 1
+    flat = np.zeros(n * (h + 1) * stride + 1, dtype=bool)
+    flat[1:].reshape(n, h + 1, stride)[:, :h, :w] = masks
     edges = np.flatnonzero(flat[1:] != flat[:-1])
-    starts, ends = edges[0::2], edges[1::2]  # run covers keys [start, end)
-    n = starts.size
-    if n == 0:
-        return np.zeros((h, w), dtype=np.int32), []
+    starts, ends = edges[0::2], edges[1::2]
+    count = starts.size
 
     # 8-connectivity: a run [s, e) touches the runs on the row above with
     # end >= s and start <= e; both bounds are monotone in scan order
     lo = np.searchsorted(ends, starts - stride, side="left")
     hi = np.searchsorted(starts, ends - stride, side="right")
     counts = np.maximum(hi - lo, 0)
-    src = np.repeat(np.arange(n), counts)
+    src = np.repeat(np.arange(count), counts)
     first = np.cumsum(counts) - counts
     dst = np.repeat(lo - first, counts) + np.arange(src.size)
 
     # union: hook the larger root onto the smaller until every edge joins
     # equal roots; each root is then its component's lowest run index, its
     # first run in scan order. Parents always have lower indices, so paths
-    # are shorter than n and n.bit_length() pointer jumps compress them all.
-    root = np.arange(n)
+    # are shorter than count and count.bit_length() pointer jumps compress them.
+    root = np.arange(count)
     while True:
         a, b = root[src], root[dst]
         split = a != b
@@ -152,32 +183,94 @@ def connected_components(mask: np.ndarray) -> tuple[np.ndarray, list[int]]:
             break
         a, b = a[split], b[split]
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        for _ in range(n.bit_length()):
+        for _ in range(count.bit_length()):
             root = root[root]
+    component = (np.cumsum(root == np.arange(count)) - 1)[root]
+    return starts, ends, component
 
-    is_root = root == np.arange(n)
-    run_label = np.cumsum(is_root, dtype=np.int32)[root]
+
+def _run_pixels(starts: np.ndarray, ends: np.ndarray, h: int, w: int) -> np.ndarray:
+    # flat (n, h, w) indices of the runs' pixels: key (f*(h+1) + r)*(w+1) + c
+    # of the layout in _label_runs is pixel (f*h + r)*w + c
+    row = starts // (w + 1)
     lengths = ends - starts
-    sizes = np.bincount(run_label, weights=lengths)[1:].astype(np.int64).tolist()
-    # paint: key row*(w+1)+col is pixel row*w+col of the label map
     offset = np.cumsum(lengths) - lengths
-    pixels = np.repeat(starts - starts // stride - offset, lengths) + np.arange(lengths.sum())
+    base = starts - row - (row // (h + 1)) * w
+    return np.repeat(base - offset, lengths) + np.arange(lengths.sum())
+
+
+def connected_components(mask: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Label 8-connected foreground components.
+
+    Returns (labels, sizes): labels is int32 with 0 for background and
+    1..k for components in scan order of their first pixel; sizes[i] is
+    the pixel count of component i+1.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
     labels = np.zeros((h, w), dtype=np.int32)
-    labels.ravel()[pixels] = np.repeat(run_label, lengths)
+    starts, ends, component = _label_runs(mask[None])
+    lengths = ends - starts
+    sizes = np.bincount(component, weights=lengths).astype(np.int64).tolist()
+    labels.ravel()[_run_pixels(starts, ends, h, w)] = np.repeat(component + 1, lengths)
     return labels, sizes
+
+
+def _keep_largest(masks: np.ndarray, out: np.ndarray) -> None:
+    # paint each frame's biggest 8-connected component of the (n, h, w)
+    # stack into the all-False, C-contiguous ``out``; of equal sizes the
+    # first in scan order wins
+    n, h, w = masks.shape
+    starts, ends, component = _label_runs(masks)
+    sizes = np.bincount(component, weights=ends - starts)
+    frame = np.empty(sizes.size, dtype=np.int64)
+    frame[component] = starts // ((h + 1) * (w + 1))  # all runs of a component share it
+    # by frame, then size descending; a stable sort keeps scan order on ties
+    order = np.lexsort((-sizes, frame))
+    leader = np.ones(order.size, dtype=bool)
+    leader[1:] = frame[order[1:]] != frame[order[:-1]]
+    keep = np.zeros(sizes.size, dtype=bool)
+    keep[order[leader]] = True
+    kept = keep[component]
+    out.ravel()[_run_pixels(starts[kept], ends[kept], h, w)] = True
 
 
 def largest_component(mask: np.ndarray) -> np.ndarray:
     """Keep only the biggest 8-connected foreground component (ties: first
     in scan order)."""
-    labels, sizes = connected_components(mask)
-    if not sizes:
-        return np.zeros_like(mask, dtype=bool)
-    keep = int(np.argmax(sizes)) + 1
-    return labels == keep
+    mask = np.asarray(mask, dtype=bool)
+    kept = np.zeros((1,) + mask.shape, dtype=bool)
+    _keep_largest(mask[None], kept)
+    return kept[0]
+
+
+def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> SilhouetteMask:
+    """Mark pixels whose absolute difference from the reference exceeds
+    the threshold (strictly). ``auto`` chooses the threshold by Otsu
+    analysis of this frame's difference image.
+    """
+    _check_size(frame, bg)
+    return SilhouetteMask(_foreground(frame.pixels[None], bg.reference.pixels, threshold)[0])
 
 
 def clean_mask(raw: SilhouetteMask) -> SilhouetteMask:
     """One majority-vote smoothing pass, then largest-component selection."""
-    smoothed = _majority_vote(raw.mask)
-    return SilhouetteMask(largest_component(smoothed))
+    return SilhouetteMask(largest_component(_majority_vote(raw.mask[None])[0]))
+
+
+def segment_sequence(seq: FrameSequence, bg: BackgroundModel, threshold="auto") -> np.ndarray:
+    """Cleaned silhouettes of every frame as one (n, h, w) bool array:
+    ``clean_mask(difference_mask(frame, bg, threshold))`` per frame.
+
+    Frames are stacked, differenced, smoothed and labelled in blocks of
+    about ``_BLOCK_BYTES``; a frame's mask does not depend on its block.
+    """
+    _check_size(seq, bg)
+    n, h, w = len(seq), seq.height, seq.width
+    masks = np.zeros((n, h, w), dtype=bool)
+    step = max(1, _BLOCK_BYTES // (h * w))
+    for i in range(0, n, step):
+        block = np.stack([f.pixels for f in seq.frames[i:i + step]])
+        raw = _foreground(block, bg.reference.pixels, threshold)
+        _keep_largest(_majority_vote(raw), masks[i:i + step])
+    return masks

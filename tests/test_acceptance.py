@@ -15,7 +15,7 @@ from gaitlock.features import haar_dwt2, haar_idwt2
 from gaitlock.gaitcycle import WidthSignal, estimate_period, width_signal
 from gaitlock.imagery import Frame, FrameSequence
 from gaitlock.metrics import evaluate, measures
-from gaitlock.segmentation import clean_mask, difference_mask
+from gaitlock.segmentation import bounding_boxes, segment_sequence
 from gaitlock.svm import KernelSpec, kkt_violation, predict, train_binary, train_multiclass
 from gaitlock.synthgait import WalkerSpec, generate
 
@@ -150,8 +150,8 @@ def test_criterion_6_period_estimation():
             )
             seq, truth = generate(spec, 272, 104, 3 * period + 8)
             background = model_median(seq)
-            masks = [clean_mask(difference_mask(f, background, "auto")) for f in seq]
-            estimated = estimate_period(width_signal(masks, 25.0))
+            masks = segment_sequence(seq, background, "auto")
+            estimated = estimate_period(width_signal(bounding_boxes(masks), 25.0))
             assert abs(estimated - truth.period_frames) <= 1
 
         with pytest.raises(NoPeriodicity):

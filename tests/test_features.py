@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaitlock.errors import (
     BadComponentLength,
@@ -16,17 +19,27 @@ from gaitlock.features import (
     haar_idwt2,
     series_stats,
     spatial_features,
+    silhouette_subband_energies,
+    subband_energies,
     subband_energy,
     temporal_features,
     wavelet_features,
+    wavelet_statistics,
 )
-from gaitlock.segmentation import BoundingBox, SilhouetteMask
+from gaitlock.gaitcycle import width_signal
+from gaitlock.segmentation import (
+    EMPTY_BOX,
+    SilhouetteMask,
+    bounding_box,
+    bounding_boxes,
+    centroids_x,
+)
 
 ATAN2_DEG = math.degrees(math.atan(2.0))  # 63.43494882292201
 
 
 def box(w, h, x0=0, y0=0):
-    return BoundingBox(x0, y0, x0 + w - 1, y0 + h - 1)
+    return (x0, y0, x0 + w - 1, y0 + h - 1)
 
 
 class TestSpatial:
@@ -45,17 +58,17 @@ class TestSpatial:
         assert s[1] == 50.0
 
     def test_missing_boxes_excluded(self):
-        s = spatial_features([None, box(50, 100), None])
+        s = spatial_features([EMPTY_BOX, box(50, 100), EMPTY_BOX])
         assert np.allclose(s, [100.0, 50.0, ATAN2_DEG, 2.0])
 
     def test_all_missing(self):
         with pytest.raises(EmptyWindow):
-            spatial_features([None, None])
+            spatial_features([EMPTY_BOX, EMPTY_BOX])
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
         boxes = [box(int(rng.integers(20, 40)), int(rng.integers(60, 90))) for _ in range(8)]
-        shifted = [b.shifted(17, -3) for b in boxes]
+        shifted = np.add(boxes, (17, -3, 17, -3))
         assert np.allclose(spatial_features(boxes), spatial_features(shifted))
 
 
@@ -85,6 +98,11 @@ class TestTemporal:
     def test_all_nan(self):
         with pytest.raises(EmptyWindow):
             temporal_features(np.full(25, np.nan), period=10, fps=25)
+
+    @pytest.mark.parametrize("fps", [0.0, -25.0, math.inf, math.nan])
+    def test_fps_must_be_positive_and_finite(self, fps):
+        with pytest.raises(ValueError, match="fps"):
+            temporal_features(np.arange(25, dtype=float), period=10, fps=fps)
 
 
 class TestHaar:
@@ -186,3 +204,83 @@ class TestFuse:
     def test_fused_ordering_and_names(self):
         assert fuse(np.arange(4), np.arange(4, 8), np.arange(8, 14)).tolist() == list(range(14))
         assert len(FEATURE_NAMES) == 14
+
+
+def reference_centroid_x(mask):
+    """Mean column of the foreground pixels, NaN when empty."""
+    return float(np.nonzero(mask)[1].mean()) if mask.any() else float("nan")
+
+
+def reference_subband_energies(mask):
+    """LL/LH/HL energies of one silhouette in float64: crop to its box,
+    resample to 64x64 by nearest neighbour, one Haar level, mean square."""
+    box = bounding_box(mask)
+    crop = mask[box.y_min:box.y_max + 1, box.x_min:box.x_max + 1].astype(np.float64)
+    h, w = crop.shape
+    grid = crop[np.ix_(np.arange(64) * h // 64, np.arange(64) * w // 64)]
+    a, b, c, d = grid[0::2, 0::2], grid[0::2, 1::2], grid[1::2, 0::2], grid[1::2, 1::2]
+    bands = ((a + b + c + d) / 2.0, (a - b + c - d) / 2.0, (a + b - c - d) / 2.0)
+    return [float((band * band).sum() / band.size) for band in bands]
+
+
+def _one_pixel_masks():
+    masks = np.zeros((4, 5, 7), dtype=bool)
+    masks[0, 0, 0] = masks[1, 4, 6] = masks[2, 2, 3] = masks[3, 0, 6] = True
+    return masks
+
+
+def _empty_inside_the_window():
+    masks = np.zeros((4, 6, 6), dtype=bool)
+    masks[0, 1:5, 2:4] = masks[3, 0:6, 1:3] = True
+    return masks
+
+
+def _larger_than_the_grid():
+    # boxes over 64 pixels tall and wide are sampled down, not up
+    rng = np.random.default_rng(3)
+    masks = rng.random((3, 80, 130)) < 0.6
+    masks[1, 5:75, 10:120] = True
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12))))
+@example(_one_pixel_masks())
+@example(np.ones((2, 5, 7), dtype=bool))  # full frames
+@example(_empty_inside_the_window())
+@example(np.zeros((3, 4, 4), dtype=bool))
+@example(_larger_than_the_grid())
+def test_descriptors_match_per_mask_references(masks):
+    boxes = bounding_boxes(masks)
+    singles = [bounding_box(m) for m in masks]
+    assert boxes.tolist() == [
+        list(EMPTY_BOX) if b is None else [b.x_min, b.y_min, b.x_max, b.y_max] for b in singles
+    ]
+    widths = np.array([0 if b is None else b.width for b in singles], dtype=np.float64)
+    assert width_signal(boxes, fps=25).values.tobytes() == widths.tobytes()
+
+    want = np.array([reference_centroid_x(m) for m in masks])
+    got = centroids_x(masks)
+    empty = np.isnan(want)
+    assert np.array_equal(np.isnan(got), empty)
+    assert got[~empty].tobytes() == want[~empty].tobytes()
+    singles_x = np.array([SilhouetteMask(m).centroid_x() for m in masks])
+    assert singles_x[~empty].tobytes() == want[~empty].tobytes()
+
+    present = [m for m in masks if m.any()]
+    expected = np.array([reference_subband_energies(m) for m in present]).reshape(-1, 3)
+    energies = subband_energies(masks, boxes)
+    assert energies.tobytes() == expected.tobytes()
+    for m, row in zip(present, expected):
+        assert silhouette_subband_energies(SilhouetteMask(m)) == tuple(row)
+    silhouettes = [SilhouetteMask(m) for m in masks]
+    if len(present) < 2:
+        error = EmptyWindow if not present else TooFewFrames
+        with pytest.raises(error):
+            wavelet_statistics(energies)
+        with pytest.raises(error):
+            wavelet_features(silhouettes)
+        return
+    six = np.array([v for s in range(3) for v in series_stats(expected[:, s])])
+    assert wavelet_statistics(energies).tobytes() == six.tobytes()
+    assert wavelet_features(silhouettes).tobytes() == six.tobytes()

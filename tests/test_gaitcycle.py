@@ -10,7 +10,7 @@ from gaitlock.gaitcycle import (
     select_feature_window,
     width_signal,
 )
-from gaitlock.segmentation import SilhouetteMask
+from gaitlock.segmentation import bounding_boxes
 
 
 def sine_signal(period, n, base=50.0, amp=10.0, phase=0.0):
@@ -103,12 +103,8 @@ def test_gait_cycle_invariants():
 
 
 def test_width_signal_from_masks():
-    masks = []
-    grid = np.zeros((6, 10), dtype=bool)
-    masks.append(SilhouetteMask(grid))  # empty -> width 0
-    grid2 = grid.copy()
-    grid2[2:4, 3:8] = True
-    masks.append(SilhouetteMask(grid2))
-    sig = width_signal(masks, fps=25)
+    masks = np.zeros((2, 6, 10), dtype=bool)  # frame 0 empty -> width 0
+    masks[1, 2:4, 3:8] = True
+    sig = width_signal(bounding_boxes(masks), fps=25)
     assert sig.values.tolist() == [0.0, 5.0]
     assert len(sig) == 2

@@ -30,8 +30,9 @@ def test_frame_invariants():
 def test_sequence_requires_uniform_size():
     with pytest.raises(DimensionMismatch):
         FrameSequence([Frame(gray(0, (4, 4))), Frame(gray(0, (8, 8)))], fps=25)
-    with pytest.raises(ValueError):
-        FrameSequence([Frame(gray(0))], fps=0)
+    for fps in (0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            FrameSequence([Frame(gray(0))], fps=fps)
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):

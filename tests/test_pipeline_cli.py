@@ -10,8 +10,10 @@ from gaitlock.background import load_background, save_background
 from gaitlock.cli import main
 from gaitlock.errors import BadName, DecodeError, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
-from gaitlock.imagery import save_sequence, write_pgm
+from gaitlock.imagery import read_pnm, save_sequence, write_pgm
 from gaitlock.synthgait import WalkerSpec, generate
+
+from test_segmentation import reference_segment
 
 SUBJECTS = (
     dict(body_height=36, body_width=12, period_frames=12, stride_px=24,
@@ -229,8 +231,10 @@ class TestConfigFile:
             ("smo_tol = 0", "smo_tol must be positive"),
             ("split_seed = -1", "split_seed must be non-negative"),
             ("smo_max_passes = -3", "smo_max_passes must be at least 1"),
+            ("fps = inf", "fps must be positive and finite"),
+            ("smo_tol = inf", "smo_tol must be positive and finite"),
         ],
-        ids=["c", "sigma", "smo_tol", "split_seed", "smo_max_passes"],
+        ids=["c", "sigma", "smo_tol", "split_seed", "smo_max_passes", "fps-inf", "smo_tol-inf"],
     )
     def test_out_of_range_value_names_its_key_before_any_stage(self, small_dataset, tmp_path,
                                                                capsys, setting, message):
@@ -330,6 +334,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "accuracy = 1.000000" in out
         assert "[confusion-matrix]" in out and "[measures]" in out  # the report's sections
+
+    def test_segment_writes_the_per_frame_chain(self, tmp_path):
+        spec = WalkerSpec(body_height=36, body_width=12, period_frames=12, stride_px=24,
+                          leg_swing_amplitude=22, start_x=36, noise_rate=0.01, seed=7)
+        seq, _ = generate(spec, 160, 64, 40)
+        frames, bg, sil = tmp_path / "frames", tmp_path / "bg.pgm", tmp_path / "sil"
+        save_sequence(seq, frames)
+        assert main(["background", "--in", str(frames), "--out", str(bg), "--quiet"]) == 0
+        assert main(["segment", "--bg", str(bg), "--in", str(frames), "--out", str(sil),
+                     "--quiet"]) == 0
+        reference = load_background(bg).reference.pixels
+        written = sorted(sil.iterdir())
+        assert len(written) == len(seq)
+        for path, frame in zip(written, seq):
+            pixels, _ = read_pnm(path)
+            expected = np.where(reference_segment(frame.pixels, reference), 255, 0)
+            assert pixels.tobytes() == expected.astype(np.uint8).tobytes()
+
+    @pytest.mark.parametrize("command", ["cycles", "features"])
+    def test_non_finite_fps_is_a_usage_error(self, tmp_path, capsys, command):
+        write_pgm(tmp_path / "sil" / "frame_0001.pgm", np.zeros((4, 4), np.uint8))
+        out = tmp_path / "f.csv"
+        args = [command, "--in", str(tmp_path / "sil"), "--fps", "inf"]
+        assert main(args + (["--out", str(out)] if command == "features" else [])) == 1
+        assert "fps must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_settings_come_from_config_then_flags(self, tmp_path):
         rng = np.random.default_rng(2)

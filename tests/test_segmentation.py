@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from gaitlock import segmentation
 from gaitlock.background import BackgroundModel
 from gaitlock.errors import DimensionMismatch
-from gaitlock.imagery import Frame
+from gaitlock.imagery import Frame, FrameSequence
 from gaitlock.segmentation import (
     SilhouetteMask,
     bounding_box,
@@ -14,6 +17,7 @@ from gaitlock.segmentation import (
     connected_components,
     difference_mask,
     largest_component,
+    segment_sequence,
 )
 
 from test_background import brute_between_class_variance
@@ -48,6 +52,42 @@ def flood_fill_components(mask):
                                 stack.append((rr, cc))
                 sizes.append(size)
     return labels, sizes
+
+
+def reference_otsu(values):
+    """Otsu threshold of 8-bit values from the full 256-bin histogram."""
+    arr = np.asarray(values, dtype=np.uint8).ravel()
+    hist = np.bincount(arr, minlength=256).astype(np.float64)
+    prob = hist / hist.sum()
+    omega = np.cumsum(prob)
+    mu = np.cumsum(prob * np.arange(256))
+    mu_total = mu[-1]
+    valid = (omega > 0.0) & (omega < 1.0)
+    if not valid.any():
+        return int(arr[0])
+    sigma_b = np.zeros(256)
+    sigma_b[valid] = (mu_total * omega[valid] - mu[valid]) ** 2 / (
+        omega[valid] * (1.0 - omega[valid])
+    )
+    return int(np.argmax(sigma_b))
+
+
+def reference_segment(frame, reference, threshold="auto"):
+    """One frame through the chain pixel by pixel: absolute difference,
+    Otsu or fixed threshold (strict), 3x3 majority vote with background
+    padding, then the largest 8-connected component, the first in scan
+    order of equal sizes."""
+    diff = np.abs(frame.astype(int) - reference.astype(int))
+    limit = reference_otsu(diff) if threshold == "auto" else int(threshold)
+    raw = diff > limit
+    h, w = raw.shape
+    padded = np.zeros((h + 2, w + 2), dtype=int)
+    padded[1:-1, 1:-1] = raw
+    votes = sum(padded[dr:dr + h, dc:dc + w] for dr in range(3) for dc in range(3))
+    labels, sizes = flood_fill_components(votes >= 5)
+    if not sizes:
+        return np.zeros((h, w), dtype=bool)
+    return labels == sizes.index(max(sizes)) + 1
 
 
 class TestDifferenceMask:
@@ -247,3 +287,89 @@ def test_bounding_box_tightness_property():
         assert grid[box.y_min:box.y_max + 1, box.x_max].any()
         assert not grid[:box.y_min].any() and not grid[box.y_max + 1:].any()
         assert not grid[:, :box.x_min].any() and not grid[:, box.x_max + 1:].any()
+
+
+LEVELS = st.one_of(st.sampled_from((0, 128, 255)), st.integers(0, 255))
+
+
+@st.composite
+def walks(draw, lengths):
+    """(frames, reference, threshold): a short walk of small frames whose
+    few levels make ties, zero differences and border-touching blobs common."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    frames = draw(arrays(np.uint8, (draw(lengths), h, w), elements=LEVELS))
+    reference = draw(arrays(np.uint8, (h, w), elements=LEVELS))
+    return frames, reference, draw(st.sampled_from(("auto", 0, 255)))
+
+
+def _two_plus_shapes():
+    # two 3x3 squares vote down to two 5-pixel plus shapes: equal sizes
+    frame = np.zeros((1, 5, 9), dtype=np.uint8)
+    frame[0, 1:4, 0:3] = frame[0, 1:4, 5:8] = 255
+    return frame, np.zeros((5, 9), dtype=np.uint8), "auto"
+
+
+def _blobs_across_frames():
+    # a blob on frame 0's last rows and one on frame 1's first rows share
+    # columns; each frame also holds a blob that decides, if the two merged
+    # across the frame boundary, which frame loses its true largest
+    frames = np.zeros((2, 8, 12), dtype=np.uint8)
+    frames[0, 5:, 0:4] = 255  # on the last rows, smaller than the next
+    frames[0, :4, 6:] = 255  # frame 0's largest
+    frames[1, :4, 0:4] = 255  # on the first rows, frame 1's largest
+    frames[1, 6:, 7:10] = 255
+    return frames, np.zeros((8, 12), dtype=np.uint8), "auto"
+
+
+def _static_walk():
+    frames = np.full((3, 4, 5), 90, dtype=np.uint8)
+    frames[1] = 0  # one frame all different, but all by the same amount
+    return frames, np.full((4, 5), 90, dtype=np.uint8), "auto"
+
+
+class TestSegmentSequence:
+    """The block function equals the per-frame chain whatever the blocks."""
+
+    def check(self, walk, frames_per_block):
+        frames, reference, threshold = walk
+        n, h, w = frames.shape
+        block_bytes = h * w * (frames_per_block or n)
+        with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+            seq = FrameSequence([Frame(f) for f in frames], fps=25)
+            got = segment_sequence(seq, bg_of(reference), threshold)
+        want = np.array([reference_segment(f, reference, threshold) for f in frames])
+        assert got.dtype == bool and got.shape == (n, h, w)
+        assert got.tobytes() == want.tobytes()
+        # the per-frame API is the one-frame case of the same code
+        for frame, expected in zip(frames, want):
+            raw = difference_mask(Frame(frame), bg_of(reference), threshold)
+            assert clean_mask(raw).mask.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("frames_per_block", [1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_blocks_of_k_frames(self, frames_per_block, data):
+        k = frames_per_block
+        self.check(data.draw(walks(st.sampled_from((1, k, k + 1)))), k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(walks(st.integers(1, 6)))
+    def test_one_block_for_the_whole_walk(self, walk):
+        self.check(walk, None)
+
+    @pytest.mark.parametrize("frames_per_block", [1, 2, None])
+    @pytest.mark.parametrize("walk", [_two_plus_shapes(), _blobs_across_frames(), _static_walk()],
+                             ids=["tie", "across-frames", "static"])
+    def test_hand_cases(self, walk, frames_per_block):
+        self.check(walk, frames_per_block)
+
+    def test_tie_keeps_the_first_plus(self):
+        frames, reference, threshold = _two_plus_shapes()
+        seq = FrameSequence([Frame(frames[0])], fps=25)
+        kept = segment_sequence(seq, bg_of(reference), threshold)[0]
+        assert kept[2, 1] and not kept[2, 6]
+
+    def test_dimension_mismatch(self):
+        seq = FrameSequence([Frame(np.zeros((2, 2), np.uint8))], fps=25)
+        with pytest.raises(DimensionMismatch):
+            segment_sequence(seq, bg_of(np.zeros((3, 3))))

@@ -4,7 +4,7 @@ import pytest
 from gaitlock.background import model_median
 from gaitlock.errors import SpecOutOfBounds
 from gaitlock.gaitcycle import estimate_period, width_signal
-from gaitlock.segmentation import clean_mask, difference_mask
+from gaitlock.segmentation import bounding_boxes, segment_sequence
 from gaitlock.synthgait import WalkerSpec, WalkerTruth, generate, write_truth_csv
 
 
@@ -24,8 +24,7 @@ def spec_for(period=24, noise=0.0, seed=0, **kw):
 
 
 def segment_all(seq):
-    bg = model_median(seq)
-    return [clean_mask(difference_mask(f, bg, "auto")) for f in seq]
+    return segment_sequence(seq, model_median(seq), "auto")
 
 
 def test_same_spec_and_seed_bit_identical():
@@ -55,14 +54,13 @@ def width_signal_from_widths(widths):
 
 def test_truth_bboxes_match_segmentation_within_2px():
     seq, truth = generate(spec_for(period=20, noise=0.01, seed=3), 260, 100, 70)
-    masks = segment_all(seq)
-    for mask, expected in zip(masks, truth.bboxes):
-        got = mask.bbox
-        assert got is not None
-        assert abs(got.x_min - expected.x_min) <= 2
-        assert abs(got.x_max - expected.x_max) <= 2
-        assert abs(got.y_min - expected.y_min) <= 2
-        assert abs(got.y_max - expected.y_max) <= 2
+    boxes = bounding_boxes(segment_all(seq))
+    for (x_min, y_min, x_max, y_max), expected in zip(boxes, truth.bboxes):
+        assert x_max >= x_min  # not empty
+        assert abs(x_min - expected.x_min) <= 2
+        assert abs(x_max - expected.x_max) <= 2
+        assert abs(y_min - expected.y_min) <= 2
+        assert abs(y_max - expected.y_max) <= 2
 
 
 def test_estimated_period_within_one_frame_of_truth():
@@ -71,7 +69,7 @@ def test_estimated_period_within_one_frame_of_truth():
             spec_for(period=period, noise=0.01, seed=seed), 300, 100, 3 * period + 8
         )
         masks = segment_all(seq)
-        estimated = estimate_period(width_signal(masks, 25.0))
+        estimated = estimate_period(width_signal(bounding_boxes(masks), 25.0))
         assert abs(estimated - truth.period_frames) <= 1
 
 
@@ -86,8 +84,7 @@ def test_body_height_difference_survives_the_pipeline():
             160,
             80,
         )
-        masks = segment_all(seq)
-        means.append(spatial_features([m.bbox for m in masks])[0])
+        means.append(spatial_features(bounding_boxes(segment_all(seq)))[0])
     assert means[1] - means[0] >= 20.0
 
 
