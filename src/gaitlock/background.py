@@ -98,9 +98,8 @@ def model_median(seq: FrameSequence) -> BackgroundModel:
     two middle order statistics, so two pixel values are never blended.
     The order statistic is found by selection, not by a full sort.
     """
-    stack = seq.stack()
-    k = (len(stack) - 1) // 2
-    return BackgroundModel(Frame(np.partition(stack, k, axis=0)[k]), TECHNIQUE_MEDIAN)
+    k = (len(seq) - 1) // 2
+    return BackgroundModel(Frame(np.partition(seq.pixels, k, axis=0)[k]), TECHNIQUE_MEDIAN)
 
 
 def model_histogram(seq: FrameSequence) -> BackgroundModel:
@@ -111,10 +110,9 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
     candidates with an exact per-pixel fallback); sequences with many
     distinct values fall back to dense per-pixel histograms.
     """
-    stack = seq.stack()
-    n, h, w = stack.shape
+    n, h, w = seq.pixels.shape
     p = h * w
-    flat = stack.reshape(n, p)
+    flat = seq.pixels.reshape(n, p)
     candidates = np.unique(flat[:, :: max(1, min(61, p))])
     count_dtype = np.uint16 if n < 65535 else np.int64
     if candidates.size <= _SPARSE_VALUE_LIMIT:
@@ -153,10 +151,9 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     """
     if len(seq) < 2:
         raise TooFewFrames("change analysis needs at least 2 frames")
-    stack = seq.stack()
-    n, h, w = stack.shape
+    n, h, w = seq.pixels.shape
     p = h * w
-    flat = stack.reshape(n, p)
+    flat = seq.pixels.reshape(n, p)
     diffs = np.maximum(flat[1:], flat[:-1]) - np.minimum(flat[1:], flat[:-1])  # uint8
     if threshold == "auto":
         # Otsu yields classes <= t / > t; fire on the '> t' class

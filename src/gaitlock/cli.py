@@ -38,7 +38,7 @@ def _say(args, message: str) -> None:
 
 
 def _load_masks(directory, fps: float) -> np.ndarray:
-    return load_sequence(directory, fps).stack() > 127
+    return load_sequence(directory, fps).pixels > 127
 
 
 def cmd_background(args) -> int:

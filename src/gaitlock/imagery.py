@@ -20,6 +20,28 @@ FRAME_NAME_RE = re.compile(r"^frame_(\d+)\.(pgm|ppm)$")
 # ITU-R BT.601 luminance weights for color ingestion
 _LUMA = np.array([0.299, 0.587, 0.114])
 
+# the header: four tokens (magic, width, height, maxval), each a run of
+# non-whitespace, led by whitespace and '#'-to-end-of-line comments. A
+# token never starts with '#' and ends only at whitespace or the end of
+# the data, and a comment runs to its line end, so each part of the
+# header can match one way only and a failed match backtracks nowhere
+_SKIP = rb"(?:\s|#[^\n]*(?![^\n]))*"
+_HEADER_RE = re.compile((_SKIP + rb"([^\s#]\S*)(?!\S)") * 4)
+_COMMENT_RE = re.compile(rb"#([^\n]*)")
+
+
+def _grid(pixels) -> np.ndarray:
+    """``pixels`` as a non-empty 2-D array of integers in [0, 255]."""
+    arr = np.asarray(pixels)
+    if arr.ndim != 2 or arr.size == 0:
+        raise DimensionMismatch(f"frame must be a non-empty 2-D grid, got shape {arr.shape}")
+    if arr.dtype != np.uint8:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError("frame intensities must be integers")
+        if arr.min() < 0 or arr.max() > 255:
+            raise ValueError("frame intensities must lie in [0, 255]")
+    return arr
+
 
 class Frame:
     """One grayscale image; pixels are an (height, width) uint8 array."""
@@ -27,16 +49,8 @@ class Frame:
     __slots__ = ("pixels",)
 
     def __init__(self, pixels):
-        arr = np.asarray(pixels)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DimensionMismatch(f"frame must be a non-empty 2-D grid, got shape {arr.shape}")
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError("frame intensities must be integers")
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("frame intensities must lie in [0, 255]")
         # frames are immutable once constructed; freeze a private copy
-        arr = arr.astype(np.uint8, copy=True)
+        arr = _grid(pixels).astype(np.uint8, copy=True)
         arr.flags.writeable = False
         self.pixels = arr
 
@@ -56,107 +70,89 @@ class Frame:
 
 
 class FrameSequence:
-    """Ordered frames sharing one resolution, plus the capture rate."""
+    """Ordered frames sharing one resolution, plus the capture rate.
+
+    ``frames`` is a sequence of ``Frame`` objects or 2-D grids, or an
+    (n, height, width) array. The walk is held as ``pixels``, one
+    read-only (n, height, width) uint8 array of its own.
+    """
 
     def __init__(self, frames, fps: float):
-        frames = list(frames)
-        if not frames:
+        grids = [f.pixels if isinstance(f, Frame) else _grid(f) for f in frames]
+        if not grids:
             raise EmptyDirectory("a sequence needs at least one frame")
-        w, h = frames[0].width, frames[0].height
-        for i, f in enumerate(frames):
-            if f.width != w or f.height != h:
+        h, w = grids[0].shape
+        for i, g in enumerate(grids):
+            if g.shape != (h, w):
                 raise DimensionMismatch(
-                    f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
+                    f"frame {i} is {g.shape[1]}x{g.shape[0]}, expected {w}x{h}"
                 )
         if not 0 < fps < math.inf:
             raise ValueError(f"fps must be positive and finite, got {fps}")
-        self.frames = frames
+        pixels = np.stack(grids).astype(np.uint8, copy=False)
+        pixels.flags.writeable = False
+        self.pixels = pixels
         self.fps = float(fps)
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self.pixels.shape[2]
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
+        return self.pixels.shape[1]
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.pixels)
 
     def __iter__(self):
-        return iter(self.frames)
+        return map(Frame, self.pixels)
 
-    def __getitem__(self, i) -> Frame:
-        return self.frames[i]
-
-    def stack(self) -> np.ndarray:
-        """All frames as one (n, height, width) uint8 array."""
-        return np.stack([f.pixels for f in self.frames])
-
-
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments between header tokens
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise DecodeError("unexpected end of header")
-    return data[start:pos], pos
+    def __getitem__(self, i: int) -> Frame:
+        return Frame(self.pixels[i])
 
 
 def read_pnm(path) -> tuple[np.ndarray, list[str]]:
     """Read a binary PGM (P5) or PPM (P6) file.
 
     Returns the pixel grid as (height, width) uint8 (PPM converted to
-    luminance) together with any header comment lines.
+    luminance) together with the header's comment lines. A P5 grid is a
+    read-only view of the file's bytes.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DecodeError(f"cannot read {path}: {exc}") from exc
-    comments = [
-        m.group(1).decode("ascii", "replace").strip()
-        for m in re.finditer(rb"#([^\n]*)", data[:512])
-    ]
+    header = _HEADER_RE.match(data)
+    if header is None:
+        raise DecodeError(f"{path}: malformed header (unexpected end of header)")
+    magic, width, height, maxval = header.groups()
+    if magic not in (b"P5", b"P6"):
+        raise DecodeError(f"{path}: unsupported magic {magic!r}")
     try:
-        magic, pos = _read_token(data, 0)
-        if magic not in (b"P5", b"P6"):
-            raise DecodeError(f"{path}: unsupported magic {magic!r}")
-        width, pos = _read_token(data, pos)
-        height, pos = _read_token(data, pos)
-        maxval, pos = _read_token(data, pos)
         w, h, mv = int(width), int(height), int(maxval)
-    except (ValueError, DecodeError) as exc:
+    except ValueError as exc:
         raise DecodeError(f"{path}: malformed header ({exc})") from exc
     if w <= 0 or h <= 0:
         raise DecodeError(f"{path}: non-positive dimensions {w}x{h}")
     if mv != 255:
         raise DecodeError(f"{path}: only maxval 255 is supported, got {mv}")
-    pos += 1  # single whitespace byte separates header from raster
+    pos = header.end() + 1  # single whitespace byte separates header from raster
     channels = 1 if magic == b"P5" else 3
     need = w * h * channels
-    raster = data[pos:pos + need]
-    if len(raster) < need:
-        raise DecodeError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
-    pixels = np.frombuffer(raster, dtype=np.uint8, count=need)
+    if len(data) - pos < need:
+        have = max(0, len(data) - pos)
+        raise DecodeError(f"{path}: truncated raster ({have} of {need} bytes)")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     if channels == 3:
         rgb = pixels.reshape(h, w, 3).astype(np.float64)
         pixels = np.rint(rgb @ _LUMA).astype(np.uint8)
-    else:
-        pixels = pixels.reshape(h, w)
-    return pixels.copy(), comments
+    comments = [
+        m.group(1).decode("ascii", "replace").strip()
+        for m in _COMMENT_RE.finditer(data, 0, header.end())
+    ]
+    return pixels.reshape(h, w), comments
 
 
 def write_pgm(path, pixels, comment: str | None = None) -> None:
@@ -200,16 +196,20 @@ def load_sequence(directory, fps: float) -> FrameSequence:
         indexed[idx] = entry
     if not indexed:
         raise EmptyDirectory(f"no frame files in {directory}")
-    frames = []
-    for idx in sorted(indexed):
-        pixels, _ = read_pnm(indexed[idx])
-        frames.append(Frame(pixels))
-    return FrameSequence(frames, fps)
+    paths = [indexed[idx] for idx in sorted(indexed)]
+    grids = []
+    for path in paths:
+        pixels, _ = read_pnm(path)
+        if grids and pixels.shape != grids[0].shape:
+            (h, w), (h0, w0) = pixels.shape, grids[0].shape
+            raise DimensionMismatch(f"{path} is {w}x{h}, but {paths[0]} is {w0}x{h0}")
+        grids.append(pixels)
+    return FrameSequence(grids, fps)
 
 
 def save_sequence(seq: FrameSequence, directory) -> None:
     """Write every frame as frame_0001.pgm, frame_0002.pgm, ..."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(seq, start=1):
-        write_pgm(directory / frame_filename(i), frame.pixels)
+    for i, pixels in enumerate(seq.pixels, start=1):
+        write_pgm(directory / frame_filename(i), pixels)

@@ -262,7 +262,7 @@ def segment_sequence(seq: FrameSequence, bg: BackgroundModel, threshold="auto") 
     """Cleaned silhouettes of every frame as one (n, h, w) bool array:
     ``clean_mask(difference_mask(frame, bg, threshold))`` per frame.
 
-    Frames are stacked, differenced, smoothed and labelled in blocks of
+    Frames are differenced, smoothed and labelled in blocks of
     about ``_BLOCK_BYTES``; a frame's mask does not depend on its block.
     """
     _check_size(seq, bg)
@@ -270,7 +270,6 @@ def segment_sequence(seq: FrameSequence, bg: BackgroundModel, threshold="auto") 
     masks = np.zeros((n, h, w), dtype=bool)
     step = max(1, _BLOCK_BYTES // (h * w))
     for i in range(0, n, step):
-        block = np.stack([f.pixels for f in seq.frames[i:i + step]])
-        raw = _foreground(block, bg.reference.pixels, threshold)
+        raw = _foreground(seq.pixels[i:i + step], bg.reference.pixels, threshold)
         _keep_largest(_majority_vote(raw), masks[i:i + step])
     return masks

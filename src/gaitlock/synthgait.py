@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecOutOfBounds
-from .imagery import Frame, FrameSequence
+from .imagery import FrameSequence
 from .segmentation import BoundingBox, bounding_box
 
 _GROUND_MARGIN = 5
@@ -137,7 +137,7 @@ def generate(
         if spec.noise_rate > 0.0:
             salt = (rng.random((frame_h, frame_w)) < spec.noise_rate) & ~walker
             pixels[salt] = fg
-        frames.append(Frame(pixels))
+        frames.append(pixels)
     truth = WalkerTruth(
         period_frames=spec.period_frames,
         stride_px=spec.stride_px,

@@ -302,6 +302,26 @@ def test_background_file_round_trip(tmp_path):
     assert back.cdm_threshold == 20
 
 
+# comment-less 1-row references whose raster bytes spell a provenance comment
+RASTER_COMMENTS = (
+    b"#gaitlock-background threshold=zz",
+    b"#gaitlock-background technique=cdm threshold=7",
+)
+
+
+def write_one_row_pgm(path, raster: bytes) -> None:
+    path.write_bytes(b"P5\n%d 1\n255\n" % len(raster) + raster)
+
+
+@pytest.mark.parametrize("raster", RASTER_COMMENTS)
+def test_raster_bytes_are_not_header_comments(tmp_path, raster):
+    path = tmp_path / "bg.pgm"
+    write_one_row_pgm(path, raster)
+    back = load_background(path)
+    assert (back.technique, back.cdm_threshold) == (None, None)
+    assert back.reference.pixels.tobytes() == raster
+
+
 @pytest.mark.slow
 def test_modelling_time_ordering():
     """Counting beats selection beats change analysis on a long walker shot."""

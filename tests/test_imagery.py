@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitlock.errors import DecodeError, DimensionMismatch, EmptyDirectory
 from gaitlock.imagery import (
@@ -72,7 +74,8 @@ def test_load_order_is_numeric_not_lexical(tmp_path):
 def test_load_mixed_sizes_rejected(tmp_path):
     write_pgm(tmp_path / frame_filename(1), gray(0, (4, 4)))
     write_pgm(tmp_path / frame_filename(2), gray(0, (8, 8)))
-    with pytest.raises(DimensionMismatch):
+    message = r"frame_0002\.pgm is 8x8, but .*frame_0001\.pgm is 4x4"
+    with pytest.raises(DimensionMismatch, match=message):
         load_sequence(tmp_path, fps=25)
 
 
@@ -104,3 +107,153 @@ def test_header_comments_ignored(tmp_path):
     (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n# a comment\n1 1\n255\n\x42")
     seq = load_sequence(tmp_path, fps=25)
     assert seq[0].pixels[0, 0] == 0x42
+
+
+def test_header_size_beyond_the_raster_is_a_decode_error(tmp_path):
+    # the header's counts must not size anything before the raster is checked
+    (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n100000 100000\n255\n" + bytes(16))
+    with pytest.raises(DecodeError, match=r"frame_0001\.pgm: truncated raster"):
+        load_sequence(tmp_path, fps=25)
+
+
+def test_sequence_constructors_agree():
+    stack = np.random.default_rng(5).integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
+    for frames in ([Frame(p) for p in stack], [p.tolist() for p in stack], stack,
+                   stack.astype(np.int64)):
+        seq = FrameSequence(frames, fps=25)
+        assert seq.pixels.dtype == np.uint8 and seq.pixels.shape == (5, 3, 4)
+        assert seq.pixels.tobytes() == stack.tobytes()
+        assert (len(seq), seq.width, seq.height) == (5, 4, 3)
+        assert list(seq) == [Frame(p) for p in stack] and seq[-1] == Frame(stack[-1])
+
+
+def test_sequence_pixels_are_read_only_and_private():
+    stack = np.zeros((3, 2, 2), dtype=np.uint8)
+    grids = list(stack)
+    by_array, by_grids = FrameSequence(stack, fps=25), FrameSequence(grids, fps=25)
+    for seq in (by_array, by_grids):
+        assert not seq.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            seq.pixels[0, 0, 0] = 1
+    stack[:] = 7  # the caller's array, and every grid viewing it
+    assert not by_array.pixels.any() and not by_grids.pixels.any()
+
+
+@pytest.mark.parametrize("grid", [
+    [[0, 256]],
+    [[-1, 0]],
+    np.zeros((2, 2)),
+    np.zeros((2, 2), dtype=bool),
+    np.zeros(4, dtype=np.uint8),
+    np.zeros((2, 2, 2), dtype=np.uint8),
+    np.zeros((0, 3), dtype=np.uint8),
+])
+def test_sequence_rejects_grids_as_frame_does(grid):
+    with pytest.raises((ValueError, DimensionMismatch)) as from_frame:
+        Frame(grid)
+    for frames in ([grid], np.asarray(grid)[None]):  # a list of grids, an (n, h, w) array
+        with pytest.raises(from_frame.type):
+            FrameSequence(frames, fps=25)
+
+
+def test_sequence_of_grids_names_the_index():
+    with pytest.raises(DimensionMismatch, match="frame 1 is 8x8, expected 4x4"):
+        FrameSequence([gray(0, (4, 4)), gray(0, (8, 8))], fps=25)
+    with pytest.raises(EmptyDirectory):
+        FrameSequence(np.zeros((0, 2, 2), dtype=np.uint8), fps=25)
+
+
+def _reference_token(data: bytes, pos: int, comments: list) -> tuple[bytes, int]:
+    # skip whitespace and '#' comments between header tokens
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c == b"#":
+            start = pos
+            while pos < n and data[pos:pos + 1] != b"\n":
+                pos += 1
+            comments.append(data[start + 1:pos].decode("ascii", "replace").strip())
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos:pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise DecodeError("unexpected end of header")
+    return data[start:pos], pos
+
+
+def reference_read_pnm(data: bytes) -> tuple[np.ndarray, list[str]]:
+    """A header parser that reads one token at a time, byte by byte: the
+    oracle for the grammar of :func:`read_pnm`. Returns the grid and the
+    comments skipped between header tokens."""
+    comments = []
+    try:
+        magic, pos = _reference_token(data, 0, comments)
+        if magic not in (b"P5", b"P6"):
+            raise DecodeError(f"unsupported magic {magic!r}")
+        width, pos = _reference_token(data, pos, comments)
+        height, pos = _reference_token(data, pos, comments)
+        maxval, pos = _reference_token(data, pos, comments)
+        w, h, mv = int(width), int(height), int(maxval)
+    except ValueError as exc:
+        raise DecodeError(f"malformed header ({exc})") from exc
+    if w <= 0 or h <= 0 or mv != 255:
+        raise DecodeError("unsupported dimensions or maxval")
+    pos += 1  # single whitespace byte separates header from raster
+    channels = 1 if magic == b"P5" else 3
+    raster = data[pos:pos + w * h * channels]
+    if len(raster) < w * h * channels:
+        raise DecodeError("truncated raster")
+    pixels = np.frombuffer(raster, dtype=np.uint8)
+    if channels == 3:
+        rgb = pixels.reshape(h, w, 3).astype(np.float64)
+        return np.rint(rgb @ np.array([0.299, 0.587, 0.114])).astype(np.uint8), comments
+    return pixels.reshape(h, w), comments
+
+
+_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+_SEPARATOR = st.lists(st.one_of(_WHITESPACE, _COMMENT), max_size=4).map(b"".join)
+
+
+# between tokens: mostly a whitespace-led gap, sometimes any separator at all
+_GAP = st.one_of(*[st.tuples(_WHITESPACE, _SEPARATOR).map(b"".join)] * 5, _SEPARATOR)
+
+
+def _number(value: int):
+    forms = [b"%d"] * 6 + [b"+%d", b"0%d", b"%d#x"]
+    return st.sampled_from(forms).map(lambda form: form % value)
+
+
+@st.composite
+def pnm_files(draw) -> bytes:
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([255] * 5 + [254, 65535]))
+    tokens = [magic, draw(_number(w)), draw(_number(h)), draw(_number(maxval))]
+    header = draw(_SEPARATOR) + b"".join(token + draw(_GAP) for token in tokens[:-1]) + tokens[-1]
+    need = w * h * (1 if magic == b"P5" else 3)
+    size = max(0, need + draw(st.sampled_from([0, 0, 0, 1, 2, -1, -2])))  # exact, long, short
+    raster = draw(st.binary(min_size=size, max_size=size))
+    return header + draw(_WHITESPACE) + raster
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=pnm_files())
+@example(data=b"# leading\nP5 1 1 255\n\x07")
+@example(data=b"P5\n2 1\n255\n\x01\x02")
+def test_header_grammar_matches_the_token_reader(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "grammar.pnm"
+    path.write_bytes(data)
+    try:
+        expected, header_comments = reference_read_pnm(data)
+    except DecodeError:
+        with pytest.raises(DecodeError):
+            read_pnm(path)
+        return
+    pixels, comments = read_pnm(path)
+    assert pixels.shape == expected.shape and pixels.tobytes() == expected.tobytes()
+    assert comments == header_comments

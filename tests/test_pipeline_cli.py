@@ -13,6 +13,7 @@ from gaitlock.features import FEATURE_NAMES
 from gaitlock.imagery import read_pnm, save_sequence, write_pgm
 from gaitlock.synthgait import WalkerSpec, generate
 
+from test_background import RASTER_COMMENTS, write_one_row_pgm
 from test_segmentation import reference_segment
 
 SUBJECTS = (
@@ -423,6 +424,16 @@ class TestCli:
         assert main(["segment", "--bg", str(bg), "--in", str(tmp_path / "frames"),
                      "--out", str(tmp_path / "sil")]) == 2
         assert f"error: {bg}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raster", RASTER_COMMENTS)
+    def test_segment_reads_no_comment_from_the_raster(self, tmp_path, raster):
+        bg = tmp_path / "bg.pgm"
+        write_one_row_pgm(bg, raster)
+        for i in range(1, 4):
+            write_pgm(tmp_path / "frames" / f"frame_{i:04d}.pgm", np.zeros((1, len(raster))))
+        assert main(["segment", "--bg", str(bg), "--in", str(tmp_path / "frames"),
+                     "--out", str(tmp_path / "sil"), "--quiet"]) == 0
+        assert load_background(bg).technique is None
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["background"]) == 1  # required flags missing
