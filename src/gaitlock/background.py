@@ -23,6 +23,10 @@ TECHNIQUES = (TECHNIQUE_CDM, TECHNIQUE_MEDIAN, TECHNIQUE_HISTOGRAM)
 # dense per-pixel histogram
 _SPARSE_VALUE_LIMIT = 64
 
+# per-pixel selections and segmentation work in blocks of about this many
+# bytes, which stay in cache through every pass; no output depends on it
+_BLOCK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class BackgroundModel:
@@ -61,13 +65,14 @@ def otsu_threshold(values) -> int:
         if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() > 255:
             raise ValueError("otsu_threshold needs integer values in [0, 255]")
         arr = arr.astype(np.uint8)
-    return int(otsu_thresholds(arr.reshape(1, -1))[0])
+    return int(otsu_from_histograms(otsu_histograms(arr.reshape(1, -1)))[0])
 
 
-def otsu_thresholds(rows: np.ndarray) -> np.ndarray:
-    """:func:`otsu_threshold` of each row of a non-empty (n, p) uint8
-    array. One ``bincount`` counts the non-zero values of every row; bin
-    0 takes the rest, since differences of static pixels are mostly 0.
+def otsu_histograms(rows: np.ndarray) -> np.ndarray:
+    """The 256-bin histogram of each row of a non-empty (n, p) uint8
+    array, as an (n, 256) int64 array. One ``bincount`` counts the
+    non-zero values of every row; bin 0 takes the rest, since differences
+    of static pixels are mostly 0.
     """
     n, p = rows.shape
     flat = rows.ravel()
@@ -76,18 +81,44 @@ def otsu_thresholds(rows: np.ndarray) -> np.ndarray:
     keys += flat[index]
     hist = np.bincount(keys, minlength=256 * n).reshape(n, 256)
     hist[:, 0] = p - hist.sum(axis=1)
-    prob = hist / p
+    return hist
+
+
+def otsu_from_histograms(hist: np.ndarray) -> np.ndarray:
+    """:func:`otsu_threshold` of the values counted by each row of an
+    (n, 256) histogram with at least one count per row.
+    """
+    prob = hist / hist.sum(axis=1, keepdims=True)
     omega = np.cumsum(prob, axis=1)
     mu = np.cumsum(prob * np.arange(256), axis=1)
     valid = (omega > 0.0) & (omega < 1.0)
     mu_total = np.broadcast_to(mu[:, -1:], mu.shape)[valid]
     w = omega[valid]
-    sigma_b = np.zeros((n, 256))
+    sigma_b = np.zeros((len(hist), 256))
     sigma_b[valid] = (mu_total * w - mu[valid]) ** 2 / (w * (1.0 - w))
     thresholds = sigma_b.argmax(axis=1)
     single = ~valid.any(axis=1)  # one value only: the class '> t' stays empty
-    thresholds[single] = rows[single, 0]
+    thresholds[single] = hist[single].argmax(axis=1)
     return thresholds
+
+
+def _pixel_blocks(pixels: np.ndarray, dtype, pixel_bytes: int):
+    """Yield ``(cols, block)`` over the pixels of an (n, h, w) walk, taken
+    as the columns of its (n, h * w) frame matrix: ``block`` holds the
+    frames of pixels ``cols`` as ``dtype``, one C-contiguous row per
+    pixel, in one buffer reused by every block. A block spans about
+    ``_BLOCK_BYTES // pixel_bytes`` pixels, ``pixel_bytes`` being the
+    caller's working memory per pixel.
+    """
+    flat = pixels.reshape(len(pixels), -1)
+    n, p = flat.shape
+    step = min(p, max(1, _BLOCK_BYTES // pixel_bytes))
+    buffer = np.empty((step, n), dtype)
+    for start in range(0, p, step):
+        cols = slice(start, min(start + step, p))
+        block = buffer[:cols.stop - start]
+        np.copyto(block, flat[:, cols].T)
+        yield cols, block
 
 
 def model_median(seq: FrameSequence) -> BackgroundModel:
@@ -98,8 +129,13 @@ def model_median(seq: FrameSequence) -> BackgroundModel:
     two middle order statistics, so two pixel values are never blended.
     The order statistic is found by selection, not by a full sort.
     """
-    k = (len(seq) - 1) // 2
-    return BackgroundModel(Frame(np.partition(seq.pixels, k, axis=0)[k]), TECHNIQUE_MEDIAN)
+    n, h, w = seq.pixels.shape
+    k = (n - 1) // 2
+    reference = np.empty(h * w, dtype=np.uint8)
+    for cols, block in _pixel_blocks(seq.pixels, np.uint8, n):
+        block.partition(k, axis=1)
+        reference[cols] = block[:, k]
+    return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_MEDIAN)
 
 
 def model_histogram(seq: FrameSequence) -> BackgroundModel:
@@ -115,9 +151,9 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
     flat = seq.pixels.reshape(n, p)
     candidates = np.unique(flat[:, :: max(1, min(61, p))])
     count_dtype = np.uint16 if n < 65535 else np.int64
+    best_val = np.zeros(p, dtype=np.uint8)
     if candidates.size <= _SPARSE_VALUE_LIMIT:
         best_count = np.zeros(p, dtype=count_dtype)
-        best_val = np.zeros(p, dtype=np.uint8)
         covered = np.zeros(p, dtype=count_dtype)
         for v in candidates:  # ascending, strict '>' keeps ties at the low value
             cnt = (flat == v).sum(axis=0, dtype=count_dtype)
@@ -127,12 +163,14 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
             covered += cnt
         for col in np.flatnonzero(covered < n):
             best_val[col] = np.bincount(flat[:, col], minlength=256).argmax()
-        reference = best_val.reshape(h, w)
     else:
-        codes = flat.astype(np.int64) + np.arange(p, dtype=np.int64) * 256
-        counts = np.bincount(codes.ravel(), minlength=p * 256).reshape(p, 256)
-        reference = counts.argmax(axis=1).astype(np.uint8).reshape(h, w)
-    return BackgroundModel(Frame(reference), TECHNIQUE_HISTOGRAM)
+        # per pixel a block holds n int64 codes, then bincount makes 256 int64 counts
+        for cols, codes in _pixel_blocks(seq.pixels, np.intp, 8 * max(n, 256)):
+            width = len(codes)
+            codes += np.arange(0, 256 * width, 256)[:, None]  # pixel i counts in bins 256 i ..
+            counts = np.bincount(codes.ravel(), minlength=256 * width)
+            best_val[cols] = counts.reshape(width, 256).argmax(axis=1)
+    return BackgroundModel(Frame(best_val.reshape(h, w)), TECHNIQUE_HISTOGRAM)
 
 
 def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
@@ -151,18 +189,31 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     """
     if len(seq) < 2:
         raise TooFewFrames("change analysis needs at least 2 frames")
-    n, h, w = seq.pixels.shape
-    p = h * w
-    flat = seq.pixels.reshape(n, p)
-    diffs = np.maximum(flat[1:], flat[:-1]) - np.minimum(flat[1:], flat[:-1])  # uint8
-    if threshold == "auto":
-        # Otsu yields classes <= t / > t; fire on the '> t' class
-        threshold = otsu_threshold(diffs) + 1
-    else:
+    auto = threshold == "auto"
+    if not auto:
         threshold = int(threshold)
         if not 0 <= threshold <= 255:
             raise ValueError("cdm threshold must lie in [0, 255]")
-    fires = diffs >= threshold  # all False at 256
+    n, h, w = seq.pixels.shape
+    p = h * w
+    flat = seq.pixels.reshape(n, p)
+    # the uint8 differences |a - b| = max - min, in blocks of frames, with
+    # the pooled Otsu histogram counted block by block
+    diffs = np.empty((n - 1, p), dtype=np.uint8)
+    pooled = np.zeros(256, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // p)
+    for i in range(0, n - 1, step):
+        block = diffs[i:i + step]
+        a, b = flat[i:i + len(block)], flat[i + 1:i + 1 + len(block)]
+        np.maximum(a, b, out=block)
+        block -= np.minimum(a, b)
+        if auto:
+            pooled += otsu_histograms(block.reshape(1, -1))[0]
+    if auto:
+        # Otsu yields classes <= t / > t; fire on the '> t' class
+        threshold = int(otsu_from_histograms(pooled[None])[0]) + 1
+    fires = diffs.view(np.bool_)  # the differences are not needed again
+    np.greater_equal(diffs, threshold, out=fires)  # all False at 256
     # one scan over the frames. A run gets the key length * n + (n - 1 - start),
     # so the largest key is the longest run and, on equal lengths, the earlier
     key = np.full(p, 2 * n - 1, dtype=np.int64)  # frame 0: length 1, start 0
@@ -173,15 +224,15 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
         np.maximum(best, key, out=best)
     length = best // n
     first = n - 1 - best % n
-    # frames outside a pixel's run gain 256, so they sort after the run;
-    # a sequence holds far fewer than 2**31 frames, so indices fit int32
-    frame = np.arange(n, dtype=np.int32)[:, None]
-    outside = (frame < first.astype(np.int32)) | (frame >= (first + length).astype(np.int32))
-    vals = (flat + outside * np.uint16(256)).T.copy()  # one row per pixel
-    vals.sort(axis=1)
-    median = np.take_along_axis(vals, ((length - 1) // 2)[:, None], axis=1)[:, 0]
-    reference = median.astype(np.uint8).reshape(h, w)
-    return BackgroundModel(Frame(reference), TECHNIQUE_CDM, cdm_threshold=threshold)
+    # frames outside a pixel's run gain 256, so they sort after the run
+    frame = np.arange(n)
+    reference = np.empty(p, dtype=np.uint8)
+    for cols, vals in _pixel_blocks(seq.pixels, np.uint16, 2 * n):
+        start, run = first[cols, None], length[cols]
+        np.add(vals, 256, out=vals, where=(frame < start) | (frame >= start + run[:, None]))
+        vals.sort(axis=1)
+        reference[cols] = vals[np.arange(len(vals)), (run - 1) // 2]
+    return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_CDM, cdm_threshold=threshold)
 
 
 def build_background(seq: FrameSequence, technique: str, threshold="auto") -> BackgroundModel:

@@ -127,13 +127,13 @@ def read_pnm(path) -> tuple[np.ndarray, list[str]]:
     header = _HEADER_RE.match(data)
     if header is None:
         raise DecodeError(f"{path}: malformed header (unexpected end of header)")
-    magic, width, height, maxval = header.groups()
+    magic, *numbers = header.groups()
     if magic not in (b"P5", b"P6"):
         raise DecodeError(f"{path}: unsupported magic {magic!r}")
-    try:
-        w, h, mv = int(width), int(height), int(maxval)
-    except ValueError as exc:
-        raise DecodeError(f"{path}: malformed header ({exc})") from exc
+    for token in numbers:
+        if not token.isdigit():  # ASCII decimal digits only, as Netpbm reads them
+            raise DecodeError(f"{path}: malformed header (not a decimal number: {token!r})")
+    w, h, mv = map(int, numbers)
     if w <= 0 or h <= 0:
         raise DecodeError(f"{path}: non-positive dimensions {w}x{h}")
     if mv != 255:

@@ -10,13 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BackgroundModel, otsu_thresholds
+from .background import _BLOCK_BYTES, BackgroundModel, otsu_from_histograms, otsu_histograms
 from .errors import DimensionMismatch
 from .imagery import Frame, FrameSequence
-
-# a walk is segmented in blocks of frames of about this many bytes, which
-# stay in cache through every pass; no output depends on it
-_BLOCK_BYTES = 1 << 19
 
 # box row of an empty mask: x_max < x_min, so width and height are 0
 EMPTY_BOX = (0, 0, -1, -1)
@@ -124,7 +120,7 @@ def _foreground(frames: np.ndarray, reference: np.ndarray, threshold) -> np.ndar
     # takes one Otsu threshold per frame
     diff = np.maximum(frames, reference) - np.minimum(frames, reference)  # stays uint8
     if threshold == "auto":
-        limits = otsu_thresholds(diff.reshape(len(diff), -1)).astype(np.uint8)
+        limits = otsu_from_histograms(otsu_histograms(diff.reshape(len(diff), -1))).astype(np.uint8)
         return diff > limits[:, None, None]
     return diff > int(threshold)
 

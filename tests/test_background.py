@@ -1,4 +1,7 @@
 import time
+import tracemalloc
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gaitlock import background
 from gaitlock.background import (
     load_background,
     model_cdm,
@@ -219,6 +223,62 @@ class TestCdm:
         assert model.cdm_threshold is not None and model.cdm_threshold >= 1
         # the static background dominates every pixel's longest run
         assert np.array_equal(model.reference.pixels, np.full((64, 200), 40, np.uint8))
+
+
+# pixel blocks of a few bytes: many blocks, partial last blocks and, at the
+# largest size, one block wider than the image
+BLOCK_SIZES = [1, 13, 200, 1 << 15]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_oracles_across_pixel_blocks(monkeypatch, block_bytes):
+    """The brute-force oracles of the median and the histogram, on both
+    counting paths, with the walk split into blocks of a few pixels."""
+    monkeypatch.setattr(background, "_BLOCK_BYTES", block_bytes)
+    TestMedian().test_matches_brute_oracle_on_random_stacks()
+    rng = np.random.default_rng(block_bytes)
+    # a prime pixel count with one and two frames
+    stacks = [rng.integers(0, 256, size=(n, 1, 13), dtype=np.uint8) for n in (1, 2, 9)]
+    for limit in (background._SPARSE_VALUE_LIMIT, 0):  # 0: always the dense path
+        monkeypatch.setattr(background, "_SPARSE_VALUE_LIMIT", limit)
+        TestHistogram().test_matches_brute_oracle_on_random_stacks()
+        for stack in stacks:
+            seq = seq_from_stack(stack)
+            columns = [stack[:, 0, c].tolist() for c in range(13)]
+            ref = model_histogram(seq).reference.pixels[0]
+            assert ref.tolist() == [brute_mode(v) for v in columns]
+            assert model_median(seq).reference.pixels[0].tolist() == [
+                brute_lower_median(v) for v in columns
+            ]
+            if len(stack) >= 2:
+                ref = model_cdm(seq, threshold=60).reference.pixels[0]
+                assert ref.tolist() == [brute_cdm(v, 60) for v in columns]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@settings(max_examples=100, deadline=None)
+@given(case=cdm_cases())
+def test_cdm_oracle_across_pixel_blocks(block_bytes, case):
+    with mock.patch.object(background, "_BLOCK_BYTES", block_bytes):
+        TestCdm.test_matches_brute_oracle.hypothesis.inner_test(TestCdm(), case)
+
+
+@pytest.mark.parametrize(
+    "model", [model_median, model_histogram, partial(model_cdm, threshold="auto")],
+    ids=["median", "histogram", "cdm"],
+)
+def test_modelling_memory_is_bounded(model):
+    """On a noisy 352x144x120 walk each technique allocates at most three
+    times the walk's bytes."""
+    rng = np.random.default_rng(12)
+    seq = FrameSequence(rng.integers(30, 201, size=(120, 144, 352), dtype=np.uint8), fps=25)
+    tracemalloc.start()
+    try:
+        model(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * seq.pixels.nbytes, peak / seq.pixels.nbytes
 
 
 def test_otsu_separates_bimodal_values():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -190,16 +192,16 @@ def reference_read_pnm(data: bytes) -> tuple[np.ndarray, list[str]]:
     oracle for the grammar of :func:`read_pnm`. Returns the grid and the
     comments skipped between header tokens."""
     comments = []
-    try:
-        magic, pos = _reference_token(data, 0, comments)
-        if magic not in (b"P5", b"P6"):
-            raise DecodeError(f"unsupported magic {magic!r}")
-        width, pos = _reference_token(data, pos, comments)
-        height, pos = _reference_token(data, pos, comments)
-        maxval, pos = _reference_token(data, pos, comments)
-        w, h, mv = int(width), int(height), int(maxval)
-    except ValueError as exc:
-        raise DecodeError(f"malformed header ({exc})") from exc
+    magic, pos = _reference_token(data, 0, comments)
+    if magic not in (b"P5", b"P6"):
+        raise DecodeError(f"unsupported magic {magic!r}")
+    width, pos = _reference_token(data, pos, comments)
+    height, pos = _reference_token(data, pos, comments)
+    maxval, pos = _reference_token(data, pos, comments)
+    numbers = (width, height, maxval)
+    if not all(re.fullmatch(rb"[0-9]+", token) for token in numbers):
+        raise DecodeError("header numbers must be ASCII decimal digits")
+    w, h, mv = map(int, numbers)
     if w <= 0 or h <= 0 or mv != 255:
         raise DecodeError("unsupported dimensions or maxval")
     pos += 1  # single whitespace byte separates header from raster
@@ -224,7 +226,7 @@ _GAP = st.one_of(*[st.tuples(_WHITESPACE, _SEPARATOR).map(b"".join)] * 5, _SEPAR
 
 
 def _number(value: int):
-    forms = [b"%d"] * 6 + [b"+%d", b"0%d", b"%d#x"]
+    forms = [b"%d"] * 6 + [b"+%d", b"0%d", b"%d#x", b"1_%d", b"-%d"]
     return st.sampled_from(forms).map(lambda form: form % value)
 
 
@@ -245,6 +247,8 @@ def pnm_files(draw) -> bytes:
 @given(data=pnm_files())
 @example(data=b"# leading\nP5 1 1 255\n\x07")
 @example(data=b"P5\n2 1\n255\n\x01\x02")
+@example(data=b"P5\n1_0 1\n255\n" + bytes(10))  # int() reads 1_0 as 10
+@example(data=b"P5\n+2 1\n255\n\x01\x02")
 def test_header_grammar_matches_the_token_reader(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "grammar.pnm"
     path.write_bytes(data)

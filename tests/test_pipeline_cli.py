@@ -425,6 +425,17 @@ class TestCli:
                      "--out", str(tmp_path / "sil")]) == 2
         assert f"error: {bg}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", [b"1_0", b"+10"])  # int() reads both as 10
+    def test_header_number_beyond_decimal_digits_is_a_data_error(self, tmp_path, capsys, width):
+        frame = tmp_path / "frames" / "frame_0001.pgm"
+        frame.parent.mkdir()
+        frame.write_bytes(b"P5\n" + width + b" 1\n255\n" + bytes(10))
+        with pytest.raises(DecodeError, match="not a decimal number"):
+            read_pnm(frame)
+        assert main(["background", "--in", str(frame.parent), "--out", str(tmp_path / "bg.pgm"),
+                     "--quiet"]) == 2
+        assert f"error: {frame}: malformed header" in capsys.readouterr().err
+
     @pytest.mark.parametrize("raster", RASTER_COMMENTS)
     def test_segment_reads_no_comment_from_the_raster(self, tmp_path, raster):
         bg = tmp_path / "bg.pgm"
