@@ -87,6 +87,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if Path(args.out).resolve() == Path(args.features).resolve():
+        raise ValueError(f"--out {args.out} would overwrite --features {args.features}")
     cfg = _config(args, {key: getattr(args, key) for key in ("kernel", "c", "degree", "sigma")})
     rows = pipeline.read_features_csv(args.features)
     model = pipeline.train_rows(rows, cfg.kernel_spec(), cfg)

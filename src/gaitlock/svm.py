@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -435,26 +434,26 @@ def _kernel_record(spec: KernelSpec) -> str:
 
 
 def save_model(model: SvmModel, path) -> None:
-    """Write the versioned plain-text model file; each pool row is
-    formatted once, however many support vectors repeat it."""
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    lines.append(f"classes {len(model.classes)}")
-    lines.extend(model.classes)
-    lines.append(f"normalization {model.dimension}")
-    for m, s in zip(model.norm_mean, model.norm_std):
-        lines.append(f"{_fmt(m)} {_fmt(s)}")
-    lines.append(f"machines {len(model.binaries)}")
+    """Write the versioned plain-text model file one machine at a time;
+    each pool row is formatted once, however many support vectors repeat it."""
+    dim = model.dimension
+    # "%.17g" writes the text _fmt does
+    text = [(" %.17g" * dim) % tuple(row.tolist()) for row in model.pool]
     kernel = _kernel_record(model.kernel)
-    text = ["".join(" " + _fmt(v) for v in row) for row in model.pool]
-    for machine in model.binaries:
-        lines.append(f"pair {machine.class_pair[0]} {machine.class_pair[1]}")
-        lines.append(kernel)
-        lines.append(f"bias {_fmt(machine.bias)}")
-        lines.append(f"vectors {machine.index.size} {model.dimension}")
-        vectors = zip(machine.coefficients.tolist(), machine.index.tolist())
-        lines.extend(f"{_fmt(coef)}{text[i]}" for coef, i in vectors)
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii", newline="\n") as file:
+        file.write(f"{MODEL_MAGIC} {MODEL_VERSION}\nclasses {len(model.classes)}\n")
+        file.writelines(f"{cls}\n" for cls in model.classes)
+        file.write(f"normalization {dim}\n")
+        file.writelines(f"{_fmt(m)} {_fmt(s)}\n" for m, s in zip(model.norm_mean, model.norm_std))
+        file.write(f"machines {len(model.binaries)}\n")
+        for machine in model.binaries:
+            vectors = zip(machine.coefficients.tolist(), machine.index.tolist())
+            file.write(
+                f"pair {machine.class_pair[0]} {machine.class_pair[1]}\n{kernel}\n"
+                f"bias {_fmt(machine.bias)}\nvectors {machine.index.size} {dim}\n"
+                + "".join(["%.17g%s\n" % (coef, text[i]) for coef, i in vectors])
+            )
+        file.write("end\n")
 
 
 def _check_finite(values, record: str) -> None:
@@ -463,101 +462,107 @@ def _check_finite(values, record: str) -> None:
 
 
 def load_model(path) -> SvmModel:
-    """Parse a model file written by :func:`save_model`. Support-vector
-    rows with the same text are parsed once, as one row of the pool."""
-    lines = iter(Path(path).read_text(encoding="ascii", errors="replace").splitlines())
-    header = next(lines, "").split()
-    if len(header) != 2 or header[0] != MODEL_MAGIC:
-        raise FormatError("not a gaitlock SVM model file")
-    if header[1] != MODEL_VERSION:
-        raise VersionMismatch(f"unsupported model version {header[1]!r}")
+    """Parse a model file written by :func:`save_model`, one line at a time.
+    Support-vector rows with the same text are parsed once, as one row of
+    the pool."""
+    with open(path, encoding="ascii", errors="replace") as file:
+        # str.splitlines of each line splits the records as it splits the whole text
+        lines = (record for line in file for record in line.splitlines())
+        header = next(lines, "").split()
+        if len(header) != 2 or header[0] != MODEL_MAGIC:
+            raise FormatError("not a gaitlock SVM model file")
+        if header[1] != MODEL_VERSION:
+            raise VersionMismatch(f"unsupported model version {header[1]!r}")
 
-    def expect(keyword: str) -> list[str]:
-        parts = next(lines).split()
-        if not parts or parts[0] != keyword:
-            raise FormatError(f"expected '{keyword}' record")
-        return parts[1:]
+        def expect(keyword: str) -> list[str]:
+            parts = next(lines).split()
+            if not parts or parts[0] != keyword:
+                raise FormatError(f"expected '{keyword}' record")
+            return parts[1:]
 
-    def rows(count_str: str, record: str) -> list[str]:
-        # the lines a record announces, read before any array is sized by the count
-        count = int(count_str)
-        if count < 0:
-            raise FormatError(f"{record} has a negative count")
-        taken = list(itertools.islice(lines, count))
-        if len(taken) < count:
-            raise FormatError(f"{record} announces {count} lines, the file holds {len(taken)}")
-        return taken
+        def rows(count_str: str, record: str) -> list[str]:
+            # the lines a record announces, read before any array is sized by the count
+            count = int(count_str)
+            if count < 0:
+                raise FormatError(f"{record} has a negative count")
+            taken = list(itertools.islice(lines, count))
+            if len(taken) < count:
+                raise FormatError(f"{record} announces {count} lines, the file holds {len(taken)}")
+            return taken
 
-    try:
-        (k_str,) = expect("classes")
-        classes = rows(k_str, f"record 'classes {k_str}'")
-        if len(classes) < 2 or classes != sorted(set(classes)):
-            raise FormatError(f"record 'classes {k_str}' needs 2 or more distinct sorted classes")
-        (dim_str,) = expect("normalization")
-        mean, std = [], []
-        for line in rows(dim_str, f"record 'normalization {dim_str}'"):
-            m_str, s_str = line.split()
-            mean.append(float(m_str))
-            std.append(float(s_str))
-            if not (np.isfinite(mean[-1]) and 0.0 < std[-1] < np.inf):
+        try:
+            (k_str,) = expect("classes")
+            classes = rows(k_str, f"record 'classes {k_str}'")
+            if len(classes) < 2 or classes != sorted(set(classes)):
                 raise FormatError(
-                    f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
+                    f"record 'classes {k_str}' needs 2 or more distinct sorted classes"
                 )
-        dim = len(mean)
-        mean, std = np.array(mean), np.array(std)
-        (m_count_str,) = expect("machines")
-        n_pairs = len(classes) * (len(classes) - 1) // 2
-        if int(m_count_str) != n_pairs:
-            raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
-        machines, pool, slot = [], [], {}  # slot: row text -> pool row
-        for pair in itertools.combinations(classes, 2):  # the order of train_multiclass
-            labels = expect("pair")
-            if labels != list(pair):
-                want = " ".join(pair)
-                raise FormatError(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
-            kparts = expect("kernel")
-            record = f"record 'kernel {' '.join(kparts)}'"
-            if not machines:
-                first_kernel = kparts
-                names = KERNEL_PARAMS.get(kparts[0]) if kparts else None
-                if names is None or len(kparts) != 2 + len(names):
-                    raise FormatError(f"{record} needs a kernel kind, c and its parameters")
-                try:
-                    values = [float(v) for v in kparts[1:]]
-                    _check_finite(values, record)
-                    spec = KernelSpec(kparts[0], values[0], **dict(zip(names, values[1:])))
-                except ValueError as exc:
-                    raise FormatError(f"{record}: {exc}") from exc
-            elif kparts != first_kernel:
-                raise FormatError(f"{record} differs from the model's first kernel record")
-            (bias_str,) = expect("bias")
-            of_pair = f"of pair {pair[0]} {pair[1]}"
-            _check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
-            n_sv_str, sv_dim_str = expect("vectors")
-            if int(sv_dim_str) != dim:
-                raise FormatError("support vector dimension differs from normalization")
-            coefs, index = [], []
-            for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
-                parts = line.split(maxsplit=1)
-                text = parts[1] if len(parts) == 2 else ""
-                if text not in slot:
-                    values = text.split()
-                    if not parts or len(values) != dim:
-                        raise FormatError(f"a 'vectors' row {of_pair} has wrong arity")
-                    slot[text] = len(pool)
-                    pool.append([float(v) for v in values])
-                    _check_finite(pool[-1], f"a 'vectors' row {of_pair}")
-                coefs.append(float(parts[0]))
-                index.append(slot[text])
-            coefs = np.array(coefs, dtype=float)
-            _check_finite(coefs, f"a 'vectors' row {of_pair}")
-            machines.append((np.array(index, dtype=np.intp), coefs, float(bias_str), spec, pair))
-        if next(lines) != "end":
-            raise FormatError("missing end record")
-    except StopIteration:
-        raise FormatError("model file is truncated") from None
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"malformed model file: {exc}") from exc
+            (dim_str,) = expect("normalization")
+            mean, std = [], []
+            for line in rows(dim_str, f"record 'normalization {dim_str}'"):
+                m_str, s_str = line.split()
+                mean.append(float(m_str))
+                std.append(float(s_str))
+                if not (np.isfinite(mean[-1]) and 0.0 < std[-1] < np.inf):
+                    raise FormatError(
+                        f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
+                    )
+            dim = len(mean)
+            mean, std = np.array(mean), np.array(std)
+            (m_count_str,) = expect("machines")
+            n_pairs = len(classes) * (len(classes) - 1) // 2
+            if int(m_count_str) != n_pairs:
+                raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
+            machines, pool, slot = [], [], {}  # slot: row text -> pool row
+            for pair in itertools.combinations(classes, 2):  # the order of train_multiclass
+                labels = expect("pair")
+                if labels != list(pair):
+                    want = " ".join(pair)
+                    raise FormatError(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
+                kparts = expect("kernel")
+                record = f"record 'kernel {' '.join(kparts)}'"
+                if not machines:
+                    first_kernel = kparts
+                    names = KERNEL_PARAMS.get(kparts[0]) if kparts else None
+                    if names is None or len(kparts) != 2 + len(names):
+                        raise FormatError(f"{record} needs a kernel kind, c and its parameters")
+                    try:
+                        values = [float(v) for v in kparts[1:]]
+                        _check_finite(values, record)
+                        spec = KernelSpec(kparts[0], values[0], **dict(zip(names, values[1:])))
+                    except ValueError as exc:
+                        raise FormatError(f"{record}: {exc}") from exc
+                elif kparts != first_kernel:
+                    raise FormatError(f"{record} differs from the model's first kernel record")
+                (bias_str,) = expect("bias")
+                of_pair = f"of pair {pair[0]} {pair[1]}"
+                _check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
+                n_sv_str, sv_dim_str = expect("vectors")
+                if int(sv_dim_str) != dim:
+                    raise FormatError("support vector dimension differs from normalization")
+                coefs, index = [], []
+                for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
+                    parts = line.split(maxsplit=1)
+                    text = parts[1] if len(parts) == 2 else ""
+                    if text not in slot:
+                        values = text.split()
+                        if not parts or len(values) != dim:
+                            raise FormatError(f"a 'vectors' row {of_pair} has wrong arity")
+                        slot[text] = len(pool)
+                        pool.append([float(v) for v in values])
+                        _check_finite(pool[-1], f"a 'vectors' row {of_pair}")
+                    coefs.append(float(parts[0]))
+                    index.append(slot[text])
+                coefs = np.array(coefs, dtype=float)
+                _check_finite(coefs, f"a 'vectors' row {of_pair}")
+                index = np.array(index, dtype=np.intp)
+                machines.append((index, coefs, float(bias_str), spec, pair))
+            if next(lines) != "end":
+                raise FormatError("missing end record")
+        except StopIteration:
+            raise FormatError("model file is truncated") from None
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"malformed model file: {exc}") from exc
     pool = np.array(pool, dtype=float).reshape(len(pool), dim)
     binaries = [BinarySvm(pool, *machine) for machine in machines]
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)

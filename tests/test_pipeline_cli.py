@@ -391,6 +391,21 @@ class TestCli:
         text = train("--config", str(cfg), "--kernel", "poly", "--degree", "2")
         assert {ln for ln in text.splitlines() if ln.startswith("kernel ")} == {"kernel poly 3 2"}
 
+    @pytest.mark.parametrize("spelling", ["f.csv", "sub/../f.csv"])
+    def test_train_refuses_to_overwrite_its_features(self, tmp_path, capsys, spelling):
+        feats = tmp_path / "f.csv"
+        rows = [_row(s, q, value=v) for s, v in (("ann", "0.1"), ("bob", "0.9")) for q in "01"]
+        feats.write_text(HEADER + "".join(rows))
+        (tmp_path / "sub").mkdir()
+        before = feats.read_bytes()
+        out = tmp_path / spelling
+        assert main(["train", "--features", str(feats), "--out", str(out), "--quiet"]) == 1
+        assert feats.read_bytes() == before
+        err = capsys.readouterr().err
+        assert f"--out {out} " in err and f"--features {feats}" in err
+        assert main(["train", "--features", str(feats), "--out", str(tmp_path / "m.svm"),
+                     "--quiet"]) == 0
+
     def test_pipeline_command_with_config(self, small_dataset, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

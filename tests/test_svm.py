@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,6 +13,7 @@ from gaitlock import svm
 from gaitlock.errors import (
     DimensionMismatch,
     FormatError,
+    GaitlockError,
     NonFinite,
     SingleClass,
     TooFewClasses,
@@ -537,6 +541,275 @@ class TestPool:
                                                                         [[2.0]]]
         save_model(model, tmp_path / "again.svm")
         assert (tmp_path / "again.svm").read_bytes() == path.read_bytes()
+
+
+def reference_save_model(model, path):
+    """The join-based writer ``save_model`` was before it wrote one machine
+    at a time, kept as the oracle."""
+    fmt = svm._fmt
+    lines = [f"{svm.MODEL_MAGIC} {svm.MODEL_VERSION}"]
+    lines.append(f"classes {len(model.classes)}")
+    lines.extend(model.classes)
+    lines.append(f"normalization {model.dimension}")
+    for m, s in zip(model.norm_mean, model.norm_std):
+        lines.append(f"{fmt(m)} {fmt(s)}")
+    lines.append(f"machines {len(model.binaries)}")
+    kernel = svm._kernel_record(model.kernel)
+    text = ["".join(" " + fmt(v) for v in row) for row in model.pool]
+    for machine in model.binaries:
+        lines.append(f"pair {machine.class_pair[0]} {machine.class_pair[1]}")
+        lines.append(kernel)
+        lines.append(f"bias {fmt(machine.bias)}")
+        lines.append(f"vectors {machine.index.size} {model.dimension}")
+        vectors = zip(machine.coefficients.tolist(), machine.index.tolist())
+        lines.extend(f"{fmt(coef)}{text[i]}" for coef, i in vectors)
+    lines.append("end")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def reference_load_model(path):
+    """The whole-text reader ``load_model`` was before it read one line at
+    a time, kept as the oracle."""
+    check_finite = svm._check_finite
+    lines = iter(Path(path).read_text(encoding="ascii", errors="replace").splitlines())
+    header = next(lines, "").split()
+    if len(header) != 2 or header[0] != svm.MODEL_MAGIC:
+        raise FormatError("not a gaitlock SVM model file")
+    if header[1] != svm.MODEL_VERSION:
+        raise VersionMismatch(f"unsupported model version {header[1]!r}")
+
+    def expect(keyword):
+        parts = next(lines).split()
+        if not parts or parts[0] != keyword:
+            raise FormatError(f"expected '{keyword}' record")
+        return parts[1:]
+
+    def rows(count_str, record):
+        count = int(count_str)
+        if count < 0:
+            raise FormatError(f"{record} has a negative count")
+        taken = list(itertools.islice(lines, count))
+        if len(taken) < count:
+            raise FormatError(f"{record} announces {count} lines, the file holds {len(taken)}")
+        return taken
+
+    try:
+        (k_str,) = expect("classes")
+        classes = rows(k_str, f"record 'classes {k_str}'")
+        if len(classes) < 2 or classes != sorted(set(classes)):
+            raise FormatError(f"record 'classes {k_str}' needs 2 or more distinct sorted classes")
+        (dim_str,) = expect("normalization")
+        mean, std = [], []
+        for line in rows(dim_str, f"record 'normalization {dim_str}'"):
+            m_str, s_str = line.split()
+            mean.append(float(m_str))
+            std.append(float(s_str))
+            if not (np.isfinite(mean[-1]) and 0.0 < std[-1] < np.inf):
+                raise FormatError(
+                    f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
+                )
+        dim = len(mean)
+        mean, std = np.array(mean), np.array(std)
+        (m_count_str,) = expect("machines")
+        n_pairs = len(classes) * (len(classes) - 1) // 2
+        if int(m_count_str) != n_pairs:
+            raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
+        machines, pool, slot = [], [], {}
+        for pair in itertools.combinations(classes, 2):
+            labels = expect("pair")
+            if labels != list(pair):
+                want = " ".join(pair)
+                raise FormatError(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
+            kparts = expect("kernel")
+            record = f"record 'kernel {' '.join(kparts)}'"
+            if not machines:
+                first_kernel = kparts
+                names = svm.KERNEL_PARAMS.get(kparts[0]) if kparts else None
+                if names is None or len(kparts) != 2 + len(names):
+                    raise FormatError(f"{record} needs a kernel kind, c and its parameters")
+                try:
+                    values = [float(v) for v in kparts[1:]]
+                    check_finite(values, record)
+                    spec = KernelSpec(kparts[0], values[0], **dict(zip(names, values[1:])))
+                except ValueError as exc:
+                    raise FormatError(f"{record}: {exc}") from exc
+            elif kparts != first_kernel:
+                raise FormatError(f"{record} differs from the model's first kernel record")
+            (bias_str,) = expect("bias")
+            of_pair = f"of pair {pair[0]} {pair[1]}"
+            check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
+            n_sv_str, sv_dim_str = expect("vectors")
+            if int(sv_dim_str) != dim:
+                raise FormatError("support vector dimension differs from normalization")
+            coefs, index = [], []
+            for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
+                parts = line.split(maxsplit=1)
+                text = parts[1] if len(parts) == 2 else ""
+                if text not in slot:
+                    values = text.split()
+                    if not parts or len(values) != dim:
+                        raise FormatError(f"a 'vectors' row {of_pair} has wrong arity")
+                    slot[text] = len(pool)
+                    pool.append([float(v) for v in values])
+                    check_finite(pool[-1], f"a 'vectors' row {of_pair}")
+                coefs.append(float(parts[0]))
+                index.append(slot[text])
+            coefs = np.array(coefs, dtype=float)
+            check_finite(coefs, f"a 'vectors' row {of_pair}")
+            machines.append((np.array(index, dtype=np.intp), coefs, float(bias_str), spec, pair))
+        if next(lines) != "end":
+            raise FormatError("missing end record")
+    except StopIteration:
+        raise FormatError("model file is truncated") from None
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"malformed model file: {exc}") from exc
+    pool = np.array(pool, dtype=float).reshape(len(pool), dim)
+    binaries = [svm.BinarySvm(pool, *machine) for machine in machines]
+    return svm.SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)
+
+
+def read_outcome(reader, path):
+    """Everything a loaded model holds, as bytes, or the error's type and message."""
+    try:
+        model = reader(path)
+    except GaitlockError as exc:
+        return type(exc), str(exc)
+    machines = [(m.class_pair, m.kernel, np.float64(m.bias).tobytes(), m.index.tobytes(),
+                 m.coefficients.tobytes()) for m in model.binaries]
+    return (model.classes, model.norm_mean.tobytes(), model.norm_std.tobytes(),
+            model.pool.shape, model.pool.tobytes(), machines)
+
+
+@st.composite
+def trained_models(draw):
+    """Models of 2-6 classes under every kernel. Rows repeat within and
+    across classes, and a small c puts coefficients on the box bound."""
+    k = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(svm.KERNELS))
+    params = {"degree": draw(st.integers(1, 3)), "sigma": draw(st.sampled_from((0.5, 2.0)))}
+    c = draw(st.sampled_from((1e-3, 0.05, 1.0, 100.0)))
+    spec = KernelSpec(kind, c, **{name: params[name] for name in svm.KERNEL_PARAMS[kind]})
+    per = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.normal(0.0, 2.0, size=(draw(st.integers(1, k * per)), draw(st.integers(1, 4))))
+    x = distinct[rng.integers(0, len(distinct), size=k * per)]
+    return train_multiclass(x, [f"c{i}" for i in range(k) for _ in range(per)], spec)
+
+
+MODEL_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("crlf", "cr", "insert", "drop-final-newline", "truncate")),
+        st.floats(0.0, 1.0),
+        st.sampled_from((b"\x0b", b"\x0c", b"\x1c", b"\x0b\n", b"\xe9", b"\xff\xfe",
+                         "ë".encode(), b"\r", b"\x85")),
+    ),
+    max_size=4,
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    """Apply ``(kind, where, payload)`` edits; ``where`` in [0, 1] picks a
+    byte offset or, for line ends, a share of the lines."""
+    for kind, where, payload in mutations:
+        at = round(where * len(data))
+        if kind in ("crlf", "cr"):
+            lines = data.split(b"\n")
+            cut = round(where * (len(lines) - 1))
+            end = b"\r\n" if kind == "crlf" else b"\r"
+            data = b"\n".join(lines[:cut]) + (b"\n" if cut else b"") + end.join(lines[cut:])
+        elif kind == "insert":
+            data = data[:at] + payload + data[at:]
+        elif kind == "drop-final-newline":
+            data = data.removesuffix(b"\n")
+        else:
+            data = data[:at]
+    return data
+
+
+def three_class_model():
+    rng = np.random.default_rng(9)
+    x = rng.normal(0.0, 1.0, size=(9, 3)) + np.repeat(np.eye(3) * 4, 3, axis=0)
+    labels = [c for c in "abc" for _ in range(3)]
+    return train_multiclass(x, labels, KernelSpec("rbf", 1.0, sigma=2.0))
+
+
+class TestStreamedModelFile:
+    @settings(max_examples=60, deadline=None)
+    @given(trained_models())
+    def test_streamed_writer_matches_the_joined_one(self, tmp_path_factory, model):
+        out = tmp_path_factory.mktemp("writer")
+        save_model(model, out / "streamed.svm")
+        reference_save_model(model, out / "joined.svm")
+        assert (out / "streamed.svm").read_bytes() == (out / "joined.svm").read_bytes()
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(-0.0)
+    @example(5e-324)
+    @example(0.1)
+    def test_percent_format_writes_what_format_writes(self, value):
+        assert "%.17g" % value == svm._fmt(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(("trained", "hand-written")), MODEL_MUTATIONS)
+    @example("trained", [("crlf", 0.0, b"")])
+    @example("trained", [("cr", 0.5, b"")])
+    @example("hand-written", [("insert", 0.3, b"\x0b"), ("insert", 0.6, b"\x1c")])
+    @example("hand-written", [("insert", 0.5, b"\x0c\n")])
+    @example("trained", [("drop-final-newline", 0.0, b"")])
+    @example("trained", [("insert", 0.02, b"\xe9")])
+    @example("trained", [("truncate", 0.5, b"")])
+    def test_streamed_reader_matches_the_whole_text_one(self, tmp_path_factory, source,
+                                                         mutations):
+        path = tmp_path_factory.mktemp("reader") / "m.svm"
+        if source == "trained":
+            save_model(three_class_model(), path)
+        else:
+            path.write_text(_model_text((1, -1, 1), (["0.5 2"], ["-0.5 2", "0.25 3"], ["0.75 2"])))
+        path.write_bytes(mutate(path.read_bytes(), mutations))
+        assert read_outcome(load_model, path) == read_outcome(reference_load_model, path)
+
+    def test_every_cut_of_a_saved_file_is_rejected(self, tmp_path):
+        """A write stopped at any byte after the header line leaves a file
+        that fails to load with a format error. A cut inside the header
+        reads as a foreign file or as an unknown version, as before."""
+        save_model(three_class_model(), tmp_path / "m.svm")
+        data = (tmp_path / "m.svm").read_bytes()
+        header = len(b"GAITLOCK-SVM v1\n")
+        cut = tmp_path / "cut.svm"
+        for size in range(len(data) - 1):  # all but the final newline
+            cut.write_bytes(data[:size])
+            with pytest.raises(FormatError if size >= header else (FormatError, VersionMismatch)):
+                load_model(cut)
+
+    def test_a_write_stopped_by_a_class_name_leaves_a_rejected_file(self, tmp_path):
+        model = three_class_model()
+        model.classes[1] = "bë"
+        with pytest.raises(UnicodeEncodeError):
+            save_model(model, tmp_path / "m.svm")
+        with pytest.raises(FormatError, match="'classes 3' announces 3 lines, the file holds 1"):
+            load_model(tmp_path / "m.svm")
+
+
+def test_model_io_memory_is_bounded(tmp_path):
+    """Saving and loading a 1,128-machine model each allocate at most a
+    quarter of the file's size: one machine is held at a time, never the
+    file's text."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(0, 1, size=(48, 1, 14)) + rng.normal(0, 0.9, size=(48, 8, 14))
+    labels = [f"s{i:02d}" for i in range(48) for _ in range(8)]
+    model = train_multiclass(x.reshape(-1, 14), labels, KernelSpec("rbf", 10.0, sigma=2.0))
+    assert len(model.binaries) == 1128
+    path = tmp_path / "m.svm"
+    peaks = []
+    for step in (lambda: save_model(model, path), lambda: load_model(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert max(peaks) <= size / 4, [peak / size for peak in peaks]
 
 
 def test_predict_dimension_mismatch():
