@@ -28,7 +28,6 @@ from .gaitcycle import (
 from .imagery import Frame, FrameSequence, load_sequence
 from .metrics import ConfusionMatrix, evaluate, measures
 from .segmentation import (
-    BoundingBox,
     SilhouetteMask,
     clean_mask,
     difference_mask,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BackgroundModel",
     "BinarySvm",
-    "BoundingBox",
     "ConfusionMatrix",
     "FEATURE_NAMES",
     "Frame",

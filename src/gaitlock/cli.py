@@ -51,6 +51,8 @@ def cmd_background(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    if Path(args.out).resolve() == Path(args.in_dir).resolve():
+        raise ValueError(f"--out {args.out} would overwrite the frames of --in {args.in_dir}")
     threshold = pipeline.check_threshold(args.threshold)
     bg = load_background(args.bg)
     seq = load_sequence(args.in_dir, args.fps)

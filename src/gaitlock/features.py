@@ -110,12 +110,6 @@ def haar_idwt2(ll, lh, hl, hh) -> np.ndarray:
     return out
 
 
-def subband_energy(band: np.ndarray) -> float:
-    """Mean squared coefficient of one subband."""
-    band = np.asarray(band, dtype=np.float64)
-    return float((band * band).sum() / band.size)
-
-
 def series_stats(values) -> tuple[float, float]:
     """Mean and sample standard deviation (divisor N-1) of a series."""
     arr = np.asarray(values, dtype=np.float64)
@@ -150,16 +144,6 @@ def subband_energies(masks, boxes) -> np.ndarray:
     return squares / 4 / (WAVELET_GRID // 2) ** 2
 
 
-def silhouette_subband_energies(mask) -> tuple[float, float, float]:
-    """LL/LH/HL energies of one silhouette: the one-frame case of
-    :func:`subband_energies`."""
-    box = mask.bbox
-    if box is None:
-        raise EmptyWindow("cannot transform an empty silhouette")
-    row = (box.x_min, box.y_min, box.x_max, box.y_max)
-    return tuple(subband_energies(mask.mask[None], row)[0].tolist())
-
-
 def wavelet_statistics(energies) -> np.ndarray:
     """Mean and standard deviation of per-frame LL/LH/HL energies, one
     row per silhouette, ordered [mu_LL, sigma_LL, mu_LH, sigma_LH, mu_HL,
@@ -177,9 +161,10 @@ def wavelet_statistics(energies) -> np.ndarray:
 
 
 def wavelet_features(masks) -> np.ndarray:
-    """:func:`wavelet_statistics` of a list of silhouette masks; frames
-    without a silhouette are skipped."""
-    return wavelet_statistics([silhouette_subband_energies(m) for m in masks if m.bbox is not None])
+    """:func:`wavelet_statistics` of a list of silhouette masks, taken
+    mask by mask so their shapes may differ; frames without a silhouette
+    are skipped."""
+    return wavelet_statistics([subband_energies(m.mask[None], m.bbox) for m in masks if not m.empty])
 
 
 def fuse(spatial=None, temporal=None, wavelet=None) -> np.ndarray:

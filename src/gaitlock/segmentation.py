@@ -6,8 +6,6 @@ the per-frame functions are the one-frame case of the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .background import _BLOCK_BYTES, BackgroundModel, otsu_from_histograms, otsu_histograms
@@ -18,39 +16,9 @@ from .imagery import Frame, FrameSequence
 EMPTY_BOX = (0, 0, -1, -1)
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Tight axis-aligned box over foreground pixels, inclusive coordinates."""
-
-    x_min: int
-    y_min: int
-    x_max: int
-    y_max: int
-
-    def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"degenerate bounding box {self}")
-
-    @property
-    def width(self) -> int:
-        return self.x_max - self.x_min + 1
-
-    @property
-    def height(self) -> int:
-        return self.y_max - self.y_min + 1
-
-
-def bounding_box(mask: np.ndarray) -> BoundingBox | None:
-    """Tight box over the nonzero pixels, or None for an empty mask."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    return BoundingBox(int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1]))
-
-
 class SilhouetteMask:
-    """Binary walker mask for one frame; the bbox is computed on construction."""
+    """Binary walker mask for one frame; ``bbox`` is its box row as a
+    tuple of four ints, or None when the mask is empty."""
 
     __slots__ = ("mask", "bbox")
 
@@ -58,25 +26,13 @@ class SilhouetteMask:
         arr = np.asarray(mask)
         if arr.ndim != 2 or arr.size == 0:
             raise DimensionMismatch(f"mask must be a non-empty 2-D grid, got shape {arr.shape}")
-        arr = arr.astype(bool)
-        self.mask = arr
-        self.bbox = bounding_box(arr)
-
-    @property
-    def width(self) -> int:
-        return self.mask.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
+        self.mask = arr.astype(bool)
+        box = tuple(bounding_boxes(self.mask[None])[0].tolist())
+        self.bbox = None if box == EMPTY_BOX else box
 
     @property
     def empty(self) -> bool:
         return self.bbox is None
-
-    def centroid_x(self) -> float:
-        """Mean column of the foreground pixels (NaN when empty)."""
-        return float(centroids_x(self.mask[None])[0])
 
 
 def bounding_boxes(masks) -> np.ndarray:
@@ -193,23 +149,6 @@ def _run_pixels(starts: np.ndarray, ends: np.ndarray, h: int, w: int) -> np.ndar
     offset = np.cumsum(lengths) - lengths
     base = starts - row - (row // (h + 1)) * w
     return np.repeat(base - offset, lengths) + np.arange(lengths.sum())
-
-
-def connected_components(mask: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Label 8-connected foreground components.
-
-    Returns (labels, sizes): labels is int32 with 0 for background and
-    1..k for components in scan order of their first pixel; sizes[i] is
-    the pixel count of component i+1.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    starts, ends, component = _label_runs(mask[None])
-    lengths = ends - starts
-    sizes = np.bincount(component, weights=lengths).astype(np.int64).tolist()
-    labels.ravel()[_run_pixels(starts, ends, h, w)] = np.repeat(component + 1, lengths)
-    return labels, sizes
 
 
 def _keep_largest(masks: np.ndarray, out: np.ndarray) -> None:

@@ -466,8 +466,12 @@ def load_model(path) -> SvmModel:
     Support-vector rows with the same text are parsed once, as one row of
     the pool."""
     with open(path, encoding="ascii", errors="replace") as file:
+        head = f"{MODEL_MAGIC} {MODEL_VERSION}\n"
+        first = file.readline()
+        if first and first != head and head.startswith(first):  # a write cut inside the header
+            raise FormatError("model file is truncated")
         # str.splitlines of each line splits the records as it splits the whole text
-        lines = (record for line in file for record in line.splitlines())
+        lines = (record for line in itertools.chain([first], file) for record in line.splitlines())
         header = next(lines, "").split()
         if len(header) != 2 or header[0] != MODEL_MAGIC:
             raise FormatError("not a gaitlock SVM model file")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecOutOfBounds
 from .imagery import FrameSequence
-from .segmentation import BoundingBox, bounding_box
+from .segmentation import bounding_boxes, centroids_x
 
 _GROUND_MARGIN = 5
 
@@ -55,11 +55,12 @@ class WalkerSpec:
 
 @dataclass
 class WalkerTruth:
-    """Ground truth recorded while rendering."""
+    """Ground truth recorded while rendering: one box row
+    [x_min, y_min, x_max, y_max] and one centroid column per frame."""
 
     period_frames: int
     stride_px: int
-    bboxes: list[BoundingBox]
+    bboxes: np.ndarray  # (n, 4) int64
     centroids: np.ndarray
 
 
@@ -126,14 +127,14 @@ def generate(
     fg = min(255, background_level + 100)
     rng = np.random.default_rng(spec.seed)
     frames = []
-    bboxes = []
+    bboxes = np.empty((n_frames, 4), dtype=np.int64)
     centroids = np.empty(n_frames)
     for t in range(n_frames):
         walker = _walker_mask(spec, t, frame_w, frame_h)
         pixels = np.full((frame_h, frame_w), background_level, dtype=np.uint8)
         pixels[walker] = fg
-        bboxes.append(bounding_box(walker))
-        centroids[t] = float(np.nonzero(walker)[1].mean())
+        bboxes[t] = bounding_boxes(walker[None])[0]
+        centroids[t] = centroids_x(walker[None])[0]
         if spec.noise_rate > 0.0:
             salt = (rng.random((frame_h, frame_w)) < spec.noise_rate) & ~walker
             pixels[salt] = fg
@@ -151,8 +152,6 @@ def write_truth_csv(truth: WalkerTruth, path) -> None:
     """Emit the ground truth beside the frames."""
     lines = [f"# period_frames={truth.period_frames} stride_px={truth.stride_px}"]
     lines.append("frame,x_min,y_min,x_max,y_max,centroid_x")
-    for i, (box, cx) in enumerate(zip(truth.bboxes, truth.centroids), start=1):
-        lines.append(
-            f"{i},{box.x_min},{box.y_min},{box.x_max},{box.y_max},{cx:.6f}"
-        )
+    for i, (box, cx) in enumerate(zip(truth.bboxes.tolist(), truth.centroids), start=1):
+        lines.append(f"{i},{','.join(map(str, box))},{cx:.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -19,9 +19,7 @@ from gaitlock.features import (
     haar_idwt2,
     series_stats,
     spatial_features,
-    silhouette_subband_energies,
     subband_energies,
-    subband_energy,
     temporal_features,
     wavelet_features,
     wavelet_statistics,
@@ -30,7 +28,6 @@ from gaitlock.gaitcycle import width_signal
 from gaitlock.segmentation import (
     EMPTY_BOX,
     SilhouetteMask,
-    bounding_box,
     bounding_boxes,
     centroids_x,
 )
@@ -182,7 +179,17 @@ def test_series_stats_matches_two_pass_oracle():
 
 
 def test_subband_energy_is_mean_square():
-    assert subband_energy(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(30.0 / 4.0)
+    # a 64x64 silhouette is its own wavelet grid; the left half's 2x2
+    # blocks [[1, 1], [0, 1]] have LL 3/2, LH -1/2, HL 1/2, the right
+    # half's full blocks LL 2, so each energy is a mean of two squares
+    masks = np.zeros((1, 70, 80), dtype=bool)
+    grid = masks[0, 3:67, 5:69]
+    grid[:] = True
+    grid[1::2, 0:32:2] = False
+    boxes = bounding_boxes(masks)
+    assert boxes.tolist() == [[5, 3, 68, 66]]
+    energies = subband_energies(masks, boxes)
+    assert energies.tolist() == [[(2.25 + 4.0) / 2, 0.25 / 2, 0.25 / 2]]
 
 
 class TestFuse:
@@ -211,11 +218,21 @@ def reference_centroid_x(mask):
     return float(np.nonzero(mask)[1].mean()) if mask.any() else float("nan")
 
 
+def reference_box(mask):
+    """[x_min, y_min, x_max, y_max] of the foreground pixels, found by
+    visiting every pixel; ``EMPTY_BOX`` when there is none."""
+    points = [(c, r) for r in range(mask.shape[0]) for c in range(mask.shape[1]) if mask[r, c]]
+    if not points:
+        return list(EMPTY_BOX)
+    cols, rows = zip(*points)
+    return [min(cols), min(rows), max(cols), max(rows)]
+
+
 def reference_subband_energies(mask):
     """LL/LH/HL energies of one silhouette in float64: crop to its box,
     resample to 64x64 by nearest neighbour, one Haar level, mean square."""
-    box = bounding_box(mask)
-    crop = mask[box.y_min:box.y_max + 1, box.x_min:box.x_max + 1].astype(np.float64)
+    x_min, y_min, x_max, y_max = reference_box(mask)
+    crop = mask[y_min:y_max + 1, x_min:x_max + 1].astype(np.float64)
     h, w = crop.shape
     grid = crop[np.ix_(np.arange(64) * h // 64, np.arange(64) * w // 64)]
     a, b, c, d = grid[0::2, 0::2], grid[0::2, 1::2], grid[1::2, 0::2], grid[1::2, 1::2]
@@ -252,11 +269,13 @@ def _larger_than_the_grid():
 @example(_larger_than_the_grid())
 def test_descriptors_match_per_mask_references(masks):
     boxes = bounding_boxes(masks)
-    singles = [bounding_box(m) for m in masks]
-    assert boxes.tolist() == [
-        list(EMPTY_BOX) if b is None else [b.x_min, b.y_min, b.x_max, b.y_max] for b in singles
+    singles = [reference_box(m) for m in masks]
+    assert boxes.tolist() == singles
+    silhouettes = [SilhouetteMask(m) for m in masks]
+    assert [s.bbox for s in silhouettes] == [
+        None if b == list(EMPTY_BOX) else tuple(b) for b in singles
     ]
-    widths = np.array([0 if b is None else b.width for b in singles], dtype=np.float64)
+    widths = np.array([x_max - x_min + 1 for x_min, _, x_max, _ in singles], dtype=np.float64)
     assert width_signal(boxes, fps=25).values.tobytes() == widths.tobytes()
 
     want = np.array([reference_centroid_x(m) for m in masks])
@@ -264,16 +283,15 @@ def test_descriptors_match_per_mask_references(masks):
     empty = np.isnan(want)
     assert np.array_equal(np.isnan(got), empty)
     assert got[~empty].tobytes() == want[~empty].tobytes()
-    singles_x = np.array([SilhouetteMask(m).centroid_x() for m in masks])
+    singles_x = np.array([centroids_x(m[None])[0] for m in masks])
     assert singles_x[~empty].tobytes() == want[~empty].tobytes()
 
     present = [m for m in masks if m.any()]
     expected = np.array([reference_subband_energies(m) for m in present]).reshape(-1, 3)
     energies = subband_energies(masks, boxes)
     assert energies.tobytes() == expected.tobytes()
-    for m, row in zip(present, expected):
-        assert silhouette_subband_energies(SilhouetteMask(m)) == tuple(row)
-    silhouettes = [SilhouetteMask(m) for m in masks]
+    one_by_one = [subband_energies(s.mask[None], s.bbox) for s in silhouettes if not s.empty]
+    assert np.array(one_by_one).reshape(-1, 3).tobytes() == expected.tobytes()
     if len(present) < 2:
         error = EmptyWindow if not present else TooFewFrames
         with pytest.raises(error):

@@ -406,6 +406,23 @@ class TestCli:
         assert main(["train", "--features", str(feats), "--out", str(tmp_path / "m.svm"),
                      "--quiet"]) == 0
 
+    @pytest.mark.parametrize("spelling", ["frames", "sub/../frames/"])
+    def test_segment_refuses_to_overwrite_its_frames(self, tmp_path, capsys, spelling):
+        seq, _ = generate(WalkerSpec(body_height=36, body_width=12, period_frames=12,
+                                     stride_px=24, leg_swing_amplitude=22, start_x=36),
+                          160, 64, 36)
+        frames, bg = tmp_path / "frames", tmp_path / "bg.pgm"
+        save_sequence(seq, frames)
+        assert main(["background", "--in", str(frames), "--out", str(bg), "--quiet"]) == 0
+        (tmp_path / "sub").mkdir()
+        before = {p.name: p.read_bytes() for p in frames.iterdir()}
+        out = f"{tmp_path}/{spelling}"
+        assert main(["segment", "--bg", str(bg), "--in", str(frames), "--out", out,
+                     "--quiet"]) == 1
+        assert {p.name: p.read_bytes() for p in frames.iterdir()} == before
+        err = capsys.readouterr().err
+        assert f"--out {out} " in err and f"--in {frames}" in err
+
     def test_pipeline_command_with_config(self, small_dataset, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

@@ -11,10 +11,10 @@ from gaitlock.background import BackgroundModel
 from gaitlock.errors import DimensionMismatch
 from gaitlock.imagery import Frame, FrameSequence
 from gaitlock.segmentation import (
+    EMPTY_BOX,
     SilhouetteMask,
-    bounding_box,
+    bounding_boxes,
     clean_mask,
-    connected_components,
     difference_mask,
     largest_component,
     segment_sequence,
@@ -52,6 +52,20 @@ def flood_fill_components(mask):
                                 stack.append((rr, cc))
                 sizes.append(size)
     return labels, sizes
+
+
+def label_components(mask):
+    """(labels, sizes) of the 8-connected components of one mask, read off
+    the run labeling the block path uses: labels are int32, 0 for
+    background and 1..k in scan order of each component's first pixel;
+    sizes[i] is the pixel count of component i+1."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    starts, ends, component = segmentation._label_runs(mask[None])
+    lengths = ends - starts
+    labels = np.zeros((h, w), dtype=np.int32)
+    labels.ravel()[segmentation._run_pixels(starts, ends, h, w)] = np.repeat(component + 1, lengths)
+    return labels, np.bincount(component, weights=lengths).astype(np.int64).tolist()
 
 
 def reference_otsu(values):
@@ -119,8 +133,10 @@ class TestDifferenceMask:
         pixels = np.zeros((8, 8), np.uint8)
         pixels[2:5, 3:7] = 200
         mask = difference_mask(Frame(pixels), bg_of(np.zeros((8, 8))), 100)
-        assert (mask.bbox.x_min, mask.bbox.y_min, mask.bbox.x_max, mask.bbox.y_max) == (3, 2, 6, 4)
-        assert (mask.bbox.width, mask.bbox.height) == (4, 3)
+        assert mask.bbox == (3, 2, 6, 4)
+        assert all(type(v) is int for v in mask.bbox)
+        x_min, y_min, x_max, y_max = mask.bbox
+        assert (x_max - x_min + 1, y_max - y_min + 1) == (4, 3)
 
 
 @st.composite
@@ -163,8 +179,7 @@ class TestCleanMask:
         cleaned = clean_mask(SilhouetteMask(grid))
         assert not cleaned.mask[30, 30] and not cleaned.mask[2, 35] and not cleaned.mask[35, 2]
         assert cleaned.mask[6:14, 9:27].all()  # interior intact
-        box = cleaned.bbox
-        assert (box.x_min, box.y_min, box.x_max, box.y_max) == (8, 5, 27, 14)
+        assert cleaned.bbox == (8, 5, 27, 14)
 
     def test_empty_stays_empty(self):
         cleaned = clean_mask(SilhouetteMask(np.zeros((6, 6), dtype=bool)))
@@ -175,8 +190,7 @@ class TestCleanMask:
         grid[4:12, 3:17] = True
         cleaned = clean_mask(SilhouetteMask(grid))
         assert cleaned.mask[5:11, 4:16].all()
-        assert (cleaned.bbox.x_min, cleaned.bbox.y_min) == (3, 4)
-        assert (cleaned.bbox.x_max, cleaned.bbox.y_max) == (16, 11)
+        assert cleaned.bbox == (3, 4, 16, 11)
 
     def test_at_most_one_component_afterwards(self):
         rng = np.random.default_rng(4)
@@ -201,7 +215,7 @@ class TestConnectedComponents:
         for density in (0.2, 0.5, 0.8):
             for _ in range(15):
                 grid = rng.random((17, 23)) < density
-                labels, sizes = connected_components(grid)
+                labels, sizes = label_components(grid)
                 oracle_labels, oracle_sizes = flood_fill_components(grid)
                 assert sorted(sizes) == sorted(oracle_sizes)
                 # same partition: matching label maps both ways
@@ -213,7 +227,7 @@ class TestConnectedComponents:
 
     def test_diagonal_pixels_connect(self):
         grid = np.array([[1, 0], [0, 1]], dtype=bool)
-        _, sizes = connected_components(grid)
+        _, sizes = label_components(grid)
         assert sizes == [2]
 
     def test_largest_component_tie_is_deterministic(self):
@@ -259,7 +273,7 @@ MASKS = st.one_of(
 @example(np.indices((24, 24)).sum(axis=0) % 2 == 0)  # checkerboard: one component
 @example(np.indices((9, 24))[1] % 2 == 0)  # vertical stripes: twelve components
 def test_labels_match_flood_fill_oracle_property(mask):
-    labels, sizes = connected_components(mask)
+    labels, sizes = label_components(mask)
     oracle_labels, oracle_sizes = flood_fill_components(mask)
     assert labels.dtype == np.int32 and labels.shape == mask.shape
     # both number components in scan order of their first pixel
@@ -275,18 +289,19 @@ def test_labels_match_flood_fill_oracle_property(mask):
 
 def test_bounding_box_tightness_property():
     rng = np.random.default_rng(21)
-    for _ in range(30):
-        grid = rng.random((12, 15)) < 0.2
-        box = bounding_box(grid)
-        if box is None:
+    grids = rng.random((30, 12, 15)) < 0.2
+    boxes = bounding_boxes(grids)
+    assert boxes.dtype == np.int64 and boxes.shape == (30, 4)
+    for grid, (x_min, y_min, x_max, y_max) in zip(grids, boxes.tolist()):
+        if (x_min, y_min, x_max, y_max) == EMPTY_BOX:
             assert not grid.any()
             continue
-        assert grid[box.y_min, box.x_min:box.x_max + 1].any()
-        assert grid[box.y_max, box.x_min:box.x_max + 1].any()
-        assert grid[box.y_min:box.y_max + 1, box.x_min].any()
-        assert grid[box.y_min:box.y_max + 1, box.x_max].any()
-        assert not grid[:box.y_min].any() and not grid[box.y_max + 1:].any()
-        assert not grid[:, :box.x_min].any() and not grid[:, box.x_max + 1:].any()
+        assert grid[y_min, x_min:x_max + 1].any()
+        assert grid[y_max, x_min:x_max + 1].any()
+        assert grid[y_min:y_max + 1, x_min].any()
+        assert grid[y_min:y_max + 1, x_max].any()
+        assert not grid[:y_min].any() and not grid[y_max + 1:].any()
+        assert not grid[:, :x_min].any() and not grid[:, x_max + 1:].any()
 
 
 LEVELS = st.one_of(st.sampled_from((0, 128, 255)), st.integers(0, 255))

@@ -569,9 +569,13 @@ def reference_save_model(model, path):
 
 def reference_load_model(path):
     """The whole-text reader ``load_model`` was before it read one line at
-    a time, kept as the oracle."""
+    a time, kept as the oracle, with the one rule added since: a file that
+    is a non-empty prefix of the header line is truncated."""
     check_finite = svm._check_finite
-    lines = iter(Path(path).read_text(encoding="ascii", errors="replace").splitlines())
+    text = Path(path).read_text(encoding="ascii", errors="replace")
+    if text and f"{svm.MODEL_MAGIC} {svm.MODEL_VERSION}\n".startswith(text):
+        raise FormatError("model file is truncated")
+    lines = iter(text.splitlines())
     header = next(lines, "").split()
     if len(header) != 2 or header[0] != svm.MODEL_MAGIC:
         raise FormatError("not a gaitlock SVM model file")
@@ -769,16 +773,17 @@ class TestStreamedModelFile:
         assert read_outcome(load_model, path) == read_outcome(reference_load_model, path)
 
     def test_every_cut_of_a_saved_file_is_rejected(self, tmp_path):
-        """A write stopped at any byte after the header line leaves a file
-        that fails to load with a format error. A cut inside the header
-        reads as a foreign file or as an unknown version, as before."""
+        """A write stopped at any byte leaves a file that fails to load
+        with a format error; a cut inside the header line, even before
+        its version, reads as a truncated model file."""
         save_model(three_class_model(), tmp_path / "m.svm")
         data = (tmp_path / "m.svm").read_bytes()
         header = len(b"GAITLOCK-SVM v1\n")
         cut = tmp_path / "cut.svm"
         for size in range(len(data) - 1):  # all but the final newline
             cut.write_bytes(data[:size])
-            with pytest.raises(FormatError if size >= header else (FormatError, VersionMismatch)):
+            truncated = "^model file is truncated$" if 1 <= size < header else None
+            with pytest.raises(FormatError, match=truncated):
                 load_model(cut)
 
     def test_a_write_stopped_by_a_class_name_leaves_a_rejected_file(self, tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gaitlock import synthgait
 from gaitlock.background import model_median
 from gaitlock.errors import SpecOutOfBounds
 from gaitlock.gaitcycle import estimate_period, width_signal
@@ -41,7 +44,7 @@ def test_different_seed_changes_noise():
 
 def test_width_signal_period_matches_spec_without_noise():
     seq, truth = generate(spec_for(period=30), 300, 100, 120)
-    widths = [0 if b is None else b.width for b in truth.bboxes]
+    widths = truth.bboxes[:, 2] - truth.bboxes[:, 0] + 1
     sig = width_signal_from_widths(widths)
     assert estimate_period(sig) == 30
 
@@ -55,12 +58,12 @@ def width_signal_from_widths(widths):
 def test_truth_bboxes_match_segmentation_within_2px():
     seq, truth = generate(spec_for(period=20, noise=0.01, seed=3), 260, 100, 70)
     boxes = bounding_boxes(segment_all(seq))
-    for (x_min, y_min, x_max, y_max), expected in zip(boxes, truth.bboxes):
+    for (x_min, y_min, x_max, y_max), (ex_min, ey_min, ex_max, ey_max) in zip(boxes, truth.bboxes):
         assert x_max >= x_min  # not empty
-        assert abs(x_min - expected.x_min) <= 2
-        assert abs(x_max - expected.x_max) <= 2
-        assert abs(y_min - expected.y_min) <= 2
-        assert abs(y_max - expected.y_max) <= 2
+        assert abs(x_min - ex_min) <= 2
+        assert abs(x_max - ex_max) <= 2
+        assert abs(y_min - ey_min) <= 2
+        assert abs(y_max - ey_max) <= 2
 
 
 def test_estimated_period_within_one_frame_of_truth():
@@ -127,4 +130,87 @@ def test_truth_record_fields():
     assert truth.period_frames == 24
     assert truth.stride_px == 40
     assert len(truth.bboxes) == 76
+    assert truth.bboxes.shape == (76, 4) and truth.bboxes.dtype == np.int64
     assert truth.centroids.shape == (76,)
+
+
+def reference_bounding_box(mask):
+    """The per-frame box ``generate`` recorded before its truth became box
+    rows: (x_min, y_min, x_max, y_max) of the nonzero pixels, or None."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1])
+
+
+def reference_generate(spec, frame_w, frame_h, n_frames, background_level=40):
+    """``generate`` as it was before its truth became box rows, kept as
+    the oracle: (frames, boxes, centroids), the centroid of each frame
+    taken from ``np.nonzero``."""
+    fg = min(255, background_level + 100)
+    rng = np.random.default_rng(spec.seed)
+    frames, boxes = [], []
+    centroids = np.empty(n_frames)
+    for t in range(n_frames):
+        walker = synthgait._walker_mask(spec, t, frame_w, frame_h)
+        pixels = np.full((frame_h, frame_w), background_level, dtype=np.uint8)
+        pixels[walker] = fg
+        boxes.append(reference_bounding_box(walker))
+        centroids[t] = float(np.nonzero(walker)[1].mean())
+        if spec.noise_rate > 0.0:
+            salt = (rng.random((frame_h, frame_w)) < spec.noise_rate) & ~walker
+            pixels[salt] = fg
+        frames.append(pixels)
+    return np.array(frames), boxes, centroids
+
+
+@st.composite
+def walker_cases(draw):
+    """A spec, frame size, length and background level; narrow or short
+    frames and starts near an edge make walkers that leave the frame, on
+    either side or at the top."""
+    period = draw(st.integers(8, 16))
+    height = draw(st.integers(8, 40))
+    frame_w = draw(st.integers(20, 200))
+    spec = WalkerSpec(
+        body_height=height,
+        body_width=draw(st.integers(3, 20)),
+        period_frames=period,
+        stride_px=draw(st.integers(0, 30)),
+        leg_swing_amplitude=draw(st.integers(0, 24)),
+        start_x=draw(st.integers(-5, frame_w + 5)),
+        direction=draw(st.sampled_from((-1, 1))),
+        noise_rate=draw(st.sampled_from((0.0, 0.01, 0.2))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    size = (frame_w, height + 5 + draw(st.integers(-2, 20)))
+    return spec, size, 3 * period + draw(st.integers(0, 4)), draw(st.sampled_from((0, 40, 200)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walker_cases())
+@example((WalkerSpec(body_height=30, body_width=9, period_frames=8, stride_px=12,
+                     leg_swing_amplitude=10, start_x=30, noise_rate=0.01), (120, 50), 24, 40))
+@example((WalkerSpec(body_height=30, body_width=9, period_frames=8, stride_px=12,
+                     leg_swing_amplitude=10, start_x=90, direction=-1), (120, 50), 26, 200))
+@example((WalkerSpec(body_height=30, body_width=9, period_frames=8, stride_px=30,
+                     leg_swing_amplitude=10, start_x=30), (60, 50), 24, 40))  # leaves on the right
+@example((WalkerSpec(body_height=30, body_width=9, period_frames=8, stride_px=30,
+                     leg_swing_amplitude=10, start_x=30, direction=-1), (60, 50), 24, 40))
+@example((WalkerSpec(body_height=50, body_width=9), (60, 50), 72, 40))  # taller than the frame
+def test_generate_matches_the_per_frame_reference(case):
+    spec, (frame_w, frame_h), n_frames, level = case
+    try:
+        want = reference_generate(spec, frame_w, frame_h, n_frames, level)
+    except SpecOutOfBounds as exc:
+        with pytest.raises(SpecOutOfBounds) as got:
+            generate(spec, frame_w, frame_h, n_frames, level)
+        assert str(got.value) == str(exc)
+        return
+    frames, boxes, centroids = want
+    seq, truth = generate(spec, frame_w, frame_h, n_frames, level)
+    assert seq.pixels.tobytes() == frames.tobytes()
+    assert truth.bboxes.dtype == np.int64 and truth.bboxes.shape == (n_frames, 4)
+    assert [tuple(row) for row in truth.bboxes.tolist()] == boxes
+    assert truth.centroids.tobytes() == centroids.tobytes()
