@@ -110,10 +110,13 @@ def cmd_predict(args) -> int:
 
 
 def _read_labels(path) -> list[str]:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if lines and lines[0].lower() == "label":
+    """Truth labels, one per non-blank line after an optional ``label``
+    header; each must be a name that ``pipeline.check_name`` accepts."""
+    numbered = enumerate(pipeline.read_ascii_lines(path), start=1)
+    lines = [(n, ln.strip()) for n, ln in numbered if ln.strip()]
+    if lines and lines[0][1].lower() == "label":
         lines = lines[1:]
-    return lines
+    return [pipeline.check_name(label, f"{path} line {n}") for n, label in lines]
 
 
 def cmd_evaluate(args) -> int:

@@ -249,11 +249,17 @@ def write_features_csv(rows: list[FeatureRow], path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_features_csv(path) -> list[FeatureRow]:
+def read_ascii_lines(path) -> list[str]:
+    """The lines of an ASCII text file; any other byte is a FormatError
+    naming the file and the byte's offset."""
     try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
+        return Path(path).read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from exc
+
+
+def read_features_csv(path) -> list[FeatureRow]:
+    lines = read_ascii_lines(path)
     if not lines:
         raise EmptyInput(f"features file {path} is empty")
     expected = "subject,sequence," + ",".join(feat.FEATURE_NAMES)

@@ -8,6 +8,7 @@ one-vs-one with majority voting over z-score-normalized features.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -322,7 +323,11 @@ def _machine(pool, rows, y, alpha, f_free, spec: KernelSpec, class_pair) -> Bina
 class SvmModel:
     """One-vs-one ensemble plus the training normalization statistics:
     one machine per pair of the sorted classes, in training order, all
-    under one kernel, all with support vectors in one pool."""
+    under one kernel, all with support vectors in one pool.
+
+    The first prediction compiles the machines into flat arrays that
+    every later prediction reuses, so a model's machines must not be
+    replaced after its first prediction."""
 
     classes: list[str]
     binaries: list[BinarySvm]
@@ -347,6 +352,17 @@ class SvmModel:
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.norm_mean) / self.norm_std
+
+    @functools.cached_property
+    def _compiled(self) -> tuple[np.ndarray, ...]:
+        """Each machine's two classes and bias, then every support vector's
+        pool row, machine and coefficient."""
+        first, second = np.triu_indices(len(self.classes), 1)
+        biases = np.array([m.bias for m in self.binaries])
+        index = np.concatenate([m.index for m in self.binaries])
+        owner = np.repeat(np.arange(len(self.binaries)), [m.index.size for m in self.binaries])
+        coef = np.concatenate([m.coefficients for m in self.binaries])
+        return first, second, biases, index, owner, coef
 
 
 def train_multiclass(
@@ -398,7 +414,8 @@ def predict_many(model: SvmModel, x) -> list[str]:
     Ties go to the tied label with the largest sum of absolute decision
     values over the machines that voted for it, then to class order.
     Each row costs one kernel evaluation against the model's pool; every
-    machine's decision value sums its own columns of it.
+    machine's decision value sums its own columns of it, through flat
+    arrays built once per model at its first prediction.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != model.dimension:
@@ -407,11 +424,7 @@ def predict_many(model: SvmModel, x) -> list[str]:
         raise NonFinite("probe features contain NaN or infinity")
     z = model.normalize(x)
     n_machines = len(model.binaries)
-    first, second = np.triu_indices(len(model.classes), 1)
-    biases = np.array([m.bias for m in model.binaries])
-    index = np.concatenate([m.index for m in model.binaries])
-    owner = np.repeat(np.arange(n_machines), [m.index.size for m in model.binaries])
-    coef = np.concatenate([m.coefficients for m in model.binaries])
+    first, second, biases, index, owner, coef = model._compiled
     labels = []
     for row in z:
         k = kernel_matrix(model.kernel, row[None, :], model.pool)[0]

@@ -489,7 +489,7 @@ class TestCli:
                      "--features", str(tmp_path / "no.csv")]) == 2
         capsys.readouterr()
 
-    def test_labels_file_for_evaluate(self, tmp_path, capsys):
+    def _two_subject_model(self, tmp_path):
         rows = [
             pipeline.FeatureRow("x", "s0", np.linspace(0, 1, 14)),
             pipeline.FeatureRow("y", "s0", np.linspace(1, 2, 14)),
@@ -501,6 +501,10 @@ class TestCli:
         model = tmp_path / "m.svm"
         assert main(["train", "--features", str(feats), "--kernel", "linear",
                      "--c", "10", "--out", str(model), "--quiet"]) == 0
+        return model, feats
+
+    def test_labels_file_for_evaluate(self, tmp_path, capsys):
+        model, feats = self._two_subject_model(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("label\nx\ny\nx\ny\n")
         assert main(["evaluate", "--model", str(model), "--features", str(feats),
@@ -510,6 +514,27 @@ class TestCli:
         assert main(["evaluate", "--model", str(model), "--features", str(feats),
                      "--labels", str(labels)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"label\nx\ny\nx\nsubj\xff\n",
+             "{}: not ASCII text (ordinal not in range(128) at byte 16)"),
+            # labels go unquoted into the confusion matrix's csv rows
+            (b"label\nx\n\ny\na,b\ny\n", "name 'a,b' in {} line 5 must be printable ASCII"),
+            (b"label\nx\n\ny\na b\ny\n", "name 'a b' in {} line 5 must be printable ASCII"),
+        ],
+        ids=["non-ascii", "comma", "space"],
+    )
+    def test_bad_labels_are_a_data_error(self, tmp_path, capsys, content, message):
+        model, feats = self._two_subject_model(tmp_path)
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(content)
+        assert main(["evaluate", "--model", str(model), "--features", str(feats),
+                     "--labels", str(labels)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message.format(labels) in err
 
 
 HEADER = "subject,sequence," + ",".join(FEATURE_NAMES) + "\n"

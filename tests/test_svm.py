@@ -922,6 +922,50 @@ class TestPredictMany:
         with pytest.raises(FormatError, match="record 'kernel poly 10 2' differs"):
             load_model(tmp_path / "edited.svm")
 
+    @settings(max_examples=80, deadline=None)
+    @given(problems(), st.data())
+    def test_one_probe_and_batch_calls_agree_before_and_after_compiling(
+        self, tmp_path_factory, problem, data
+    ):
+        x, labels, spec, rows = problem
+        trained = train_multiclass(x, labels, spec)
+        path = tmp_path_factory.mktemp("model") / "m.svm"
+        save_model(trained, path)
+        loaded = load_model(path)
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from((0, 1)),
+                      st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=8)),
+            min_size=1, max_size=8))
+        # each model's first label for a row; the two models' pools differ in
+        # layout, so they need agree only where rounding cannot decide a label,
+        # which assert_matches_reference checks
+        seen = ({}, {})
+        for which, picked in calls:
+            got = predict_many((trained, loaded)[which], rows[picked])
+            for i, label in zip(picked, got):
+                assert seen[which].setdefault(i, label) == label
+        for which, model in enumerate((trained, loaded)):
+            got = predict_many(model, rows)
+            assert all(seen[which].get(i, label) == label for i, label in enumerate(got))
+            assert_matches_reference(model, rows)
+
+    def test_later_calls_reuse_the_arrays_the_first_call_built(self, tmp_path):
+        rng = np.random.default_rng(8)
+        x = np.vstack([rng.normal(3.0 * i, 1.0, size=(5, 4)) for i in range(4)])
+        model = train_multiclass(x, [c for c in "abcd" for _ in range(5)],
+                                 KernelSpec("rbf", 10.0, sigma=2.0))
+        save_model(model, tmp_path / "m.svm")
+        probes = rng.normal(4.0, 5.0, size=(6, 4))
+        for model in (model, load_model(tmp_path / "m.svm")):
+            assert "_compiled" not in vars(model)  # nothing is built before a prediction
+            first = predict_many(model, probes[:1])
+            built = model._compiled
+            for machine in model.binaries:  # a rebuild from the machines would now fail
+                machine.index = machine.coefficients = machine.bias = None
+            assert predict_many(model, probes)[:1] == first
+            assert predict(model, probes[3]) == predict_many(model, probes)[3]
+            assert all(a is b for a, b in zip(model._compiled, built, strict=True))
+
     def test_non_finite_probe_rejected(self):
         model = train_multiclass(XOR_X, XOR_Y, KernelSpec("rbf", 10.0, sigma=0.5))
         with pytest.raises(NonFinite):
