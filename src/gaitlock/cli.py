@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, svm, synthgait
-from .background import build_background, load_background, save_background
+from .background import TECHNIQUES, build_background, load_background, save_background
 from .errors import GaitlockError, LengthMismatch
 from .gaitcycle import estimate_period, partition_cycles, width_signal
 from .imagery import frame_filename, load_sequence, save_sequence, write_pgm
@@ -91,7 +91,8 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     if Path(args.out).resolve() == Path(args.features).resolve():
         raise ValueError(f"--out {args.out} would overwrite --features {args.features}")
-    cfg = _config(args, {key: getattr(args, key) for key in ("kernel", "c", "degree", "sigma")})
+    flags = {key: getattr(args, key) for key in ("kernel", "c", "degree", "sigma")}
+    cfg = pipeline.parse_config(args.config, flags)
     rows = pipeline.read_features_csv(args.features)
     model = pipeline.train_rows(rows, cfg.kernel_spec(), cfg)
     svm.save_model(model, args.out)
@@ -133,15 +134,12 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     kv = pipeline.read_kv_file(args.spec)
     if args.seed is not None:
-        kv["seed"] = str(args.seed)
+        kv["seed"] = args.seed
     # spec keys: the WalkerSpec fields and the frame settings of generate
     walker = typing.get_type_hints(synthgait.WalkerSpec)
     hints = walker | typing.get_type_hints(synthgait.generate)
     del hints["spec"], hints["return"]
-    for key in kv:
-        if key not in hints:
-            raise ValueError(f"unknown walker spec key {key!r}")
-    typed = {k: float(v) if hints[k] is float else int(v) for k, v in kv.items()}
+    typed = pipeline.typed_values(kv, hints, "walker spec")
     spec = synthgait.WalkerSpec(**{k: v for k, v in typed.items() if k in walker})
     seq, truth = synthgait.generate(spec, **{k: v for k, v in typed.items() if k not in walker})
     out_dir = Path(args.out)
@@ -151,19 +149,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _config(args, overrides: dict) -> pipeline.PipelineConfig:
-    """The ``--config`` file's settings, if given, under the flags that are set."""
-    if args.config:
-        return pipeline.parse_config(args.config, overrides)
-    return pipeline.config_from_values({k: v for k, v in overrides.items() if v is not None})
-
-
 def _pipeline_config(args) -> pipeline.PipelineConfig:
-    overrides = {"data_dir": args.data, "out_dir": args.out}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-        overrides["split_seed"] = str(args.seed)
-    return _config(args, overrides)
+    """The ``--config`` file's settings, if given, under the flags that are set."""
+    overrides = {"data_dir": args.data, "out_dir": args.out, "seed": args.seed,
+                 "split_seed": args.seed}
+    return pipeline.parse_config(args.config, overrides)
 
 
 def cmd_pipeline(args) -> int:
@@ -187,24 +177,28 @@ def cmd_kernel_sweep(args) -> int:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--seed", type=int, default=None, help="override the global seed")
-    common.add_argument("--resume", action="store_true", help="reuse intermediate outputs")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    # one parent parser per shared flag, given only to the commands that read it
+    quiet, config, seed = (_Parser(add_help=False) for _ in range(3))
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress output")
+    config.add_argument("--config", help="flat key=value configuration file")
+    seed.add_argument("--seed", type=int, help="override the seed")
+    run = _Parser(add_help=False, parents=[quiet, config, seed])
+    run.add_argument("--resume", action="store_true", help="reuse intermediate outputs")
+    run.add_argument("--data", default=None, help="dataset root (subject/sequence dirs)")
+    run.add_argument("--out", default=None, help="output directory")
 
     parser = _Parser(prog="gaitlock", description="gait-based walker identification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("background", parents=[common], help="build a background model")
-    p.add_argument("--technique", choices=("cdm", "median", "histogram"), default="median")
+    p = sub.add_parser("background", parents=[quiet], help="build a background model")
+    p.add_argument("--technique", choices=TECHNIQUES, default="median")
     p.add_argument("--threshold", default="auto", help="auto or an integer (cdm only)")
     p.add_argument("--in", dest="in_dir", required=True, help="frame directory")
     p.add_argument("--out", required=True, help="output bg.pgm")
     p.add_argument("--fps", type=float, default=25.0)
     p.set_defaults(func=cmd_background)
 
-    p = sub.add_parser("segment", parents=[common], help="extract silhouettes")
+    p = sub.add_parser("segment", parents=[quiet], help="extract silhouettes")
     p.add_argument("--bg", required=True, help="background PGM")
     p.add_argument("--threshold", default="auto")
     p.add_argument("--in", dest="in_dir", required=True)
@@ -212,12 +206,12 @@ def build_parser() -> _Parser:
     p.add_argument("--fps", type=float, default=25.0)
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("cycles", parents=[common], help="estimate the gait period")
+    p = sub.add_parser("cycles", help="estimate the gait period")
     p.add_argument("--in", dest="in_dir", required=True, help="silhouette directory")
     p.add_argument("--fps", type=float, default=25.0)
     p.set_defaults(func=cmd_cycles)
 
-    p = sub.add_parser("features", parents=[common], help="extract the fused descriptor")
+    p = sub.add_parser("features", parents=[quiet], help="extract the fused descriptor")
     p.add_argument("--in", dest="in_dir", required=True, help="silhouette directory")
     p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--out", required=True, help="output features.csv")
@@ -225,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sequence", default=None)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", parents=[common], help="train the multi-class SVM")
+    p = sub.add_parser("train", parents=[quiet, config], help="train the multi-class SVM")
     p.add_argument("--features", required=True)
     # unset flags fall back to the --config file, then to the pipeline defaults
     p.add_argument("--kernel", choices=svm.KERNELS)
@@ -235,36 +229,26 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="classify feature rows")
+    p = sub.add_parser("predict", help="classify feature rows")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=[common], help="confusion matrix and measures")
+    p = sub.add_parser("evaluate", help="confusion matrix and measures")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", default=None, help="truth labels, one per line")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic walker")
+    p = sub.add_parser("synth", parents=[quiet, seed], help="generate a synthetic walker")
     p.add_argument("--spec", required=True, help="walker spec key=value file")
     p.add_argument("--out", required=True, help="output frame directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pipeline", parents=[common], help="end-to-end run")
-    p.add_argument("--data", default=None, help="dataset root (subject/sequence dirs)")
-    p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("ablation", parents=[common], help="per-feature-set accuracies")
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ablation)
-
-    p = sub.add_parser("kernel-sweep", parents=[common], help="best accuracy per kernel")
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_kernel_sweep)
+    for name, func, about in (("pipeline", cmd_pipeline, "end-to-end run"),
+                              ("ablation", cmd_ablation, "per-feature-set accuracies"),
+                              ("kernel-sweep", cmd_kernel_sweep, "best accuracy per kernel")):
+        sub.add_parser(name, parents=[run], help=about).set_defaults(func=func)
 
     return parser
 

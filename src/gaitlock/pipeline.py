@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -117,9 +118,11 @@ def check_threshold(value, name: str = "threshold"):
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file with ``#`` comments; '=' is optional."""
+    """Flat ``key = value`` file with ``#`` comments; '=' is optional. A
+    byte that is not ASCII reads as U+FFFD, which the typed conversion or
+    the config's ASCII check refuses under the key it belongs to."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="ascii", errors="replace").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -131,25 +134,34 @@ def read_kv_file(path) -> dict[str, str]:
     return values
 
 
-def parse_config(path, overrides: dict | None = None) -> PipelineConfig:
-    values = read_kv_file(path)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+def typed_values(values: dict, hints: dict, what: str) -> dict:
+    """``values`` converted to the types that ``hints`` gives their keys
+    (``int | None`` converts to int); an unknown key or a value that does
+    not convert is a ValueError naming the key."""
+    typed = {}
+    for key, value in values.items():
+        if key not in hints:
+            raise ValueError(f"unknown {what} key {key!r}")
+        kind = (typing.get_args(hints[key]) or (hints[key],))[0]
+        try:
+            typed[key] = kind(value)
+        except ValueError as exc:
+            message = f"{what} key {key} must be {kind.__name__}, got {ascii(value)}"
+            raise ValueError(message) from exc
+    return typed
+
+
+def parse_config(path=None, overrides: dict | None = None) -> PipelineConfig:
+    """The settings of the ``key = value`` file at ``path``, if given,
+    under the ``overrides`` that are not None."""
+    values = read_kv_file(path) if path else {}
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return config_from_values(values)
 
 
 def config_from_values(values: dict) -> PipelineConfig:
-    cfg = PipelineConfig()
-    known = {f.name for f in fields(PipelineConfig)}
-    for key, value in values.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, int) and not isinstance(current, bool):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(cfg, key, value)
+    hints = typing.get_type_hints(PipelineConfig)
+    cfg = PipelineConfig(**typed_values(values, hints, "config"))
     cfg.validate()
     return cfg
 

@@ -1,4 +1,6 @@
+import argparse
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from gaitlock import pipeline, svm
 from gaitlock.background import load_background, save_background
-from gaitlock.cli import main
+from gaitlock.cli import build_parser, main
 from gaitlock.errors import BadName, DecodeError, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
 from gaitlock.imagery import read_pnm, save_sequence, write_pgm
@@ -833,3 +835,89 @@ class TestSynth:
         save_sequence(seq, tmp_path / "lib")
         assert len(seq) == 3 * 24 + 8
         assert _frame_bytes(tmp_path / "cli") == _frame_bytes(tmp_path / "lib")
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("train", b"c = abc\n", "c"),
+        ("train", b"smo_max_passes = 2.5\n", "smo_max_passes"),
+        ("synth", b"period_frames = 1.5\n", "period_frames"),
+        ("train", b"kernel = linear\nc = 1\xff\n", "c"),
+        ("train", b"kernel = rbf\xff\n", "kernel"),
+        ("synth", b"period_frames = 1\xff\n", "period_frames"),
+    ],
+    ids=["c", "smo_max_passes", "period_frames", "non-ascii-float", "non-ascii-str",
+         "non-ascii-spec"],
+)
+def test_settings_file_value_that_does_not_convert_names_its_key(tmp_path, capsys, command,
+                                                                 text, key):
+    settings_file = tmp_path / "settings.cfg"
+    settings_file.write_bytes(text)
+    out = tmp_path / "out"
+    if command == "train":
+        feats = _random_features(tmp_path / "f.csv", subjects=2, sequences=2)
+        argv = ["train", "--features", str(feats), "--config", str(settings_file)]
+    else:
+        argv = ["synth", "--spec", str(settings_file)]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 1
+    assert f" {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_ascii_byte_in_a_settings_comment_is_ignored(tmp_path):
+    feats = _random_features(tmp_path / "f.csv", subjects=2, sequences=2)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"kernel = linear  # caf\xe9 \xff\n# \xff\n")
+    assert main(["train", "--features", str(feats), "--config", str(cfg),
+                 "--out", str(tmp_path / "m.svm"), "--quiet"]) == 0
+    assert "kernel linear 10" in (tmp_path / "m.svm").read_text().splitlines()
+    spec = tmp_path / "walker.cfg"
+    spec.write_bytes(b"# \xff\n" + SYNTH_SPEC.encode("ascii") + b"seed = 3  # \xff\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    spec.write_text(SYNTH_SPEC + "seed = 3\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert _frame_bytes(tmp_path / "a") == _frame_bytes(tmp_path / "b")
+
+
+def _command_flags():
+    """Each subcommand's option strings, ``--help`` aside."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()}
+
+
+class TestOptions:
+    def test_readme_synopsis_lists_every_flag_of_every_command(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        synopsis = {}
+        for line in block.splitlines():
+            _, command, *words = line.split()
+            synopsis[command] = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
+        assert synopsis == _command_flags()
+
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, model):
+        spec = tmp_path / "walker.cfg"
+        spec.write_text("period_frames = 16\nframe_w = 240\nframe_h = 96\n")
+        frames = tmp_path / "frames"
+        assert main(["synth", "--spec", str(spec), "--out", str(frames), "--quiet"]) == 0
+        feats = tmp_path / "f.csv"
+        feats.write_text(HEADER + _row("ann", "s0"))
+        runs = [
+            (["predict", "--model", str(model), "--features", str(feats)], ["--seed", "1"]),
+            (["background", "--in", str(frames), "--out", str(tmp_path / "bg.pgm")],
+             ["--config", "x"]),
+            (["cycles", "--in", str(frames)], ["--quiet"]),
+            (["synth", "--spec", str(spec), "--out", str(tmp_path / "again")], ["--resume"]),
+        ]
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        for command, flag in runs:
+            assert main(command + flag) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and f"error: unrecognized arguments: {' '.join(flag)}" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        for command, _ in runs:  # each runs without the flag
+            assert main(command) == 0
