@@ -197,8 +197,8 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     n, h, w = seq.pixels.shape
     p = h * w
     flat = seq.pixels.reshape(n, p)
-    # the uint8 differences |a - b| = max - min, in blocks of frames, with
-    # the pooled Otsu histogram counted block by block
+    # the uint8 differences |a - b| = max - min, in blocks of frames; the pooled
+    # Otsu histogram counts the non-zero ones block by block, bin 0 the rest
     diffs = np.empty((n - 1, p), dtype=np.uint8)
     pooled = np.zeros(256, dtype=np.int64)
     step = max(1, _BLOCK_BYTES // p)
@@ -208,30 +208,37 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
         np.maximum(a, b, out=block)
         block -= np.minimum(a, b)
         if auto:
-            pooled += otsu_histograms(block.reshape(1, -1))[0]
+            pooled += np.bincount(block[block != 0], minlength=256)
     if auto:
+        pooled[0] = diffs.size - pooled.sum()
         # Otsu yields classes <= t / > t; fire on the '> t' class
         threshold = int(otsu_from_histograms(pooled[None])[0]) + 1
     fires = diffs.view(np.bool_)  # the differences are not needed again
     np.greater_equal(diffs, threshold, out=fires)  # all False at 256
     # one scan over the frames. A run gets the key length * n + (n - 1 - start),
-    # so the largest key is the longest run and, on equal lengths, the earlier
-    key = np.full(p, 2 * n - 1, dtype=np.int64)  # frame 0: length 1, start 0
+    # so the largest key is the longest run and, on equal lengths, the earlier.
+    # Keys stay below n * (n + 1): the smallest signed type holding -n * (n + 1)
+    # holds them (int16 up to n = 180)
+    key = np.full(p, 2 * n - 1, dtype=np.min_scalar_type(-n * (n + 1)))  # frame 0
     best = key.copy()
     for t in range(1, n):
         key += n  # one frame longer
         np.copyto(key, 2 * n - 1 - t, where=fires[t - 1])  # a new run starts at t
         np.maximum(best, key, out=best)
-    length = best // n
-    first = n - 1 - best % n
-    # frames outside a pixel's run gain 256, so they sort after the run
-    frame = np.arange(n)
+    # frame numbers in the smallest unsigned type holding n - 1 (uint16 up to
+    # n = 65,536), where frames before a pixel's run wrap past its end: one
+    # compare finds the frames outside the run, and these gain 256, so they
+    # sort after the run
+    frame_type = np.min_scalar_type(n - 1)
+    last = (best // n - 1).astype(frame_type)  # run length - 1
+    first = (n - 1 - best % n).astype(frame_type)
+    frame = np.arange(n, dtype=frame_type)
     reference = np.empty(p, dtype=np.uint8)
     for cols, vals in _pixel_blocks(seq.pixels, np.uint16, 2 * n):
-        start, run = first[cols, None], length[cols]
-        np.add(vals, 256, out=vals, where=(frame < start) | (frame >= start + run[:, None]))
+        outside = frame - first[cols, None] > last[cols, None]
+        vals |= outside.view(np.uint8) * np.uint16(256)
         vals.sort(axis=1)
-        reference[cols] = vals[np.arange(len(vals)), (run - 1) // 2]
+        reference[cols] = vals[np.arange(len(vals)), last[cols] // 2]
     return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_CDM, cdm_threshold=threshold)
 
 

@@ -212,6 +212,31 @@ class TestCdm:
         model = model_cdm(seq_1x1(values), threshold=50)
         assert model.reference.pixels[0, 0] == brute_cdm(values, 50) == 7
 
+    @pytest.mark.parametrize("n", [180, 181])
+    def test_run_keys_at_the_int16_boundary(self, n):
+        # the packed run key stays below n * (n + 1), which fits int16 up to
+        # n = 180. A pixel with no change makes the largest key, n * (n + 1) - 1,
+        # and its median moves if its run loses a frame; two pixels have two
+        # equal-length runs, so the earlier one wins
+        half = (n - 1) // 2
+        middle = [100] * (n - 2 * half)
+        columns = [
+            [40] * half + [41] * (n - half),
+            [10] * half + middle + [200] * half,
+            [200] * half + middle + [10] * half,
+        ]
+        stack = np.array(columns, dtype=np.uint8).T[:, None, :]
+        ref = model_cdm(FrameSequence(stack, fps=25), threshold=50).reference.pixels[0]
+        assert ref.tolist() == [brute_cdm(v, 50) for v in columns] == [41, 10, 200]
+
+    @pytest.mark.parametrize("n", [256, 257, 65535, 65536, 66015])
+    def test_run_frames_at_the_unsigned_index_boundaries(self, n):
+        # frame numbers are uint8 up to 256 frames and uint16 up to 65,536;
+        # the longest run is the last 15 frames, starting past 65,535 at 66,015
+        values = ([0, 100] * 33000 + [7] * 10 + [8] * 5)[-n:]
+        model = model_cdm(FrameSequence(_column(values), fps=25), threshold=50)
+        assert model.reference.pixels[0, 0] == brute_cdm(values, 50) == 7
+
     def test_auto_threshold_on_walker(self):
         spec = WalkerSpec(
             body_height=40, body_width=12, period_frames=12, stride_px=30,
