@@ -92,10 +92,15 @@ def estimate_period(signal: WidthSignal) -> int:
 
 
 def _smooth3(values: np.ndarray) -> np.ndarray:
-    n = values.size
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = values[max(0, i - 1):min(n, i + 2)].mean()
+    # the mean of each value and its neighbours, summed as numpy's mean
+    # sums them: left to right, from +0.0, so a -0.0 counts as +0.0
+    x = values + 0.0
+    if x.size < 2:
+        return x
+    out = np.empty(x.size)
+    out[1:-1] = (x[:-2] + x[1:-1] + x[2:]) / 3
+    out[0] = (x[0] + x[1]) / 2
+    out[-1] = (x[-2] + x[-1]) / 2
     return out
 
 

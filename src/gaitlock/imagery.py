@@ -8,6 +8,7 @@ converted to luminance. Emitted images are always P5 PGM.
 from __future__ import annotations
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -87,9 +88,19 @@ class FrameSequence:
                 raise DimensionMismatch(
                     f"frame {i} is {g.shape[1]}x{g.shape[0]}, expected {w}x{h}"
                 )
+        self._hold(np.stack(grids).astype(np.uint8, copy=False), fps)
+
+    @classmethod
+    def _owning(cls, pixels: np.ndarray, fps: float) -> FrameSequence:
+        """The sequence of a freshly filled (n, height, width) uint8 walk
+        that no one else holds; it is frozen in place, not copied."""
+        seq = cls.__new__(cls)
+        seq._hold(pixels, fps)
+        return seq
+
+    def _hold(self, pixels: np.ndarray, fps: float) -> None:
         if not 0 < fps < math.inf:
             raise ValueError(f"fps must be positive and finite, got {fps}")
-        pixels = np.stack(grids).astype(np.uint8, copy=False)
         pixels.flags.writeable = False
         self.pixels = pixels
         self.fps = float(fps)
@@ -180,36 +191,42 @@ def load_sequence(directory, fps: float) -> FrameSequence:
     """Load numbered frames from a directory, ordered by numeric index.
 
     Files must match ``frame_<NNNN>.pgm`` (or ``.ppm``); ordering follows
-    the numeric index alone, never the filesystem listing order.
+    the numeric index alone, never the filesystem listing order. Each
+    frame is read straight into the walk's one array, sized by the first.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise EmptyDirectory(f"no such directory: {directory}")
-    indexed: dict[int, Path] = {}
-    for entry in directory.iterdir():
-        m = FRAME_NAME_RE.match(entry.name)
-        if not m:
-            continue
-        idx = int(m.group(1))
-        if idx in indexed:
-            raise DecodeError(f"duplicate frame index {idx} in {directory}")
-        indexed[idx] = entry
+    indexed: dict[int, str] = {}
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            m = FRAME_NAME_RE.match(entry.name)
+            if not m:
+                continue
+            idx = int(m.group(1))
+            if idx in indexed:
+                raise DecodeError(f"duplicate frame index {idx} in {directory}")
+            indexed[idx] = entry.path
     if not indexed:
         raise EmptyDirectory(f"no frame files in {directory}")
     paths = [indexed[idx] for idx in sorted(indexed)]
-    grids = []
-    for path in paths:
+    first, _ = read_pnm(paths[0])
+    walk = np.empty((len(paths), *first.shape), dtype=np.uint8)
+    walk[0] = first
+    for i, path in enumerate(paths[1:], start=1):
         pixels, _ = read_pnm(path)
-        if grids and pixels.shape != grids[0].shape:
-            (h, w), (h0, w0) = pixels.shape, grids[0].shape
+        if pixels.shape != first.shape:
+            (h, w), (h0, w0) = pixels.shape, first.shape
             raise DimensionMismatch(f"{path} is {w}x{h}, but {paths[0]} is {w0}x{h0}")
-        grids.append(pixels)
-    return FrameSequence(grids, fps)
+        walk[i] = pixels
+    return FrameSequence._owning(walk, fps)
 
 
 def save_sequence(seq: FrameSequence, directory) -> None:
     """Write every frame as frame_0001.pgm, frame_0002.pgm, ..."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header = f"P5\n{seq.width} {seq.height}\n255\n".encode("ascii")
     for i, pixels in enumerate(seq.pixels, start=1):
-        write_pgm(directory / frame_filename(i), pixels)
+        with open(os.path.join(directory, frame_filename(i)), "wb", buffering=0) as fh:
+            fh.write(header + pixels.tobytes())  # one write call per file

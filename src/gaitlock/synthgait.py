@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .background import _BLOCK_BYTES
 from .errors import SpecOutOfBounds
 from .imagery import FrameSequence
 from .segmentation import bounding_boxes, centroids_x
@@ -70,36 +71,6 @@ def _leg_separation(spec: WalkerSpec, t: int) -> float:
     return spec.leg_swing_amplitude * abs(math.sin(math.pi * t / spec.period_frames))
 
 
-def _walker_mask(spec: WalkerSpec, t: int, frame_w: int, frame_h: int) -> np.ndarray:
-    cx = spec.start_x + spec.direction * spec.stride_px * t / spec.period_frames
-    top = frame_h - spec.body_height - _GROUND_MARGIN
-    if top < 0:
-        raise SpecOutOfBounds(f"walker of height {spec.body_height} exceeds frame height {frame_h}")
-    leg_len = spec.body_height // 2
-    hip_row = top + spec.body_height - leg_len
-    leg_w = max(3, spec.body_width // 3)
-    sep = _leg_separation(spec, t)
-
-    mask = np.zeros((frame_h, frame_w), dtype=bool)
-    spans = [(r, cx - spec.body_width / 2.0, spec.body_width) for r in range(top, hip_row)]
-    # legs pivot at the hip: linear sweep from the hip centre out to the
-    # foot keeps each leg 8-connected to the torso at any separation
-    for side in (-1.0, 1.0):
-        for r in range(hip_row, top + spec.body_height):
-            frac = (r - hip_row + 1) / leg_len
-            center = cx + side * (sep / 2.0) * frac
-            spans.append((r, center - leg_w / 2.0, leg_w))
-    for row, left, width in spans:
-        c0 = int(round(left))
-        c1 = c0 + int(width)
-        if c0 < 0 or c1 > frame_w:
-            raise SpecOutOfBounds(
-                f"walker leaves the frame at t={t} (columns {c0}..{c1 - 1} of {frame_w})"
-            )
-        mask[row, c0:c1] = True
-    return mask
-
-
 def generate(
     spec: WalkerSpec,
     frame_w: int = 352,
@@ -114,7 +85,8 @@ def generate(
     The walker is drawn at ``background_level + 100`` (clamped) on a
     uniform background; salt noise flips background pixels to the walker
     intensity with probability ``noise_rate`` per frame. All randomness
-    derives from ``spec.seed``.
+    derives from ``spec.seed``. Frames are painted in blocks of about
+    ``_BLOCK_BYTES`` straight into the walk's one array.
     """
     if n_frames is None:
         n_frames = 3 * spec.period_frames + 8
@@ -124,28 +96,73 @@ def generate(
         )
     if not 0 <= background_level <= 255:
         raise ValueError("background_level must lie in [0, 255]")
+    top = frame_h - spec.body_height - _GROUND_MARGIN
+    if top < 0:
+        raise SpecOutOfBounds(f"walker of height {spec.body_height} exceeds frame height {frame_h}")
+    leg_len = spec.body_height // 2
+    hip_row = top + spec.body_height - leg_len
+    bottom = top + spec.body_height
+    leg_w = max(3, spec.body_width // 3)
+
+    # one row per frame of span starts: the torso (every torso row spans
+    # the same columns), then the left leg and the right leg row by row.
+    # Legs pivot at the hip: a linear sweep from the hip centre out to the
+    # foot keeps each leg 8-connected to the torso at any separation
+    ts = range(n_frames)
+    cx = np.array([spec.start_x + spec.direction * spec.stride_px * t / spec.period_frames
+                   for t in ts])
+    half_sep = np.array([_leg_separation(spec, t) / 2.0 for t in ts])
+    frac = np.arange(1, leg_len + 1) / leg_len
+    lefts = np.concatenate([(cx - spec.body_width / 2.0)[:, None]] + [
+        cx[:, None] + (side * half_sep)[:, None] * frac - leg_w / 2.0 for side in (-1.0, 1.0)
+    ], axis=1)
+    c0 = np.rint(lefts).astype(np.int64)  # half to even, as round() does
+    c1 = c0 + np.array([spec.body_width] + [leg_w] * (2 * leg_len))
+    outside = (c0 < 0) | (c1 > frame_w)
+    if outside.any():
+        t, k = np.argwhere(outside)[0]
+        raise SpecOutOfBounds(
+            f"walker leaves the frame at t={t} (columns {c0[t, k]}..{c1[t, k] - 1} of {frame_w})"
+        )
+
     fg = min(255, background_level + 100)
     rng = np.random.default_rng(spec.seed)
-    frames = []
+    pixels = np.empty((n_frames, frame_h, frame_w), dtype=np.uint8)
     bboxes = np.empty((n_frames, 4), dtype=np.int64)
     centroids = np.empty(n_frames)
-    for t in range(n_frames):
-        walker = _walker_mask(spec, t, frame_w, frame_h)
-        pixels = np.full((frame_h, frame_w), background_level, dtype=np.uint8)
-        pixels[walker] = fg
-        bboxes[t] = bounding_boxes(walker[None])[0]
-        centroids[t] = centroids_x(walker[None])[0]
+    step = max(1, _BLOCK_BYTES // (frame_h * frame_w))
+    # rows off the walker are never painted and stay False
+    block = np.zeros((min(step, n_frames), frame_h, frame_w), dtype=bool)
+    salt = np.empty((frame_h, frame_w))
+    # a column c lies in the span of width k from c0 when c - c0, which
+    # lies in (-frame_w, frame_w), is below k read as unsigned
+    signed = np.min_scalar_type(-frame_w)
+    unsigned = np.dtype(f"u{signed.itemsize}")
+    cols = np.arange(frame_w, dtype=signed)
+    torso, left_leg, right_leg = np.split(c0.astype(signed)[..., None], [1, 1 + leg_len], axis=1)
+    for start in range(0, n_frames, step):
+        mask = block[:n_frames - start]
+        spans = slice(start, start + len(mask))
+        np.less((cols - torso[spans]).view(unsigned), spec.body_width, out=mask[:, top:hip_row])
+        legs = mask[:, hip_row:bottom]
+        np.less((cols - left_leg[spans]).view(unsigned), leg_w, out=legs)
+        legs |= (cols - right_leg[spans]).view(unsigned) < leg_w
+        walker = mask[:, top:bottom]  # the rows the walker can cover
+        bboxes[spans] = bounding_boxes(walker) + [0, top, 0, top]
+        centroids[spans] = centroids_x(walker)
+        np.multiply(mask, np.uint8(fg - background_level), out=pixels[spans])
+        pixels[spans] += np.uint8(background_level)
         if spec.noise_rate > 0.0:
-            salt = (rng.random((frame_h, frame_w)) < spec.noise_rate) & ~walker
-            pixels[salt] = fg
-        frames.append(pixels)
+            for frame in pixels[spans]:
+                rng.random(out=salt)
+                np.copyto(frame, np.uint8(fg), where=salt < spec.noise_rate)
     truth = WalkerTruth(
         period_frames=spec.period_frames,
         stride_px=spec.stride_px,
         bboxes=bboxes,
         centroids=centroids,
     )
-    return FrameSequence(frames, fps), truth
+    return FrameSequence._owning(pixels, fps), truth
 
 
 def write_truth_csv(truth: WalkerTruth, path) -> None:

@@ -19,7 +19,7 @@ from gaitlock.background import (
     save_background,
 )
 from gaitlock.errors import TooFewFrames
-from gaitlock.imagery import Frame, FrameSequence
+from gaitlock.imagery import Frame, FrameSequence, load_sequence, save_sequence
 from gaitlock.synthgait import WalkerSpec, generate
 
 
@@ -304,6 +304,33 @@ def test_modelling_memory_is_bounded(model):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * seq.pixels.nbytes, peak / seq.pixels.nbytes
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_is_bounded():
+    """Rendering a noisy 352x144x120 walk allocates at most 1.5 times its
+    bytes: the walk's one array and a block of frames."""
+    (seq, _), peak = _traced_peak(lambda: generate(WalkerSpec(noise_rate=0.01, seed=12), 352, 144, 120))
+    assert seq.pixels.shape == (120, 144, 352)
+    assert peak <= 1.5 * seq.pixels.nbytes, peak / seq.pixels.nbytes
+
+
+def test_loading_memory_is_bounded(tmp_path):
+    """Loading the noisy 352x144x120 walk from its files allocates at most
+    1.5 times its bytes: the walk's one array and a file at a time."""
+    seq, _ = generate(WalkerSpec(noise_rate=0.01, seed=12), 352, 144, 120)
+    save_sequence(seq, tmp_path)
+    loaded, peak = _traced_peak(lambda: load_sequence(tmp_path, fps=25))
+    assert loaded.pixels.tobytes() == seq.pixels.tobytes()
+    assert peak <= 1.5 * seq.pixels.nbytes, peak / seq.pixels.nbytes
 
 
 def test_otsu_separates_bimodal_values():

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gaitlock import gaitcycle
 from gaitlock.errors import InsufficientCycles, NoPeriodicity, SequenceTooShort
 from gaitlock.gaitcycle import (
     GaitCycle,
@@ -79,6 +83,27 @@ class TestPartitionCycles:
                 assert b.start_frame == a.end_frame + 1
             assert all(c.period_frames == p for c in cycles)
             assert all(c.end_frame - c.start_frame + 1 == p for c in cycles)
+
+
+def reference_smooth3(values):
+    """The 3-frame smoothing as a loop of numpy means, kept as the oracle."""
+    n = values.size
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = values[max(0, i - 1):min(n, i + 2)].mean()
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.floats(-1e9, 1e9), st.integers(0, 400).map(float), st.sampled_from((0.0, -0.0, 1e-300)),
+)))
+@example(np.array([-0.0]))
+@example(np.array([-0.0, -0.0, -0.0]))
+@example(np.array([-5e-324, -0.0, 5e-324]))
+@example(np.array([0.1, 0.2, 0.3]))  # (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3)
+def test_smooth3_matches_the_loop_of_means(values):
+    assert gaitcycle._smooth3(values).tobytes() == reference_smooth3(values).tobytes()
 
 
 class TestFeatureWindow:

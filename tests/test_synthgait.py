@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitlock import synthgait
 from gaitlock.background import model_median
 from gaitlock.errors import SpecOutOfBounds
 from gaitlock.gaitcycle import estimate_period, width_signal
@@ -144,16 +145,46 @@ def reference_bounding_box(mask):
     return int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1])
 
 
+def reference_walker_mask(spec, t, frame_w, frame_h):
+    """The walker of frame ``t`` painted one row span at a time, as
+    ``generate`` painted it before it rendered blocks of frames."""
+    cx = spec.start_x + spec.direction * spec.stride_px * t / spec.period_frames
+    top = frame_h - spec.body_height - 5
+    if top < 0:
+        raise SpecOutOfBounds(f"walker of height {spec.body_height} exceeds frame height {frame_h}")
+    leg_len = spec.body_height // 2
+    hip_row = top + spec.body_height - leg_len
+    leg_w = max(3, spec.body_width // 3)
+    sep = spec.leg_swing_amplitude * abs(math.sin(math.pi * t / spec.period_frames))
+
+    mask = np.zeros((frame_h, frame_w), dtype=bool)
+    spans = [(r, cx - spec.body_width / 2.0, spec.body_width) for r in range(top, hip_row)]
+    for side in (-1.0, 1.0):
+        for r in range(hip_row, top + spec.body_height):
+            frac = (r - hip_row + 1) / leg_len
+            center = cx + side * (sep / 2.0) * frac
+            spans.append((r, center - leg_w / 2.0, leg_w))
+    for row, left, width in spans:
+        c0 = int(round(left))
+        c1 = c0 + int(width)
+        if c0 < 0 or c1 > frame_w:
+            raise SpecOutOfBounds(
+                f"walker leaves the frame at t={t} (columns {c0}..{c1 - 1} of {frame_w})"
+            )
+        mask[row, c0:c1] = True
+    return mask
+
+
 def reference_generate(spec, frame_w, frame_h, n_frames, background_level=40):
-    """``generate`` as it was before its truth became box rows, kept as
-    the oracle: (frames, boxes, centroids), the centroid of each frame
-    taken from ``np.nonzero``."""
+    """``generate`` as it was before its truth became box rows and before
+    it rendered blocks of frames, kept as the oracle: (frames, boxes,
+    centroids), the centroid of each frame taken from ``np.nonzero``."""
     fg = min(255, background_level + 100)
     rng = np.random.default_rng(spec.seed)
     frames, boxes = [], []
     centroids = np.empty(n_frames)
     for t in range(n_frames):
-        walker = synthgait._walker_mask(spec, t, frame_w, frame_h)
+        walker = reference_walker_mask(spec, t, frame_w, frame_h)
         pixels = np.full((frame_h, frame_w), background_level, dtype=np.uint8)
         pixels[walker] = fg
         boxes.append(reference_bounding_box(walker))
@@ -199,6 +230,19 @@ def walker_cases(draw):
 @example((WalkerSpec(body_height=30, body_width=9, period_frames=8, stride_px=30,
                      leg_swing_amplitude=10, start_x=30, direction=-1), (60, 50), 24, 40))
 @example((WalkerSpec(body_height=50, body_width=9), (60, 50), 72, 40))  # taller than the frame
+@example((WalkerSpec(body_height=30, body_width=9, period_frames=8, stride_px=0,
+                     leg_swing_amplitude=40, start_x=15), (30, 50), 24, 40))  # both legs leave at once
+# 272x104 frames come in blocks of 18: a walk that ends at a block edge,
+# one that ends a frame past it, and a walker that first leaves the frame
+# in the second block, by its torso or by its left leg
+@example((WalkerSpec(body_height=60, body_width=18, period_frames=12, stride_px=20,
+                     leg_swing_amplitude=30, start_x=40, noise_rate=0.01), (272, 104), 36, 40))
+@example((WalkerSpec(body_height=60, body_width=18, period_frames=12, stride_px=20,
+                     leg_swing_amplitude=30, start_x=40, noise_rate=0.01), (272, 104), 37, 40))
+@example((WalkerSpec(body_height=60, body_width=18, period_frames=12, stride_px=120,
+                     leg_swing_amplitude=30, start_x=40, noise_rate=0.01), (272, 104), 36, 40))
+@example((WalkerSpec(body_height=60, body_width=18, period_frames=12, stride_px=30,
+                     leg_swing_amplitude=60, start_x=80, direction=-1), (272, 104), 36, 40))
 def test_generate_matches_the_per_frame_reference(case):
     spec, (frame_w, frame_h), n_frames, level = case
     try:
