@@ -290,6 +290,10 @@ def read_features_csv(path) -> list[FeatureRow]:
             vector = np.array([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise FormatError(f"{path} line {number}: {exc}") from exc
+        finite = np.isfinite(vector)
+        if not finite.all():
+            column = feat.FEATURE_NAMES[int(finite.argmin())]
+            raise FormatError(f"{path} line {number}: {column} is NaN or infinity")
         rows.append(FeatureRow(subject, sequence, vector))
     if not rows:
         raise EmptyInput(f"features file {path} has no rows")

@@ -59,7 +59,9 @@ def centroids_x(masks) -> np.ndarray:
     each value equals the mean of the foreground column indices bit for
     bit."""
     masks = np.asarray(masks, dtype=bool)
-    counts = np.count_nonzero(masks, axis=1)  # (n, w) pixels per column
+    # (n, w) pixels per column, summed as bytes in the narrowest type holding h
+    h = masks.shape[1]
+    counts = np.add.reduce(masks.view(np.uint8), axis=1, dtype=np.min_scalar_type(h))
     with np.errstate(invalid="ignore"):
         return (counts @ np.arange(masks.shape[2])) / counts.sum(axis=1)
 

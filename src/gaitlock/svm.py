@@ -71,13 +71,29 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"vector dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     dots = a @ b.T
-    if spec.kind == KERNEL_LINEAR:
-        return dots
+    if spec.kind != KERNEL_RBF:
+        return _kernel_from_dots(spec, dots)
+    return _kernel_from_dots(spec, dots, (a * a).sum(axis=1)[:, None], (b * b).sum(axis=1)[None, :])
+
+
+def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, norms_a=None, norms_b=None):
+    """Turn the dot products ``dots`` of a @ b.T into k(a, b), in place.
+
+    ``norms_a`` and ``norms_b`` are the squared norms of a and b shaped to
+    broadcast against ``dots``; only the RBF kernel reads them. The one
+    kernel formula of both :func:`kernel_matrix` and the stacked training
+    kernels.
+    """
     if spec.kind == KERNEL_POLY:
-        return (dots + 1.0) ** spec.degree
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * dots
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+        dots += 1.0
+        dots **= spec.degree
+    elif spec.kind == KERNEL_RBF:
+        # (na + nb) - 2 dots, clipped at 0, then exp(-sq / (2 sigma^2))
+        np.subtract(norms_a + norms_b, np.multiply(dots, 2.0, out=dots), out=dots)
+        np.maximum(dots, 0.0, out=dots)
+        np.divide(dots, -2.0 * spec.sigma**2, out=dots)  # -sq / d and sq / -d round alike
+        np.exp(dots, out=dots)
+    return dots
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -156,48 +172,69 @@ def train_binary(
     pool is a copy of ``x``.
     """
     x, y = _validate_binary_input(x, y)
-    problem = (np.arange(y.size), y, class_pair)
-    (machine,) = _train_machines(spec, x.copy(), [problem], tol, max_passes)
+    (machine,) = _train_machines(
+        spec, x.copy(), np.arange(y.size)[None], y[None], [class_pair], tol, max_passes
+    )
     return machine
 
 
 # Upper bound on the bytes of one stacked kernel array: machines beyond it
 # are trained in further lockstep batches, so memory stays bounded when
-# there are very many machines or large ones.
+# there are very many machines or large ones. A stack's kernels are built
+# in chunks of at most _CHUNK_BYTES, which bounds the temporaries and
+# keeps each chunk in cache.
 _STACK_BYTES = 1 << 24
+_CHUNK_BYTES = 1 << 18
 
 
 def _train_machines(
-    spec: KernelSpec, x: np.ndarray, problems, tol: float, max_passes: int
+    spec: KernelSpec,
+    x: np.ndarray,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    pairs: list[tuple[str, str]],
+    tol: float,
+    max_passes: int,
 ) -> list[BinarySvm]:
-    """Train one machine per ``(rows, y, class_pair)`` problem by lockstep SMO.
+    """Train one machine per row of the stacked ``rows`` and ``labels`` by lockstep SMO.
 
-    A machine trains on ``x[rows]``, a copy made only while it is needed,
-    and keeps ``x`` as its pool.
-    Its kernel matrix comes from its own ``kernel_matrix(spec, xr, xr)``
-    call with the same array object twice: numpy then computes
-    ``xr @ xr.T`` by a symmetric product, whose rounding neither two
-    copies of ``xr`` nor a slice of a shared Gram matrix reproduce.
-    Machines are padded to the largest problem of their batch with label
-    0, which puts a padding slot in neither working set.
+    Machine m trains on the rows ``rows[m]`` of ``x`` with the +/-1 labels
+    ``labels[m]`` and keeps ``x`` as its pool. The slots past its own size
+    are padding: label 0, which puts a slot in neither working set, and
+    any valid row number.
+    Its dot products come from one ``xr @ xr.T`` of its rows ``xr``, the
+    same array twice: numpy then computes it by a symmetric product, whose
+    rounding neither two copies of ``xr`` nor a slice of a shared Gram
+    matrix reproduce. The machines of one size in a chunk of the stack get
+    theirs from one stacked ``xr @ xr.transpose(0, 2, 1)``, which makes
+    that same product per machine. The kernel formula, :func:`_kernel_from_dots`, then runs once
+    per chunk of the stack on squared norms taken once from ``x``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    sizes = np.count_nonzero(labels, axis=1)
+    norms = (x * x).sum(axis=1)
     machines = []
-    batch = max(1, _STACK_BYTES // (8 * max(y.size for _, y, _ in problems) ** 2))
-    for start in range(0, len(problems), batch):
-        part = problems[start : start + batch]
-        n_max = max(y.size for _, y, _ in part)
-        k = np.zeros((len(part), n_max, n_max))
-        labels = np.zeros((len(part), n_max))
-        for m, (rows, y, _) in enumerate(part):
-            xr = x[rows]
-            k[m, : y.size, : y.size] = kernel_matrix(spec, xr, xr)
-            labels[m, : y.size] = y
-        budget = np.array([max(5000, 500 * max_passes * y.size) for _, y, _ in part], dtype=float)
-        alphas, f_frees = _smo_lockstep(k, labels, spec.c, tol, budget)
-        for (rows, y, pair), alpha, f_free in zip(part, alphas, f_frees):
-            machines.append(_machine(x, rows, y, alpha[: y.size], f_free[: y.size], spec, pair))
+    batch = max(1, _STACK_BYTES // (8 * int(sizes.max()) ** 2))
+    for start in range(0, len(pairs), batch):
+        part = slice(start, start + batch)
+        n = int(sizes[part].max())
+        part_rows, part_sizes, y = rows[part, :n], sizes[part], labels[part, :n]
+        k = np.zeros((len(y), n, n))
+        chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+        for c0 in range(0, len(k), chunk):
+            block, block_rows = k[c0 : c0 + chunk], part_rows[c0 : c0 + chunk]
+            block_sizes = part_sizes[c0 : c0 + chunk]
+            for size in set(block_sizes.tolist()):
+                same = block_sizes == size
+                xr = x[block_rows[same, :size]]
+                block[same, :size, :size] = xr @ xr.transpose(0, 2, 1)
+            slot_norms = norms[block_rows]
+            _kernel_from_dots(spec, block, slot_norms[:, :, None], slot_norms[:, None, :])
+        budget = np.maximum(5000, 500 * max_passes * part_sizes).astype(float)
+        alpha, f_free = _smo_lockstep(k, y, spec.c, tol, budget)
+        del k  # the memory bound holds one stack; extraction needs none
+        machines += _machines(x, part_rows, y, alpha, f_free, spec, pairs[part])
     return machines
 
 
@@ -294,29 +331,35 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
     return alpha_out, f_out
 
 
-def _machine(pool, rows, y, alpha, f_free, spec: KernelSpec, class_pair) -> BinarySvm:
-    """Bias and support vectors of one solved machine on ``pool[rows]``."""
+def _machines(pool, rows, y, alpha, f_free, spec: KernelSpec, pairs) -> list[BinarySvm]:
+    """Bias and support vectors of each solved machine of a stack on
+    ``pool[rows[m]]``; padding slots have y = alpha = 0, so they fall in
+    none of the masks."""
     c = spec.c
     scores = y - f_free
     up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
     low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
     free = (alpha > 0.0) & (alpha < c)
-    if free.any():
-        bias = float(scores[free].mean())
-    elif up.any() and low.any():
-        bias = float((scores[up].max() + scores[low].min()) / 2.0)
-    else:
-        bias = float(scores.mean())
-
     support = alpha > 0.0
-    return BinarySvm(
-        pool=pool,
-        index=rows[support],
-        coefficients=(alpha * y)[support],
-        bias=bias,
-        kernel=spec,
-        class_pair=class_pair,
-    )
+    # the midpoint of the final gradient band, for a machine without free vectors
+    band = np.where(up, scores, -np.inf).max(axis=1) + np.where(low, scores, np.inf).min(axis=1)
+    band /= 2.0
+    has_band = (up.any(axis=1) & low.any(axis=1)).tolist()
+    free_scores, index, coefficients = scores[free], rows[support], (alpha * y)[support]
+    f = [0, *np.cumsum(free.sum(axis=1)).tolist()]
+    s = [0, *np.cumsum(support.sum(axis=1)).tolist()]
+    machines = []
+    for m, pair in enumerate(pairs):
+        if f[m + 1] > f[m]:
+            # numpy's summation order over these values sets the bias bits
+            bias = float(free_scores[f[m] : f[m + 1]].mean())
+        elif has_band[m]:
+            bias = float(band[m])
+        else:
+            bias = float(scores[m, : np.count_nonzero(y[m])].mean())
+        vectors = slice(s[m], s[m + 1])
+        machines.append(BinarySvm(pool, index[vectors], coefficients[vectors], bias, spec, pair))
+    return machines
 
 
 @dataclass
@@ -394,12 +437,20 @@ def train_multiclass(
     z = (x - mean) / std
     column = {cls: i for i, cls in enumerate(classes)}
     codes = np.array([column[lbl] for lbl in labels])
-    problems = []
-    for i, j in itertools.combinations(range(len(classes)), 2):
-        rows = np.flatnonzero((codes == i) | (codes == j))
-        y = np.where(codes[rows] == i, 1.0, -1.0)
-        problems.append((rows, y, (classes[i], classes[j])))
-    binaries = _train_machines(spec, z, problems, tol, max_passes)
+    # each class's rows in ascending order, padded with the row count, which
+    # sorts last: a pair's rows are the sorted union of its two classes' rows
+    counts = np.bincount(codes)
+    members = np.full((len(classes), counts.max()), codes.size)
+    for i, count in enumerate(counts.tolist()):
+        members[i, :count] = np.flatnonzero(codes == i)
+    first, second = np.triu_indices(len(classes), 1)  # the pairs in combinations order
+    rows = np.sort(np.concatenate((members[first], members[second]), axis=1), axis=1)
+    rows = rows[:, : (counts[first] + counts[second]).max()]
+    slot_class = np.append(codes, -1)[rows]
+    y = (slot_class == first[:, None]).astype(float) - (slot_class == second[:, None])
+    rows[rows == codes.size] = 0  # padding slots, labelled 0, point at any row
+    pairs = list(itertools.combinations(classes, 2))
+    binaries = _train_machines(spec, z, rows, y, pairs, tol, max_passes)
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)
 
 

@@ -260,6 +260,15 @@ def _larger_than_the_grid():
     return masks
 
 
+def _taller_than_a_byte():
+    # columns of more than 255 foreground pixels overflow a uint8 count
+    masks = np.zeros((3, 300, 5), dtype=bool)
+    masks[0, :, 1] = masks[0, 10:266, 4] = True
+    masks[1, 44:300, 0] = masks[1, :, 2] = True
+    masks[2, 299, 3] = True
+    return masks
+
+
 @settings(max_examples=200, deadline=None)
 @given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12))))
 @example(_one_pixel_masks())
@@ -267,6 +276,8 @@ def _larger_than_the_grid():
 @example(_empty_inside_the_window())
 @example(np.zeros((3, 4, 4), dtype=bool))
 @example(_larger_than_the_grid())
+@example(_taller_than_a_byte())
+@example(np.ones((2, 256, 3), dtype=bool))
 def test_descriptors_match_per_mask_references(masks):
     boxes = bounding_boxes(masks)
     singles = [reference_box(m) for m in masks]

@@ -635,6 +635,25 @@ class TestFeaturesFile:
         assert out == ""
         assert err.count("NaN or infinity") == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_non_finite_value_names_its_file_line_and_column(self, tmp_path, capsys, model,
+                                                             command, value):
+        fields = _row("bob", "s1").rstrip("\n").split(",")
+        fields[2 + 3] = value
+        feats = tmp_path / "f.csv"
+        feats.write_text(HEADER + _row("ann", "s0") + _row("ann", "s1") + _row("bob", "s0")
+                         + ",".join(fields) + "\n")
+        with pytest.raises(FormatError, match=f"line 5: {FEATURE_NAMES[3]} is NaN or infinity"):
+            pipeline.read_features_csv(feats)
+        tail = (["--out", str(tmp_path / "new.svm"), "--quiet"] if command == "train"
+                else ["--model", str(model)])
+        assert main([command, "--features", str(feats), *tail]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{feats} line 5: {FEATURE_NAMES[3]} is NaN or infinity" in err
+        assert not (tmp_path / "new.svm").exists()
+
     def test_subject_with_one_sequence_is_a_data_error(self, tmp_path, capsys):
         feats = tmp_path / "f.csv"
         feats.write_text(HEADER + "".join(_row(s, q) for s in "ab" for q in ("s0", "s1"))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaitlock import svm
+from gaitlock import pipeline, svm
 from gaitlock.errors import (
     DimensionMismatch,
     FormatError,
@@ -817,6 +817,32 @@ def test_model_io_memory_is_bounded(tmp_path):
     assert max(peaks) <= size / 4, [peak / size for peak in peaks]
 
 
+def test_training_memory_is_bounded():
+    """Training the 1,128 machines of the benchmark's seed-0 gallery split
+    allocates at most 3.25 times their stacked kernel (1128 x 12 x 12
+    float64, 1.30 MB): each kernel is built and transformed in its place
+    in the stack, and the stack is gone before the machines are read back."""
+    rng = np.random.default_rng(0)  # the draws of the seed-0 gallery features CSV
+    centres = rng.standard_normal((48, 14))
+    rows = [
+        pipeline.FeatureRow(f"subj{s:02d}", f"seq{q}", vector)
+        for s in range(48)
+        for q, vector in enumerate(centres[s] + 0.9 * rng.standard_normal((8, 14)))
+    ]
+    train, _ = pipeline.split_rows(rows, 0.75, 0)
+    x, labels = pipeline.feature_matrix(train), [r.subject for r in train]
+    spec = KernelSpec("rbf", 10.0, sigma=2.0)
+    tracemalloc.start()
+    try:
+        model = train_multiclass(x, labels, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.binaries) == 1128
+    stack = 1128 * 12 * 12 * 8
+    assert peak <= 3.25 * stack, peak / stack
+
+
 def test_predict_dimension_mismatch():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [4.0, 4.0]])
     model = train_multiclass(x, ["a", "a", "b", "b"], KernelSpec("linear", 1.0))
@@ -1025,6 +1051,38 @@ class TestLockstepTraining:
         monkeypatch.setattr(svm, "_STACK_BYTES", stack_bytes)
         for got, want in zip(train_multiclass(x, labels, spec).binaries, whole.binaries):
             assert_same_machine(got, want)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 8 * 13 * 13 * 2])
+    @pytest.mark.parametrize("kind, params", KERNEL_CASES)
+    def test_each_stacked_kernel_is_its_machines_kernel_matrix(
+        self, monkeypatch, kind, params, chunk_bytes
+    ):
+        # uneven classes pad the machines to the largest pair of 13 rows; the
+        # kernels are built one machine per chunk, or two. Pairs of 12 and 13
+        # rows of 14 columns are where a general product rounds unlike the
+        # symmetric one on some BLAS kernels.
+        rng = np.random.default_rng(5)
+        sizes = (1, 5, 2, 7, 3, 6)
+        x = rng.normal(size=(sum(sizes), 14))
+        labels = [f"c{i}" for i, count in enumerate(sizes) for _ in range(count)]
+        spec = KernelSpec(kind, 1.0, **params)
+        stacks = []
+        lockstep = svm._smo_lockstep
+
+        def recording(k, y, *args):
+            stacks.append((k.copy(), y.copy()))
+            return lockstep(k, y, *args)
+
+        monkeypatch.setattr(svm, "_smo_lockstep", recording)
+        monkeypatch.setattr(svm, "_CHUNK_BYTES", chunk_bytes)
+        model = train_multiclass(x, labels, spec)
+        ((k, y),) = stacks
+        assert k.shape == (15, 13, 13)
+        for m, (_, z, want_y) in enumerate(pair_problems(model, x, labels)):
+            n = want_y.size
+            assert y[m, :n].tobytes() == want_y.tobytes()
+            assert not y[m, n:].any()
+            assert k[m, :n, :n].tobytes() == kernel_matrix(spec, z, z).tobytes()
 
     def test_non_positive_tol_rejected(self):
         with pytest.raises(ValueError):
