@@ -37,7 +37,6 @@ from .svm import (
     BinarySvm,
     KernelSpec,
     SvmModel,
-    kernel_eval,
     load_model,
     predict,
     save_model,
@@ -71,7 +70,6 @@ __all__ = [
     "generate",
     "haar_dwt2",
     "haar_idwt2",
-    "kernel_eval",
     "load_model",
     "load_sequence",
     "measures",

@@ -149,7 +149,9 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
     n, h, w = seq.pixels.shape
     p = h * w
     flat = seq.pixels.reshape(n, p)
-    candidates = np.unique(flat[:, :: max(1, min(61, p))])
+    sample = flat[:, :: max(1, min(61, p))]
+    # uint8 keeps ``flat == v`` in uint8 under numpy 2 promotion
+    candidates = np.flatnonzero(np.bincount(sample.ravel(), minlength=256)).astype(np.uint8)
     count_dtype = np.uint16 if n < 65535 else np.int64
     best_val = np.zeros(p, dtype=np.uint8)
     if candidates.size <= _SPARSE_VALUE_LIMIT:

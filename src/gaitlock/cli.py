@@ -157,20 +157,20 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
 
 
 def cmd_pipeline(args) -> int:
-    result = pipeline.run_pipeline(_pipeline_config(args), resume=args.resume)
+    result = pipeline.run_pipeline(_pipeline_config(args))
     _say(args, result.report)
     return EXIT_OK
 
 
 def cmd_ablation(args) -> int:
-    results = pipeline.run_ablation(_pipeline_config(args), resume=args.resume)
+    results = pipeline.run_ablation(_pipeline_config(args))
     if not args.quiet:
         print(pipeline.render_ablation(results), end="")
     return EXIT_OK
 
 
 def cmd_kernel_sweep(args) -> int:
-    results = pipeline.run_kernel_sweep(_pipeline_config(args), resume=args.resume)
+    results = pipeline.run_kernel_sweep(_pipeline_config(args))
     if not args.quiet:
         print(pipeline.render_sweep(results), end="")
     return EXIT_OK
@@ -183,7 +183,6 @@ def build_parser() -> _Parser:
     config.add_argument("--config", help="flat key=value configuration file")
     seed.add_argument("--seed", type=int, help="override the seed")
     run = _Parser(add_help=False, parents=[quiet, config, seed])
-    run.add_argument("--resume", action="store_true", help="reuse intermediate outputs")
     run.add_argument("--data", default=None, help="dataset root (subject/sequence dirs)")
     run.add_argument("--out", default=None, help="output directory")
 

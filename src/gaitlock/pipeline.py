@@ -4,8 +4,9 @@ training, evaluation, and the feature-set / kernel comparison harnesses.
 A dataset is a directory tree ``<data_dir>/<subject>/<sequence>/`` where
 each sequence directory holds numbered PGM frames. Every run writes its
 artifacts (features.csv, model.svm, gallery.csv, report.txt) into the
-configured output directory; reruns with ``resume`` reuse features.csv
-when it was extracted under the same imaging settings.
+configured output directory. A run whose ``features_csv`` names an
+earlier run's features.csv reuses that extraction and skips the imaging
+stages.
 """
 
 from __future__ import annotations
@@ -423,44 +424,27 @@ class PipelineResult:
     report: str = ""
 
 
-def _same_imaging(cfg: PipelineConfig, report_path: Path) -> bool:
-    """Whether the report's ``[config]`` block records ``cfg``'s values of
-    every setting that features.csv depends on."""
-    if not report_path.exists():
-        return False
-    text = report_path.read_text(encoding="ascii", errors="replace")
-    block = text.partition("\n[config]\n")[2].partition("\n\n")[0].splitlines()
-    keys = ("data_dir", "fps", "background_technique", "background_threshold",
-            "segmentation_threshold")
-    return {f"{key} = {getattr(cfg, key)}" for key in keys} <= set(block)
-
-
-def _set_up(cfg: PipelineConfig, resume: bool):
+def _set_up(cfg: PipelineConfig):
     """Validate ``cfg``, create its out_dir, take the features from
-    ``features_csv``, a resumable ``features.csv`` or the dataset, and
+    ``features_csv`` or extract them into ``<out_dir>/features.csv``, and
     split them. Returns (out_dir, rows, train, test)."""
     cfg.validate()
     if not cfg.out_dir:
         raise ValueError("the run needs an out_dir")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    features_path = out / "features.csv"
     if cfg.features_csv:
         rows = read_features_csv(cfg.features_csv)
-    elif resume and features_path.exists() and _same_imaging(cfg, out / "report.txt"):
-        rows = read_features_csv(features_path)
     else:
         rows = extract_features(cfg)
-        # a report of earlier features no longer describes these
-        (out / "report.txt").unlink(missing_ok=True)
-        write_features_csv(rows, features_path)
+        write_features_csv(rows, out / "features.csv")
     train, test = split_rows(rows, cfg.split_fraction, cfg.split_seed)
     return out, rows, train, test
 
 
-def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Full run: features, split, training, gallery, evaluation, report."""
-    out, rows, train, test = _set_up(cfg, resume)
+    out, rows, train, test = _set_up(cfg)
     model = train_rows(train, cfg.kernel_spec(), cfg)
     svm.save_model(model, out / "model.svm")
     with _stage("evaluation"):
@@ -481,9 +465,9 @@ def run_pipeline(cfg: PipelineConfig, resume: bool = False) -> PipelineResult:
     return PipelineResult(cfg, rows, train, test, model, cm, scores, nn_accuracy, report)
 
 
-def run_ablation(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
+def run_ablation(cfg: PipelineConfig) -> list[dict]:
     """Train and evaluate one model per feature set, all else fixed."""
-    out, _, train, test = _set_up(cfg, resume)
+    out, _, train, test = _set_up(cfg)
     results = []
     for name, columns in FEATURE_SETS:
         accuracy = _accuracy(train, test, cfg.kernel_spec(), cfg, columns)
@@ -510,9 +494,9 @@ def sweep_grid(kernel: str) -> list[svm.KernelSpec]:
     ]
 
 
-def run_kernel_sweep(cfg: PipelineConfig, resume: bool = False) -> list[dict]:
+def run_kernel_sweep(cfg: PipelineConfig) -> list[dict]:
     """Evaluate every grid point per kernel kind; report each kind's best."""
-    out, _, train, test = _set_up(cfg, resume)
+    out, _, train, test = _set_up(cfg)
     results = []
     for kernel in svm.KERNELS:
         grid = sweep_grid(kernel)

@@ -96,15 +96,6 @@ def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, norms_a=None, norms_b=
     return dots
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Single kernel value k(x, y)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.size != y.size:
-        raise DimensionMismatch(f"vector dimensions differ: {x.size} vs {y.size}")
-    return float(kernel_matrix(spec, x[None, :], y[None, :])[0, 0])
-
-
 @dataclass
 class BinarySvm:
     """One trained two-class machine of the one-vs-one ensemble.
@@ -146,7 +137,7 @@ def _validate_binary_input(x, y):
         raise NonFinite("training data contains NaN or infinity")
     if not np.isin(y, (-1.0, 1.0)).all():
         raise ValueError("binary labels must be -1 or +1")
-    if np.unique(y).size < 2:
+    if not ((y > 0).any() and (y < 0).any()):
         raise SingleClass("both labels must be present")
     return x, y
 

@@ -72,48 +72,44 @@ class TestPipeline:
         fix = lambda text, tag: text.replace(str(tmp_path / tag), "OUT")
         assert fix(a.report, "a") == fix(b.report, "b")
 
-    def test_resume_skips_stages_and_matches(self, small_dataset, tmp_path, monkeypatch):
-        cfg = make_cfg(small_dataset, tmp_path / "out")
-        first = pipeline.run_pipeline(cfg)
-        features = (tmp_path / "out" / "features.csv").read_bytes()
+    def test_features_csv_reuses_the_extraction(self, small_dataset, tmp_path, monkeypatch):
+        first = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
+        features, model = tmp_path / "out" / "features.csv", tmp_path / "out" / "model.svm"
+        extracted = features.read_bytes(), model.read_bytes()
         monkeypatch.setattr(pipeline, "extract_features", lambda cfg: pytest.fail("extracted"))
-        again = pipeline.run_pipeline(cfg, resume=True)
-        assert (tmp_path / "out" / "features.csv").read_bytes() == features
-        assert again.report == first.report
+        again = pipeline.run_pipeline(
+            make_cfg(small_dataset, tmp_path / "out", features_csv=str(features)))
+        assert (features.read_bytes(), model.read_bytes()) == extracted
+        assert again.scores == first.scores
 
-    def test_resume_retrains_under_the_new_kernel(self, small_dataset, tmp_path, monkeypatch):
-        pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
-        cfg = make_cfg(small_dataset, tmp_path / "out", kernel="linear")
+    def test_features_csv_retrains_under_the_new_kernel(self, small_dataset, tmp_path,
+                                                        monkeypatch):
+        first = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
+        cfg = make_cfg(small_dataset, tmp_path / "out", kernel="linear",
+                       features_csv=str(tmp_path / "out" / "features.csv"))
         monkeypatch.setattr(pipeline, "extract_features", lambda cfg: pytest.fail("extracted"))
-        resumed = pipeline.run_pipeline(cfg, resume=True)
+        reused = pipeline.run_pipeline(cfg)
         assert svm.load_model(tmp_path / "out" / "model.svm").kernel == svm.KernelSpec("linear", 10)
-        svm.save_model(pipeline.train_rows(resumed.train, cfg.kernel_spec(), cfg),
-                       tmp_path / "linear.svm")
+        model = pipeline.train_rows(first.train, cfg.kernel_spec(), cfg)
+        svm.save_model(model, tmp_path / "linear.svm")
         assert (tmp_path / "out" / "model.svm").read_bytes() == (
             tmp_path / "linear.svm").read_bytes()
+        truth = [r.subject for r in first.test]
+        assert reused.scores == pipeline.score_model(model, pipeline.feature_matrix(first.test),
+                                                     truth)[1]
 
-    def test_resume_extracts_again_under_another_background(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize("run", [pipeline.run_ablation, pipeline.run_kernel_sweep])
+    def test_features_csv_serves_the_other_run_commands(self, small_dataset, tmp_path,
+                                                        monkeypatch, run):
+        fresh = run(make_cfg(small_dataset, tmp_path / "fresh"))
         pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
-        median = (tmp_path / "out" / "features.csv").read_bytes()
-        cdm = dict(background_technique="cdm")
-        resumed = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out", **cdm),
-                                        resume=True)
-        fresh = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "fresh", **cdm))
-        assert (tmp_path / "fresh" / "features.csv").read_bytes() != median
-        assert (tmp_path / "out" / "features.csv").read_bytes() == (
-            tmp_path / "fresh" / "features.csv").read_bytes()
-        assert resumed.scores == fresh.scores
-
-    def test_resume_after_an_ablation_under_another_background(self, small_dataset, tmp_path):
-        pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"))
-        pipeline.run_ablation(make_cfg(small_dataset, tmp_path / "out",
-                                       background_technique="cdm"))
-        assert not (tmp_path / "out" / "report.txt").exists()
-        resumed = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "out"), resume=True)
-        fresh = pipeline.run_pipeline(make_cfg(small_dataset, tmp_path / "fresh"))
-        assert (tmp_path / "out" / "features.csv").read_bytes() == (
-            tmp_path / "fresh" / "features.csv").read_bytes()
-        assert resumed.scores == fresh.scores
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        monkeypatch.setattr(pipeline, "extract_features", lambda cfg: pytest.fail("extracted"))
+        reused = run(make_cfg(small_dataset, tmp_path / "out",
+                              features_csv=str(tmp_path / "out" / "features.csv")))
+        assert reused == fresh
+        for name, data in kept.items():  # report.txt and features.csv stay as they were
+            assert (tmp_path / "out" / name).read_bytes() == data
 
     def test_missing_dataset_names_ingestion(self, tmp_path):
         cfg = pipeline.PipelineConfig(data_dir=str(tmp_path / "missing"),
@@ -432,7 +428,9 @@ class TestCli:
         )
         assert main(["pipeline", "--config", str(cfg_file), "--quiet"]) == 0
         assert (tmp_path / "out" / "report.txt").exists()
-        assert main(["ablation", "--config", str(cfg_file), "--resume", "--quiet"]) == 0
+        with cfg_file.open("a") as f:  # the ablation reuses the pipeline's extraction
+            f.write(f"features_csv = {tmp_path / 'out' / 'features.csv'}\n")
+        assert main(["ablation", "--config", str(cfg_file), "--quiet"]) == 0
         assert (tmp_path / "out" / "ablation.csv").exists()
 
     def test_cdm_auto_threshold_when_every_difference_is_255(self, tmp_path):
@@ -917,7 +915,8 @@ class TestOptions:
             synopsis[command] = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
         assert synopsis == _command_flags()
 
-    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, model):
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, model,
+                                                              small_dataset):
         spec = tmp_path / "walker.cfg"
         spec.write_text("period_frames = 16\nframe_w = 240\nframe_h = 96\n")
         frames = tmp_path / "frames"
@@ -931,6 +930,9 @@ class TestOptions:
             (["cycles", "--in", str(frames)], ["--quiet"]),
             (["synth", "--spec", str(spec), "--out", str(tmp_path / "again")], ["--resume"]),
         ]
+        runs += [([command, "--data", str(small_dataset), "--out", str(tmp_path / command),
+                   "--quiet"], ["--resume"])
+                 for command in ("pipeline", "ablation", "kernel-sweep")]
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         capsys.readouterr()
         for command, flag in runs:

@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +24,6 @@ from gaitlock.errors import (
 )
 from gaitlock.svm import (
     KernelSpec,
-    kernel_eval,
     kernel_matrix,
     kkt_violation,
     load_model,
@@ -208,29 +210,34 @@ def two_clusters(n_per=10, gap=6.0, seed=0):
     return x, y
 
 
+def _kernel_value(spec, x, y) -> float:
+    """k(x, y) of two vectors, through kernel_matrix on one-row arrays."""
+    return float(kernel_matrix(spec, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
+
+
 class TestKernels:
     def test_linear(self):
-        assert kernel_eval(KernelSpec("linear", 1.0), (1, 2), (3, 4)) == 11.0
+        assert _kernel_value(KernelSpec("linear", 1.0), (1, 2), (3, 4)) == 11.0
 
     def test_polynomial(self):
         spec = KernelSpec("poly", 1.0, degree=2)
-        assert kernel_eval(spec, (1, 0), (1, 0)) == 4.0  # (1 + 1)^2
+        assert _kernel_value(spec, (1, 0), (1, 0)) == 4.0  # (1 + 1)^2
 
     def test_rbf_at_zero_distance(self):
         spec = KernelSpec("rbf", 1.0, sigma=2.0)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.normal(size=7)
-            assert kernel_eval(spec, x, x) == pytest.approx(1.0)
+            assert _kernel_value(spec, x, x) == pytest.approx(1.0)
 
     def test_rbf_formula(self):
         spec = KernelSpec("rbf", 1.0, sigma=0.5)
-        got = kernel_eval(spec, (0.0, 0.0), (1.0, 1.0))
+        got = _kernel_value(spec, (0.0, 0.0), (1.0, 1.0))
         assert got == pytest.approx(np.exp(-2.0 / (2 * 0.25)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            kernel_eval(KernelSpec("linear", 1.0), (1, 2), (1, 2, 3))
+            _kernel_value(KernelSpec("linear", 1.0), (1, 2), (1, 2, 3))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -1089,3 +1096,22 @@ class TestLockstepTraining:
             train_multiclass(XOR_X, XOR_Y, KernelSpec("linear", 1.0), tol=0.0)
         with pytest.raises(ValueError):
             train_binary(XOR_X, [1, 1, -1, -1], KernelSpec("linear", 1.0), tol=-1.0)
+
+
+def test_training_and_the_histogram_background_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from gaitlock.background import model_histogram",
+        "from gaitlock.imagery import FrameSequence",
+        "from gaitlock.svm import KernelSpec, train_binary",
+        "train_binary([[0.0], [1.0]], [-1, 1], KernelSpec('linear', 1.0))",
+        "model_histogram(FrameSequence(np.arange(24, dtype=np.uint8).reshape(2, 3, 4), 25))",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(svm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    ran = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert ran.stdout == "False\n"
