@@ -93,7 +93,8 @@ class FrameSequence:
     @classmethod
     def _owning(cls, pixels: np.ndarray, fps: float) -> FrameSequence:
         """The sequence of a freshly filled (n, height, width) uint8 walk
-        that no one else holds; it is frozen in place, not copied."""
+        that no one else writes to while it is in use; it is frozen in
+        place, not copied."""
         seq = cls.__new__(cls)
         seq._hold(pixels, fps)
         return seq
@@ -123,6 +124,27 @@ class FrameSequence:
         return Frame(self.pixels[i])
 
 
+class WalkBuffers:
+    """Arrays reused from one walk to the next: ``load_sequence`` reads
+    each walk into the same memory, ``segment_sequence`` paints each
+    walk's masks into the same memory. An array grows only when a walk
+    needs more bytes than any before it, and what it holds is valid only
+    until the next walk is read or segmented into it. A holder used for
+    one walk only gives that walk arrays of its own."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """The ``name`` array as a C-contiguous array of ``shape`` and
+        ``dtype``, contents undefined."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        flat = self._flat.get(name)
+        if flat is None or flat.size < nbytes:
+            flat = self._flat[name] = np.empty(nbytes, dtype=np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+
 def read_pnm(path) -> tuple[np.ndarray, list[str]]:
     """Read a binary PGM (P5) or PPM (P6) file.
 
@@ -130,6 +152,13 @@ def read_pnm(path) -> tuple[np.ndarray, list[str]]:
     luminance) together with the header's comment lines. A P5 grid is a
     read-only view of the file's bytes.
     """
+    pixels, comments, _ = _read_pnm(path)
+    return pixels, comments
+
+
+def _read_pnm(path) -> tuple[np.ndarray, list[str], bytes | None]:
+    # read_pnm, plus the bytes before a P5 raster (None for P6): a file
+    # that starts with the same bytes has the same header
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -163,7 +192,18 @@ def read_pnm(path) -> tuple[np.ndarray, list[str]]:
         m.group(1).decode("ascii", "replace").strip()
         for m in _COMMENT_RE.finditer(data, 0, header.end())
     ]
-    return pixels.reshape(h, w), comments
+    return pixels.reshape(h, w), comments, data[:pos] if channels == 1 else None
+
+
+def _read_raster(path, head: bytes, out: np.ndarray) -> bool:
+    # read the file's raster into ``out`` if the file starts with ``head``,
+    # the bytes before a P5 raster of out's shape; False, with ``out`` in
+    # any state, if it does not or a read falls short or fails
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read(len(head)) == head and fh.readinto(out) == out.nbytes
+    except OSError:
+        return False
 
 
 def write_pgm(path, pixels, comment: str | None = None) -> None:
@@ -187,12 +227,17 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:04d}.pgm"
 
 
-def load_sequence(directory, fps: float) -> FrameSequence:
+def load_sequence(directory, fps: float, buffers: WalkBuffers | None = None) -> FrameSequence:
     """Load numbered frames from a directory, ordered by numeric index.
 
     Files must match ``frame_<NNNN>.pgm`` (or ``.ppm``); ordering follows
     the numeric index alone, never the filesystem listing order. Each
-    frame is read straight into the walk's one array, sized by the first.
+    frame is read straight into the walk's one array, sized by the first:
+    a later file whose bytes before the raster equal a P5 first frame's
+    has its raster read in place, any other file is read and checked
+    whole. With ``buffers`` the walk is read into their ``walk`` array,
+    so the sequence is valid only until the next walk is read into them;
+    without, the sequence owns its array.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -210,10 +255,12 @@ def load_sequence(directory, fps: float) -> FrameSequence:
     if not indexed:
         raise EmptyDirectory(f"no frame files in {directory}")
     paths = [indexed[idx] for idx in sorted(indexed)]
-    first, _ = read_pnm(paths[0])
-    walk = np.empty((len(paths), *first.shape), dtype=np.uint8)
+    first, _, head = _read_pnm(paths[0])
+    walk = (buffers or WalkBuffers()).array("walk", (len(paths), *first.shape), np.uint8)
     walk[0] = first
     for i, path in enumerate(paths[1:], start=1):
+        if head is not None and _read_raster(path, head, walk[i]):
+            continue
         pixels, _ = read_pnm(path)
         if pixels.shape != first.shape:
             (h, w), (h0, w0) = pixels.shape, first.shape

@@ -32,7 +32,7 @@ from .errors import (
     StageError,
     TooFewSequences,
 )
-from .imagery import load_sequence
+from .imagery import WalkBuffers, load_sequence
 from .segmentation import bounding_boxes, centroids_x, segment_sequence
 
 # not called here; gaitbench/tracer.py wraps pipeline.difference_mask and
@@ -233,23 +233,32 @@ def masks_feature_row(subject: str, sequence: str, masks, fps: float) -> Feature
     return FeatureRow(subject, sequence, vector, period)
 
 
-def sequence_feature_row(subject: str, sequence: str, seq_dir, cfg: PipelineConfig) -> FeatureRow:
+def sequence_feature_row(
+    subject: str, sequence: str, seq_dir, cfg: PipelineConfig, buffers: WalkBuffers | None = None
+) -> FeatureRow:
     """Run one sequence through ingestion, segmentation, cycle analysis
-    and feature extraction."""
+    and feature extraction, reading and segmenting it into ``buffers``
+    if given."""
     location = f"{subject}/{sequence}"
     with _stage("ingestion", location):
-        seq = load_sequence(seq_dir, cfg.fps)
+        seq = load_sequence(seq_dir, cfg.fps, buffers=buffers)
     with _stage("background", location):
         bg = build_background(seq, cfg.background_technique, cfg.background_threshold)
     with _stage("segmentation", location):
-        masks = segment_sequence(seq, bg, cfg.segmentation_threshold)
+        masks = segment_sequence(seq, bg, cfg.segmentation_threshold, buffers=buffers)
     return masks_feature_row(subject, sequence, masks, cfg.fps)
 
 
 def extract_features(cfg: PipelineConfig) -> list[FeatureRow]:
+    """One feature row per walk of the dataset, every walk read and
+    segmented into the same buffers."""
     with _stage("ingestion"):
         triples = discover_dataset(cfg.data_dir)
-    return [sequence_feature_row(subject, sequence, path, cfg) for subject, sequence, path in triples]
+    buffers = WalkBuffers()
+    return [
+        sequence_feature_row(subject, sequence, path, cfg, buffers=buffers)
+        for subject, sequence, path in triples
+    ]
 
 
 def write_features_csv(rows: list[FeatureRow], path) -> None:

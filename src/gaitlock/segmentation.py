@@ -10,7 +10,7 @@ import numpy as np
 
 from .background import _BLOCK_BYTES, BackgroundModel, otsu_from_histograms, otsu_histograms
 from .errors import DimensionMismatch
-from .imagery import Frame, FrameSequence
+from .imagery import Frame, FrameSequence, WalkBuffers
 
 # box row of an empty mask: x_max < x_min, so width and height are 0
 EMPTY_BOX = (0, 0, -1, -1)
@@ -195,16 +195,21 @@ def clean_mask(raw: SilhouetteMask) -> SilhouetteMask:
     return SilhouetteMask(largest_component(_majority_vote(raw.mask[None])[0]))
 
 
-def segment_sequence(seq: FrameSequence, bg: BackgroundModel, threshold="auto") -> np.ndarray:
+def segment_sequence(
+    seq: FrameSequence, bg: BackgroundModel, threshold="auto", buffers: WalkBuffers | None = None
+) -> np.ndarray:
     """Cleaned silhouettes of every frame as one (n, h, w) bool array:
     ``clean_mask(difference_mask(frame, bg, threshold))`` per frame.
 
     Frames are differenced, smoothed and labelled in blocks of
     about ``_BLOCK_BYTES``; a frame's mask does not depend on its block.
+    With ``buffers`` the masks are painted into their ``masks`` array,
+    valid only until the next walk is segmented into them.
     """
     _check_size(seq, bg)
     n, h, w = len(seq), seq.height, seq.width
-    masks = np.zeros((n, h, w), dtype=bool)
+    masks = (buffers or WalkBuffers()).array("masks", (n, h, w), bool)
+    masks.fill(False)
     step = max(1, _BLOCK_BYTES // (h * w))
     for i in range(0, n, step):
         raw = _foreground(seq.pixels[i:i + step], bg.reference.pixels, threshold)

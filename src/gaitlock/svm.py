@@ -390,13 +390,14 @@ class SvmModel:
     @functools.cached_property
     def _compiled(self) -> tuple[np.ndarray, ...]:
         """Each machine's two classes and bias, then every support vector's
-        pool row, machine and coefficient."""
+        pool row, machine and coefficient, then the pool's squared norms."""
         first, second = np.triu_indices(len(self.classes), 1)
         biases = np.array([m.bias for m in self.binaries])
         index = np.concatenate([m.index for m in self.binaries])
         owner = np.repeat(np.arange(len(self.binaries)), [m.index.size for m in self.binaries])
         coef = np.concatenate([m.coefficients for m in self.binaries])
-        return first, second, biases, index, owner, coef
+        norms = (self.pool * self.pool).sum(axis=1)[None, :]
+        return first, second, biases, index, owner, coef, norms
 
 
 def train_multiclass(
@@ -466,10 +467,12 @@ def predict_many(model: SvmModel, x) -> list[str]:
         raise NonFinite("probe features contain NaN or infinity")
     z = model.normalize(x)
     n_machines = len(model.binaries)
-    first, second, biases, index, owner, coef = model._compiled
+    first, second, biases, index, owner, coef, norms = model._compiled
     labels = []
-    for row in z:
-        k = kernel_matrix(model.kernel, row[None, :], model.pool)[0]
+    for row in z[:, None, :]:
+        # kernel_matrix(model.kernel, row, model.pool), on the compiled pool norms
+        dots = row @ model.pool.T
+        k = _kernel_from_dots(model.kernel, dots, (row * row).sum(axis=1)[:, None], norms)[0]
         d = biases + np.bincount(owner, weights=k[index] * coef, minlength=n_machines)
         winner = np.where(d >= 0.0, first, second)
         votes = np.bincount(winner, minlength=len(model.classes))

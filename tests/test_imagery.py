@@ -1,14 +1,18 @@
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitlock.errors import DecodeError, DimensionMismatch, EmptyDirectory
+from gaitlock.errors import DecodeError, DimensionMismatch, EmptyDirectory, GaitlockError
 from gaitlock.imagery import (
+    FRAME_NAME_RE,
     Frame,
     FrameSequence,
+    WalkBuffers,
     frame_filename,
     load_sequence,
     read_pnm,
@@ -261,3 +265,126 @@ def test_header_grammar_matches_the_token_reader(tmp_path_factory, data):
     pixels, comments = read_pnm(path)
     assert pixels.shape == expected.shape and pixels.tobytes() == expected.tobytes()
     assert comments == header_comments
+
+
+def reference_load_sequence(directory, fps: float) -> FrameSequence:
+    """The per-file loop ``load_sequence`` ran before it read rasters in
+    place, kept as the oracle: every frame through ``read_pnm``."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise EmptyDirectory(f"no such directory: {directory}")
+    indexed: dict[int, str] = {}
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            m = FRAME_NAME_RE.match(entry.name)
+            if not m:
+                continue
+            idx = int(m.group(1))
+            if idx in indexed:
+                raise DecodeError(f"duplicate frame index {idx} in {directory}")
+            indexed[idx] = entry.path
+    if not indexed:
+        raise EmptyDirectory(f"no frame files in {directory}")
+    paths = [indexed[idx] for idx in sorted(indexed)]
+    first, _ = read_pnm(paths[0])
+    walk = np.empty((len(paths), *first.shape), dtype=np.uint8)
+    walk[0] = first
+    for i, path in enumerate(paths[1:], start=1):
+        pixels, _ = read_pnm(path)
+        if pixels.shape != first.shape:
+            (h, w), (h0, w0) = pixels.shape, first.shape
+            raise DimensionMismatch(f"{path} is {w}x{h}, but {paths[0]} is {w0}x{h0}")
+        walk[i] = pixels
+    return FrameSequence(walk, fps)
+
+
+# what a later frame of a walk may differ in from the first
+_CHANGES = ("none", "none", "comment", "whitespace", "trailing", "truncated", "dimensions", "P6",
+            "directory")
+
+
+def _pnm(magic: bytes, w: int, h: int, seps: list, comment: bytes, raster: bytes) -> bytes:
+    return magic + seps[0] + comment + b"%d%s%d%s255%s" % (w, seps[1], h, seps[2], seps[3]) + raster
+
+
+@st.composite
+def walk_files(draw) -> list:
+    """(file name, bytes) per frame of a walk, bytes None for a directory
+    of that name; each later frame has one change from the first."""
+    w, h, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    seps = draw(st.lists(_WHITESPACE, min_size=4, max_size=4))
+    first_magic = draw(st.sampled_from([b"P5"] * 3 + [b"P6"]))
+    first_comment = draw(st.sampled_from([b"", b"", b"# c\n"]))
+    files = []
+    for i in range(1, n + 1):
+        change = draw(st.sampled_from(_CHANGES)) if i > 1 else "none"
+        magic, fw, fh, fseps, comment = first_magic, w, h, seps, first_comment
+        if change == "comment":
+            comment = b"# edited\n" + comment
+        elif change == "whitespace":  # the same header length
+            fseps = draw(st.lists(_WHITESPACE, min_size=4, max_size=4))
+        elif change == "dimensions":
+            fw, fh = draw(st.sampled_from([(w + 1, h), (w, h + 1)]))
+        elif change == "P6":
+            magic = b"P6"
+        need = fw * fh * (3 if magic == b"P6" else 1)
+        raster = draw(st.binary(min_size=need, max_size=need))
+        if change == "trailing":
+            raster += draw(st.binary(min_size=1, max_size=3))
+        elif change == "truncated":
+            raster = raster[:-draw(st.integers(1, need))]
+        data = None if change == "directory" else _pnm(magic, fw, fh, fseps, comment, raster)
+        files.append((frame_filename(i), data))
+    return files
+
+
+def _stale_buffers() -> WalkBuffers:
+    # buffers that a larger earlier walk of bright frames was read into
+    buffers = WalkBuffers()
+    buffers.array("walk", (5, 4, 6), np.uint8).fill(255)
+    return buffers
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=walk_files())
+@example(files=[(frame_filename(i), b"P5\n# first\n2 1\n255\n" + bytes([i, 9])) for i in (1, 2, 3)])
+@example(files=[(frame_filename(1), b"P5\n2 1\n255\n\x01\x02")])
+def test_load_matches_the_per_file_loop(tmp_path_factory, files):
+    """Bit for bit the walk of the per-file loop, or its error class and
+    message, with and without reused buffers."""
+    directory = tmp_path_factory.mktemp("walk")
+    for name, data in files:
+        if data is None:
+            (directory / name).mkdir()
+        else:
+            (directory / name).write_bytes(data)
+    try:
+        expected = reference_load_sequence(directory, 25)
+    except GaitlockError as exc:
+        for buffers in (None, _stale_buffers()):
+            with pytest.raises(GaitlockError) as raised:
+                load_sequence(directory, 25, buffers=buffers)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    for buffers in (None, _stale_buffers()):
+        seq = load_sequence(directory, 25, buffers=buffers)
+        assert seq.pixels.shape == expected.pixels.shape
+        assert seq.pixels.tobytes() == expected.pixels.tobytes()
+        assert seq.fps == 25 and not seq.pixels.flags.writeable
+
+
+def test_buffers_grow_only_for_a_larger_walk(tmp_path):
+    """A walk no larger than an earlier one is read into the same memory,
+    which the next walk read into it overwrites."""
+    buffers = WalkBuffers()
+    for n, value in ((3, 7), (2, 9), (4, 5)):
+        for i in range(1, n + 1):
+            write_pgm(tmp_path / f"w{n}" / frame_filename(i), gray(value))
+    big = load_sequence(tmp_path / "w3", 25, buffers=buffers)
+    small = load_sequence(tmp_path / "w2", 25, buffers=buffers)
+    assert np.shares_memory(big.pixels, small.pixels)
+    assert (small.pixels == 9).all() and big.pixels[:2].tolist() == small.pixels.tolist()
+    larger = load_sequence(tmp_path / "w4", 25, buffers=buffers)
+    assert not np.shares_memory(larger.pixels, small.pixels) and (larger.pixels == 5).all()
+    owned = load_sequence(tmp_path / "w2", 25)
+    assert not np.shares_memory(owned.pixels, larger.pixels)

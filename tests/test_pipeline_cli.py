@@ -1,4 +1,5 @@
 import argparse
+import os
 import shutil
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from gaitlock.background import load_background, save_background
 from gaitlock.cli import build_parser, main
 from gaitlock.errors import BadName, DecodeError, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
-from gaitlock.imagery import read_pnm, save_sequence, write_pgm
+from gaitlock.imagery import WalkBuffers, read_pnm, save_sequence, write_pgm
 from gaitlock.synthgait import WalkerSpec, generate
 
 from test_background import RASTER_COMMENTS, write_one_row_pgm
@@ -110,6 +111,34 @@ class TestPipeline:
         assert reused == fresh
         for name, data in kept.items():  # report.txt and features.csv stay as they were
             assert (tmp_path / "out" / name).read_bytes() == data
+
+    def test_extraction_in_reused_buffers_equals_each_walk_alone(self, benchmark_dataset,
+                                                                 tmp_path, monkeypatch):
+        """Every walk of one extraction is read and segmented into the same
+        buffers; largest walk first or smallest first, each row is bit-equal
+        to the walk's row without buffers."""
+        data_dir, _ = benchmark_dataset
+        cfg = pipeline.PipelineConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "out"))
+        triples = pipeline.discover_dataset(data_dir)
+        alone = {path: pipeline.sequence_feature_row(s, q, path, cfg) for s, q, path in triples}
+        load = pipeline.load_sequence
+        used = []
+
+        def loading(directory, fps, buffers=None):
+            used.append(buffers)
+            return load(directory, fps, buffers=buffers)
+
+        monkeypatch.setattr(pipeline, "load_sequence", loading)
+        for largest_first in (True, False):
+            ordered = sorted(triples, key=lambda t: len(os.listdir(t[2])), reverse=largest_first)
+            monkeypatch.setattr(pipeline, "discover_dataset", lambda _: ordered)
+            used.clear()
+            rows = pipeline.extract_features(cfg)
+            assert isinstance(used[0], WalkBuffers) and all(b is used[0] for b in used)
+            for row, (subject, sequence, path) in zip(rows, ordered, strict=True):
+                want = alone[path]
+                assert (row.subject, row.sequence) == (subject, sequence)
+                assert row.period == want.period and row.vector.tobytes() == want.vector.tobytes()
 
     def test_missing_dataset_names_ingestion(self, tmp_path):
         cfg = pipeline.PipelineConfig(data_dir=str(tmp_path / "missing"),

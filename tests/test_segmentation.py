@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gaitlock import segmentation
 from gaitlock.background import BackgroundModel
 from gaitlock.errors import DimensionMismatch
-from gaitlock.imagery import Frame, FrameSequence
+from gaitlock.imagery import Frame, FrameSequence, WalkBuffers
 from gaitlock.segmentation import (
     EMPTY_BOX,
     SilhouetteMask,
@@ -377,6 +377,25 @@ class TestSegmentSequence:
                              ids=["tie", "across-frames", "static"])
     def test_hand_cases(self, walk, frames_per_block):
         self.check(walk, frames_per_block)
+
+    @pytest.mark.parametrize("frames_per_block", [1, None])
+    @settings(max_examples=100, deadline=None)
+    @given(walk=walks(st.integers(1, 4)))
+    def test_masks_in_stale_buffers_equal_a_fresh_call(self, frames_per_block, walk):
+        """Masks painted into buffers that hold a larger earlier walk's
+        all-True masks equal the masks of a call without buffers."""
+        frames, reference, threshold = walk
+        n, h, w = frames.shape
+        seq, bg = FrameSequence(frames, fps=25), bg_of(reference)
+        buffers = WalkBuffers()
+        stale = buffers.array("masks", (n + 1, h + 1, w), bool)
+        stale.fill(True)
+        block_bytes = h * w * (frames_per_block or n)
+        with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
+            got = segment_sequence(seq, bg, threshold, buffers=buffers)
+            fresh = segment_sequence(seq, bg, threshold)
+        assert np.shares_memory(got, stale)
+        assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
 
     def test_tie_keeps_the_first_plus(self):
         frames, reference, threshold = _two_plus_shapes()

@@ -924,22 +924,31 @@ class TestPredictMany:
         assert predict_many(model, [[0.3], [-7.0]]) == [expected, expected]
 
     def test_one_kernel_evaluation_per_probe(self, tmp_path, monkeypatch):
+        """Each probe's kernel row is one evaluation against the pool on the
+        compiled pool norms, bit-equal to ``kernel_matrix`` of the probe."""
         rng = np.random.default_rng(8)
         x = np.vstack([rng.normal(3.0 * i, 1.0, size=(5, 4)) for i in range(4)])
         labels = [c for c in "abcd" for _ in range(5)]
-        model = train_multiclass(x, labels, KernelSpec("rbf", 10.0, sigma=2.0))
         probes = rng.normal(4.0, 5.0, size=(25, 4))
-        calls = []
+        specs = (KernelSpec("rbf", 10.0, sigma=2.0), KernelSpec("linear", 10.0),
+                 KernelSpec("poly", 10.0, degree=3))
+        inner = svm._kernel_from_dots
+        for spec in specs:
+            model = train_multiclass(x, labels, spec)
+            rows = []
 
-        def counting(spec, a, b):
-            calls.append(a.shape[0])
-            return kernel_matrix(spec, a, b)
+            def recording(*args):
+                rows.append(inner(*args))
+                return rows[-1].copy()
 
-        monkeypatch.setattr(svm, "kernel_matrix", counting)
-        predict_many(model, probes)
-        assert calls == [1] * len(probes)
-        monkeypatch.undo()
-        assert_matches_reference(model, probes)
+            monkeypatch.setattr(svm, "_kernel_from_dots", recording)
+            monkeypatch.setattr(svm, "kernel_matrix", lambda *a: pytest.fail("kernel_matrix"))
+            predict_many(model, probes)
+            monkeypatch.undo()
+            assert [k.shape for k in rows] == [(1, len(model.pool))] * len(probes)
+            for z, k in zip(model.normalize(probes), rows):
+                assert k.tobytes() == kernel_matrix(spec, z[None, :], model.pool).tobytes()
+            assert_matches_reference(model, probes)
 
     def test_machines_under_different_kernels_are_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
