@@ -102,23 +102,58 @@ def otsu_from_histograms(hist: np.ndarray) -> np.ndarray:
     return thresholds
 
 
-def _pixel_blocks(pixels: np.ndarray, dtype, pixel_bytes: int):
-    """Yield ``(cols, block)`` over the pixels of an (n, h, w) walk, taken
-    as the columns of its (n, h * w) frame matrix: ``block`` holds the
-    frames of pixels ``cols`` as ``dtype``, one C-contiguous row per
-    pixel, in one buffer reused by every block. A block spans about
-    ``_BLOCK_BYTES // pixel_bytes`` pixels, ``pixel_bytes`` being the
-    caller's working memory per pixel.
+def _pixel_blocks(pixels: np.ndarray, dtype, pixel_bytes: int, columns: np.ndarray):
+    """Yield ``(cols, block)`` over the pixels ``columns`` of an (n, h, w)
+    walk, taken as indices of the columns of its (n, h * w) frame matrix:
+    ``block`` holds the frames of pixels ``cols`` as ``dtype``, one
+    C-contiguous row per pixel, in one buffer reused by every block. A
+    block spans about ``_BLOCK_BYTES // pixel_bytes`` pixels,
+    ``pixel_bytes`` being the caller's working memory per pixel.
     """
     flat = pixels.reshape(len(pixels), -1)
-    n, p = flat.shape
-    step = min(p, max(1, _BLOCK_BYTES // pixel_bytes))
-    buffer = np.empty((step, n), dtype)
+    p = len(columns)
+    step = max(1, min(p, _BLOCK_BYTES // pixel_bytes))
+    buffer = np.empty((step, len(flat)), dtype)
     for start in range(0, p, step):
-        cols = slice(start, min(start + step, p))
-        block = buffer[:cols.stop - start]
+        cols = columns[start:start + step]
+        block = buffer[:len(cols)]
         np.copyto(block, flat[:, cols].T)
         yield cols, block
+
+
+def _majority(flat: np.ndarray, first=None, last=None):
+    """Per pixel of an (n, p) frame matrix, the value at the middle frame
+    of its run, and the pixels where that value fills at most half of the
+    run. The run is frames ``first .. first + last`` (arrays in the
+    smallest unsigned type holding n - 1), or the whole walk without them.
+
+    A value held by more than half of a run of L frames covers the sorted
+    position (L - 1) // 2, so it is the run's lower median: only the
+    returned pixels still need a selection.
+    """
+    n, p = flat.shape
+    if first is None:
+        candidates = flat[(n - 1) // 2].copy()
+        half = n // 2
+    else:
+        candidates = flat[first + last // 2, np.arange(p)]
+        half = last - last // 2  # (last + 1) // 2 without overflowing last's type
+        frame = np.arange(n, dtype=first.dtype)
+    count = np.zeros(p, dtype=np.min_scalar_type(n))
+    step = min(n, max(1, _BLOCK_BYTES // p))
+    equal = np.empty((step, p), dtype=bool)
+    if first is not None:
+        offset = np.empty((step, p), dtype=first.dtype)
+        inside = np.empty((step, p), dtype=bool)
+    for i in range(0, n, step):
+        k = min(step, n - i)
+        held = np.equal(flat[i:i + k], candidates, out=equal[:k])
+        if first is not None:
+            # frames before a pixel's run wrap past its end, as in model_cdm
+            np.subtract(frame[i:i + k, None], first, out=offset[:k])
+            held &= np.less_equal(offset[:k], last, out=inside[:k])
+        count += np.add.reduce(held.view(np.uint8), axis=0, dtype=count.dtype)
+    return candidates, np.flatnonzero(count <= half)
 
 
 def model_median(seq: FrameSequence) -> BackgroundModel:
@@ -127,12 +162,13 @@ def model_median(seq: FrameSequence) -> BackgroundModel:
     Exact whenever the true background is visible at a pixel in strictly
     more than half of the frames. Even frame counts take the lower of the
     two middle order statistics, so two pixel values are never blended.
-    The order statistic is found by selection, not by a full sort.
+    A value in more than half of a pixel's frames is found by counting;
+    the other pixels' order statistic by selection, not by a full sort.
     """
     n, h, w = seq.pixels.shape
     k = (n - 1) // 2
-    reference = np.empty(h * w, dtype=np.uint8)
-    for cols, block in _pixel_blocks(seq.pixels, np.uint8, n):
+    reference, undecided = _majority(seq.pixels.reshape(n, h * w))
+    for cols, block in _pixel_blocks(seq.pixels, np.uint8, n, undecided):
         block.partition(k, axis=1)
         reference[cols] = block[:, k]
     return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_MEDIAN)
@@ -167,7 +203,7 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
             best_val[col] = np.bincount(flat[:, col], minlength=256).argmax()
     else:
         # per pixel a block holds n int64 codes, then bincount makes 256 int64 counts
-        for cols, codes in _pixel_blocks(seq.pixels, np.intp, 8 * max(n, 256)):
+        for cols, codes in _pixel_blocks(seq.pixels, np.intp, 8 * max(n, 256), np.arange(p)):
             width = len(codes)
             codes += np.arange(0, 256 * width, 256)[:, None]  # pixel i counts in bins 256 i ..
             counts = np.bincount(codes.ravel(), minlength=256 * width)
@@ -234,9 +270,9 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     frame_type = np.min_scalar_type(n - 1)
     last = (best // n - 1).astype(frame_type)  # run length - 1
     first = (n - 1 - best % n).astype(frame_type)
+    reference, undecided = _majority(flat, first, last)
     frame = np.arange(n, dtype=frame_type)
-    reference = np.empty(p, dtype=np.uint8)
-    for cols, vals in _pixel_blocks(seq.pixels, np.uint16, 2 * n):
+    for cols, vals in _pixel_blocks(seq.pixels, np.uint16, 2 * n, undecided):
         outside = frame - first[cols, None] > last[cols, None]
         vals |= outside.view(np.uint8) * np.uint16(256)
         vals.sort(axis=1)

@@ -207,10 +207,17 @@ def _read_raster(path, head: bytes, out: np.ndarray) -> bool:
 
 
 def write_pgm(path, pixels, comment: str | None = None) -> None:
-    """Write an (h, w) uint8 grid as binary P5 PGM with maxval 255."""
+    """Write an (h, w) uint8 grid as binary P5 PGM with maxval 255.
+
+    ``comment`` goes into the header as one comment line, so it must be
+    ASCII text without a line break; anything else raises ValueError
+    before the file is opened.
+    """
     arr = np.ascontiguousarray(np.asarray(pixels, dtype=np.uint8))
     if arr.ndim != 2:
         raise DimensionMismatch("PGM output requires a 2-D grid")
+    if comment is not None and (not comment.isascii() or "\n" in comment or "\r" in comment):
+        raise ValueError(f"PGM comment must be one line of ASCII text, got {comment!r}")
     h, w = arr.shape
     header = f"P5\n{w} {h}\n"
     if comment is not None:

@@ -143,20 +143,25 @@ def _label_runs(masks: np.ndarray):
     return starts, ends, component
 
 
-def _run_pixels(starts: np.ndarray, ends: np.ndarray, h: int, w: int) -> np.ndarray:
-    # flat (n, h, w) indices of the runs' pixels: key (f*(h+1) + r)*(w+1) + c
-    # of the layout in _label_runs is pixel (f*h + r)*w + c
+def _run_pixels(starts: np.ndarray, ends: np.ndarray, h: int, w: int, frame=None, y0=0, x0=0):
+    # flat indices of the runs' pixels in a stack of frames of shape
+    # ``frame`` = (H, W), (h, w) by default, whose window at rows y0..,
+    # columns x0.. is the labelled (n, h, w) stack: key
+    # (f*(h+1) + r)*(w+1) + c of the layout in _label_runs is pixel
+    # (f*H + y0 + r)*W + x0 + c
+    H, W = frame or (h, w)
     row = starts // (w + 1)
     lengths = ends - starts
     offset = np.cumsum(lengths) - lengths
-    base = starts - row - (row // (h + 1)) * w
+    base = starts - row * (w + 1) + (row + row // (h + 1) * (H - h - 1) + y0) * W + x0
     return np.repeat(base - offset, lengths) + np.arange(lengths.sum())
 
 
-def _keep_largest(masks: np.ndarray, out: np.ndarray) -> None:
+def _keep_largest(masks: np.ndarray, out: np.ndarray, y0=0, x0=0) -> None:
     # paint each frame's biggest 8-connected component of the (n, h, w)
-    # stack into the all-False, C-contiguous ``out``; of equal sizes the
-    # first in scan order wins
+    # stack into the all-False, C-contiguous ``out``, whose window at rows
+    # y0.., columns x0.. the stack is; of equal sizes the first in scan
+    # order wins
     n, h, w = masks.shape
     starts, ends, component = _label_runs(masks)
     sizes = np.bincount(component, weights=ends - starts)
@@ -169,7 +174,7 @@ def _keep_largest(masks: np.ndarray, out: np.ndarray) -> None:
     keep = np.zeros(sizes.size, dtype=bool)
     keep[order[leader]] = True
     kept = keep[component]
-    out.ravel()[_run_pixels(starts[kept], ends[kept], h, w)] = True
+    out.ravel()[_run_pixels(starts[kept], ends[kept], h, w, out.shape[1:], y0, x0)] = True
 
 
 def largest_component(mask: np.ndarray) -> np.ndarray:
@@ -203,6 +208,8 @@ def segment_sequence(
 
     Frames are differenced, smoothed and labelled in blocks of
     about ``_BLOCK_BYTES``; a frame's mask does not depend on its block.
+    Labeling scans only the box of the block's voted pixels, which keeps
+    their scan order, so components and ties are those of the whole frame.
     With ``buffers`` the masks are painted into their ``masks`` array,
     valid only until the next walk is segmented into them.
     """
@@ -213,5 +220,10 @@ def segment_sequence(
     step = max(1, _BLOCK_BYTES // (h * w))
     for i in range(0, n, step):
         raw = _foreground(seq.pixels[i:i + step], bg.reference.pixels, threshold)
-        _keep_largest(_majority_vote(raw), masks[i:i + step])
+        voted = _majority_vote(raw)
+        seen = voted.any(axis=0)
+        rows, cols = np.flatnonzero(seen.any(axis=1)), np.flatnonzero(seen.any(axis=0))
+        if rows.size:
+            crop = voted[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+            _keep_largest(crop, masks[i:i + step], rows[0], cols[0])
     return masks

@@ -54,6 +54,16 @@ def brute_cdm(values, threshold):
     return brute_lower_median(max(runs, key=len))
 
 
+def brute_longest_run(values, threshold):
+    # the frames of brute_cdm's run: the first of the longest unchanged runs
+    runs = [[values[0]]]
+    for prev, cur in zip(values, values[1:]):
+        if abs(int(cur) - int(prev)) >= threshold:
+            runs.append([])
+        runs[-1].append(cur)
+    return max(runs, key=len)
+
+
 def brute_between_class_variance(values, t):
     # w0 * w1 * (mu0 - mu1)^2 for the classes <= t and > t; 0 when one is empty
     low = [v for v in values if v <= t]
@@ -288,6 +298,74 @@ def test_cdm_oracle_across_pixel_blocks(block_bytes, case):
         TestCdm.test_matches_brute_oracle.hypothesis.inner_test(TestCdm(), case)
 
 
+@st.composite
+def majority_walks(draw):
+    """(stack, threshold): walks of 1-13 frames drawn from one to three
+    values, the first of them dominant, so that most pixels hold a
+    majority and the others fall just short of one."""
+    n = draw(st.integers(1, 13))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = st.sampled_from((0, 40, 41, 60, 255))
+    levels = draw(st.lists(values, min_size=1, max_size=3, unique=True))
+    weight = draw(st.integers(1, 3))  # draws of the first level per draw of each other
+    elements = st.sampled_from([levels[0]] * weight + levels[1:])
+    stack = draw(arrays(np.uint8, (n, h, w), elements=elements))
+    return stack, draw(st.sampled_from(("auto", 0, 1, 2, 20, 255)))
+
+
+def _columns(*columns):
+    # one row of pixels, one column of frames each
+    return np.array(columns, dtype=np.uint8).T[:, None, :]
+
+
+# a pixel block of one byte counts one frame and selects one pixel per block
+@pytest.mark.parametrize("block_bytes", [1, 13, 1 << 19])
+@settings(max_examples=200, deadline=None)
+@given(walk=majority_walks())
+# the middle frame's value in n // 2 frames, then in n // 2 + 1, for odd and even n
+@example(walk=(_columns([10, 10, 10, 200, 200, 90], [10, 200, 10, 10, 200, 10]), 255))
+@example(walk=(_columns([10, 10, 10, 200, 200, 90, 90], [10, 200, 10, 10, 200, 10, 90]), 255))
+# threshold 0: every run is one frame; threshold 5: longest runs of two
+# frames, with and without a majority
+@example(walk=(_columns([10, 12, 200, 90], [10, 10, 200, 90], [7, 7, 7, 7]), 0))
+@example(walk=(_columns([10, 12, 200, 90], [10, 10, 200, 90], [7, 7, 7, 7]), 5))
+# the longest run holds a majority the walk lacks; the walk holds a majority
+# its longest run lacks
+@example(walk=(_columns([200, 90, 10, 10, 10, 150, 250]), 5))
+@example(walk=(_columns([40, 40, 200, 40, 40, 200, 40, 40, 40, 10, 11, 12, 13]), 5))
+def test_majority_step_matches_the_brute_oracles(block_bytes, walk):
+    """The median and the cdm reference, decided by counting where the
+    middle frame's value fills more than half of the run and by
+    selection elsewhere, equal the brute-force oracles; exactly the
+    pixels without such a majority go to selection."""
+    stack, threshold = walk
+    seq = seq_from_stack(stack)
+    counted = background._majority
+    selected = []
+
+    def majority(*args):
+        candidates, undecided = counted(*args)
+        selected.append(undecided.tolist())
+        return candidates, undecided
+
+    with mock.patch.object(background, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(background, "_majority", majority):
+        median = model_median(seq).reference.pixels
+        cdm = model_cdm(seq, threshold) if len(stack) >= 2 else None
+    columns = [stack[:, r, c].tolist() for r, c in np.ndindex(stack.shape[1:])]
+    assert median.ravel().tolist() == [brute_lower_median(v) for v in columns]
+    runs = [columns]  # the median's run is the whole walk
+    if cdm is not None:
+        t = cdm.cdm_threshold
+        assert cdm.reference.pixels.ravel().tolist() == [brute_cdm(v, t) for v in columns]
+        runs.append([brute_longest_run(v, t) for v in columns])
+    # no majority: the middle frame's value fills at most half of the run
+    assert selected == [
+        [i for i, run in enumerate(of) if 2 * run.count(run[(len(run) - 1) // 2]) <= len(run)]
+        for of in runs
+    ]
+
+
 @pytest.mark.parametrize(
     "model", [model_median, model_histogram, partial(model_cdm, threshold="auto")],
     ids=["median", "histogram", "cdm"],
@@ -436,7 +514,9 @@ def test_raster_bytes_are_not_header_comments(tmp_path, raster):
 
 @pytest.mark.slow
 def test_modelling_time_ordering():
-    """Counting beats selection beats change analysis on a long walker shot."""
+    """On a long walker shot the median, which counts the majority value
+    and selects only where none exists, beats the histogram's counting,
+    which beats change analysis."""
     spec = WalkerSpec(
         body_height=70, body_width=22, period_frames=24, stride_px=48,
         leg_swing_amplitude=40, start_x=45, noise_rate=0.005, seed=9,
@@ -454,4 +534,4 @@ def test_modelling_time_ordering():
     t_hist = best_of(model_histogram)
     t_median = best_of(model_median)
     t_cdm = best_of(lambda s: model_cdm(s, threshold=20))
-    assert t_hist < t_median < t_cdm, (t_hist, t_median, t_cdm)
+    assert t_median < t_hist < t_cdm, (t_hist, t_median, t_cdm)

@@ -52,6 +52,26 @@ def test_pgm_round_trip_bit_exact(tmp_path):
     assert np.array_equal(pixels, back)
 
 
+def test_pgm_comment_round_trip(tmp_path):
+    path = tmp_path / "bg.pgm"
+    write_pgm(path, gray(7, (2, 3)), comment="made by gaitlock: 2 1")
+    back, comments = read_pnm(path)
+    assert comments == ["made by gaitlock: 2 1"]
+    assert back.tobytes() == gray(7, (2, 3)).tobytes()
+
+
+@pytest.mark.parametrize("comment", ["made by\n2 1", "made by\r2 1", "caf\u00e9"],
+                         ids=["line-feed", "carriage-return", "non-ascii"])
+def test_pgm_comment_that_cannot_read_back_is_refused(tmp_path, comment):
+    """A line break would end the comment and put the rest in the header
+    ("2 1" read as height and maxval); a non-ASCII comment cannot be
+    written. Both are refused before the file or its directory exists."""
+    path = tmp_path / "out" / "bg.pgm"
+    with pytest.raises(ValueError, match="one line of ASCII text"):
+        write_pgm(path, gray(7), comment=comment)
+    assert not path.parent.exists()
+
+
 def test_load_constant_frames(tmp_path):
     for i in range(1, 4):
         write_pgm(tmp_path / frame_filename(i), gray(128))

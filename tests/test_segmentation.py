@@ -342,6 +342,47 @@ def _static_walk():
     return frames, np.full((4, 5), 90, dtype=np.uint8), "auto"
 
 
+def _edge_touching():
+    # foreground on the first and last row and column: a whole frame, and
+    # blobs in the top-right and bottom-left corners
+    frames = np.zeros((3, 6, 7), dtype=np.uint8)
+    frames[0] = 255
+    frames[1, :3, 4:] = 255
+    frames[2, 3:, :3] = 255
+    return frames, np.zeros((6, 7), dtype=np.uint8), "auto"
+
+
+def _empty_middle_block():
+    # frames 2 and 3 equal the reference: with blocks of one or two
+    # frames, empty blocks lie between non-empty ones
+    frames = np.zeros((6, 6, 8), dtype=np.uint8)
+    frames[0, 1:4, 1:4] = frames[1, 2:5, 3:6] = 255
+    frames[4, 2:6, 4:8] = frames[5, 0:3, 0:3] = 255
+    return frames, np.zeros((6, 8), dtype=np.uint8), "auto"
+
+
+def _last_frame_only():
+    # only the last frame of the walk, and so of its last block, differs
+    frames = np.full((4, 5, 6), 90, dtype=np.uint8)
+    frames[3, 1:4, 2:5] = 200
+    return frames, np.full((5, 6), 90, dtype=np.uint8), 50
+
+
+def _corner_pixel():
+    # a plus votes down to its centre alone: one pixel at a corner of the
+    # block's voted box, beside a larger blob on frame 0 and alone on frame 1;
+    # a foreground pixel in the image corner itself never survives the vote
+    frames = np.zeros((2, 7, 9), dtype=np.uint8)
+    frames[:, 0:3, 1] = frames[:, 1, 0:3] = 255
+    frames[0, 3:7, 5:9] = 255
+    frames[1, 6, 8] = 255
+    return frames, np.zeros((7, 9), dtype=np.uint8), 100
+
+
+CROP_WALKS = [_edge_touching(), _empty_middle_block(), _last_frame_only(), _corner_pixel()]
+CROP_IDS = ["edges", "empty-block", "last-frame", "corner-pixel"]
+
+
 class TestSegmentSequence:
     """The block function equals the per-frame chain whatever the blocks."""
 
@@ -377,6 +418,22 @@ class TestSegmentSequence:
                              ids=["tie", "across-frames", "static"])
     def test_hand_cases(self, walk, frames_per_block):
         self.check(walk, frames_per_block)
+
+    @pytest.mark.parametrize("frames_per_block", [1, 2, None])
+    @pytest.mark.parametrize("walk", CROP_WALKS, ids=CROP_IDS)
+    def test_blocks_cropped_to_the_voted_box(self, walk, frames_per_block):
+        """Labeling only the voted box of each block equals the per-frame
+        chain, on the box's edges and around empty blocks, also when
+        painted into stale buffers."""
+        self.check(walk, frames_per_block)
+        stale = TestSegmentSequence.test_masks_in_stale_buffers_equal_a_fresh_call
+        stale.hypothesis.inner_test(self, frames_per_block=frames_per_block, walk=walk)
+
+    def test_corner_pixel_is_kept_alone(self):
+        frames, reference, threshold = _corner_pixel()
+        masks = segment_sequence(FrameSequence(frames, fps=25), bg_of(reference), threshold)
+        assert np.flatnonzero(masks[1]).tolist() == [1 * 9 + 1]
+        assert masks[0, 4:6, 6:8].all() and not masks[0, 1, 1]
 
     @pytest.mark.parametrize("frames_per_block", [1, None])
     @settings(max_examples=100, deadline=None)
