@@ -5,7 +5,6 @@ from .background import (
     model_cdm,
     model_histogram,
     model_median,
-    otsu_threshold,
 )
 from .errors import GaitlockError
 from .features import (
@@ -76,7 +75,6 @@ __all__ = [
     "model_cdm",
     "model_histogram",
     "model_median",
-    "otsu_threshold",
     "partition_cycles",
     "predict",
     "save_model",

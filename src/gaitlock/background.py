@@ -19,10 +19,6 @@ TECHNIQUE_MEDIAN = "median"
 TECHNIQUE_HISTOGRAM = "histogram"
 TECHNIQUES = (TECHNIQUE_CDM, TECHNIQUE_MEDIAN, TECHNIQUE_HISTOGRAM)
 
-# above this many distinct intensities the sparse mode counter loses to a
-# dense per-pixel histogram
-_SPARSE_VALUE_LIMIT = 64
-
 # per-pixel selections and segmentation work in blocks of about this many
 # bytes, which stay in cache through every pass; no output depends on it
 _BLOCK_BYTES = 1 << 19
@@ -50,24 +46,6 @@ class BackgroundModel:
         return self.reference.height
 
 
-def otsu_threshold(values) -> int:
-    """Otsu split point for 8-bit data: classes are ``<= t`` and ``> t``.
-
-    Maximizes the between-class variance of the 256-bin histogram. On a
-    degenerate single-valued input the value itself is returned, so the
-    foreground class ``> t`` stays empty. Values must be integers in
-    [0, 255].
-    """
-    arr = np.asarray(values)
-    if arr.size == 0:
-        raise ValueError("otsu_threshold needs at least one value")
-    if arr.dtype != np.uint8:
-        if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() > 255:
-            raise ValueError("otsu_threshold needs integer values in [0, 255]")
-        arr = arr.astype(np.uint8)
-    return int(otsu_from_histograms(otsu_histograms(arr.reshape(1, -1)))[0])
-
-
 def otsu_histograms(rows: np.ndarray) -> np.ndarray:
     """The 256-bin histogram of each row of a non-empty (n, p) uint8
     array, as an (n, 256) int64 array. One ``bincount`` counts the
@@ -85,8 +63,9 @@ def otsu_histograms(rows: np.ndarray) -> np.ndarray:
 
 
 def otsu_from_histograms(hist: np.ndarray) -> np.ndarray:
-    """:func:`otsu_threshold` of the values counted by each row of an
-    (n, 256) histogram with at least one count per row.
+    """Per row of an (n, 256) histogram with at least one count per row,
+    the Otsu split ``t`` of the classes ``<= t`` and ``> t``; a row of one
+    value gets that value, so its class ``> t`` stays empty.
     """
     prob = hist / hist.sum(axis=1, keepdims=True)
     omega = np.cumsum(prob, axis=1)
@@ -128,8 +107,8 @@ def _majority(flat: np.ndarray, first=None, last=None):
     smallest unsigned type holding n - 1), or the whole walk without them.
 
     A value held by more than half of a run of L frames covers the sorted
-    position (L - 1) // 2, so it is the run's lower median: only the
-    returned pixels still need a selection.
+    position (L - 1) // 2, so it is the run's lower median and its only
+    mode: only the returned pixels still need a selection.
     """
     n, p = flat.shape
     if first is None:
@@ -178,37 +157,18 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
     """Per-pixel modal intensity over a 256-bin histogram.
 
     Ties between equally frequent intensities resolve to the lowest one.
-    Counting runs over the distinct intensities actually present (sampled
-    candidates with an exact per-pixel fallback); sequences with many
-    distinct values fall back to dense per-pixel histograms.
+    A value in more than half of a pixel's frames is its only mode and is
+    found by counting; the other pixels are binned.
     """
     n, h, w = seq.pixels.shape
-    p = h * w
-    flat = seq.pixels.reshape(n, p)
-    sample = flat[:, :: max(1, min(61, p))]
-    # uint8 keeps ``flat == v`` in uint8 under numpy 2 promotion
-    candidates = np.flatnonzero(np.bincount(sample.ravel(), minlength=256)).astype(np.uint8)
-    count_dtype = np.uint16 if n < 65535 else np.int64
-    best_val = np.zeros(p, dtype=np.uint8)
-    if candidates.size <= _SPARSE_VALUE_LIMIT:
-        best_count = np.zeros(p, dtype=count_dtype)
-        covered = np.zeros(p, dtype=count_dtype)
-        for v in candidates:  # ascending, strict '>' keeps ties at the low value
-            cnt = (flat == v).sum(axis=0, dtype=count_dtype)
-            better = cnt > best_count
-            best_val[better] = v
-            best_count[better] = cnt[better]
-            covered += cnt
-        for col in np.flatnonzero(covered < n):
-            best_val[col] = np.bincount(flat[:, col], minlength=256).argmax()
-    else:
-        # per pixel a block holds n int64 codes, then bincount makes 256 int64 counts
-        for cols, codes in _pixel_blocks(seq.pixels, np.intp, 8 * max(n, 256), np.arange(p)):
-            width = len(codes)
-            codes += np.arange(0, 256 * width, 256)[:, None]  # pixel i counts in bins 256 i ..
-            counts = np.bincount(codes.ravel(), minlength=256 * width)
-            best_val[cols] = counts.reshape(width, 256).argmax(axis=1)
-    return BackgroundModel(Frame(best_val.reshape(h, w)), TECHNIQUE_HISTOGRAM)
+    reference, undecided = _majority(seq.pixels.reshape(n, h * w))
+    # per pixel a block holds n int64 codes, then bincount makes 256 int64 counts
+    for cols, codes in _pixel_blocks(seq.pixels, np.intp, 8 * max(n, 256), undecided):
+        width = len(codes)
+        codes += np.arange(0, 256 * width, 256)[:, None]  # pixel i counts in bins 256 i ..
+        counts = np.bincount(codes.ravel(), minlength=256 * width)
+        reference[cols] = counts.reshape(width, 256).argmax(axis=1)  # the lowest on ties
+    return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_HISTOGRAM)
 
 
 def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
@@ -310,8 +270,10 @@ def load_background(path) -> BackgroundModel:
                 if key == "technique" and value in TECHNIQUES:
                     technique = value
                 elif key == "threshold":
-                    try:
-                        cdm_threshold = int(value)
-                    except ValueError as exc:
-                        raise DecodeError(f"{path}: bad threshold in comment {line!r}") from exc
+                    # decimal digits only, as read_pnm reads header numbers, up to
+                    # 256: the auto threshold when every difference is 255
+                    digits = value.lstrip("0") or "0"  # int() refuses 4,301 digits
+                    if not (value.isdigit() and len(digits) <= 3 and int(digits) <= 256):
+                        raise DecodeError(f"{path}: bad threshold in comment {line!r}")
+                    cdm_threshold = int(digits)
     return BackgroundModel(Frame(pixels), technique, cdm_threshold)

@@ -15,11 +15,12 @@ from gaitlock.background import (
     model_cdm,
     model_histogram,
     model_median,
-    otsu_threshold,
+    otsu_from_histograms,
+    otsu_histograms,
     save_background,
 )
 from gaitlock.errors import TooFewFrames
-from gaitlock.imagery import Frame, FrameSequence, load_sequence, save_sequence
+from gaitlock.imagery import Frame, FrameSequence, load_sequence, save_sequence, write_pgm
 from gaitlock.synthgait import WalkerSpec, generate
 
 
@@ -62,6 +63,12 @@ def brute_longest_run(values, threshold):
             runs.append([])
         runs[-1].append(cur)
     return max(runs, key=len)
+
+
+def otsu_split(values):
+    # the Otsu split of 8-bit values, as one row of the batched functions
+    row = np.asarray(values, dtype=np.uint8).reshape(1, -1)
+    return int(otsu_from_histograms(otsu_histograms(row))[0])
 
 
 def brute_between_class_variance(values, t):
@@ -149,7 +156,7 @@ class TestHistogram:
         rng = np.random.default_rng(3)
         for _ in range(25):
             n = int(rng.integers(1, 15))
-            # narrow and wide intensity ranges to exercise both counting paths
+            # narrow ranges make pixels decided by a majority, wide ones pixels binned
             top = int(rng.choice([4, 256]))
             stack = rng.integers(0, top, size=(n, 4, 3), dtype=np.uint8)
             ref = model_histogram(seq_from_stack(stack)).reference.pixels
@@ -204,7 +211,7 @@ class TestCdm:
         if threshold == "auto":
             diffs = np.abs(np.diff(stack.astype(np.int16), axis=0)).astype(np.uint8)
             # 256 when every pooled difference is 255: then nothing fires
-            threshold = otsu_threshold(diffs) + 1
+            threshold = otsu_split(diffs) + 1
             model = model_cdm(seq, threshold="auto")
         else:
             model = model_cdm(seq, threshold=threshold)
@@ -267,27 +274,25 @@ BLOCK_SIZES = [1, 13, 200, 1 << 15]
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 def test_oracles_across_pixel_blocks(monkeypatch, block_bytes):
-    """The brute-force oracles of the median and the histogram, on both
-    counting paths, with the walk split into blocks of a few pixels."""
+    """The brute-force oracles of the median and the histogram, with the
+    walk split into blocks of a few pixels."""
     monkeypatch.setattr(background, "_BLOCK_BYTES", block_bytes)
     TestMedian().test_matches_brute_oracle_on_random_stacks()
     rng = np.random.default_rng(block_bytes)
     # a prime pixel count with one and two frames
     stacks = [rng.integers(0, 256, size=(n, 1, 13), dtype=np.uint8) for n in (1, 2, 9)]
-    for limit in (background._SPARSE_VALUE_LIMIT, 0):  # 0: always the dense path
-        monkeypatch.setattr(background, "_SPARSE_VALUE_LIMIT", limit)
-        TestHistogram().test_matches_brute_oracle_on_random_stacks()
-        for stack in stacks:
-            seq = seq_from_stack(stack)
-            columns = [stack[:, 0, c].tolist() for c in range(13)]
-            ref = model_histogram(seq).reference.pixels[0]
-            assert ref.tolist() == [brute_mode(v) for v in columns]
-            assert model_median(seq).reference.pixels[0].tolist() == [
-                brute_lower_median(v) for v in columns
-            ]
-            if len(stack) >= 2:
-                ref = model_cdm(seq, threshold=60).reference.pixels[0]
-                assert ref.tolist() == [brute_cdm(v, 60) for v in columns]
+    TestHistogram().test_matches_brute_oracle_on_random_stacks()
+    for stack in stacks:
+        seq = seq_from_stack(stack)
+        columns = [stack[:, 0, c].tolist() for c in range(13)]
+        ref = model_histogram(seq).reference.pixels[0]
+        assert ref.tolist() == [brute_mode(v) for v in columns]
+        assert model_median(seq).reference.pixels[0].tolist() == [
+            brute_lower_median(v) for v in columns
+        ]
+        if len(stack) >= 2:
+            ref = model_cdm(seq, threshold=60).reference.pixels[0]
+            assert ref.tolist() == [brute_cdm(v, 60) for v in columns]
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
@@ -333,9 +338,13 @@ def _columns(*columns):
 # its longest run lacks
 @example(walk=(_columns([200, 90, 10, 10, 10, 150, 250]), 5))
 @example(walk=(_columns([40, 40, 200, 40, 40, 200, 40, 40, 40, 10, 11, 12, 13]), 5))
+# modes tied with no majority; at even n the middle frame's value held in
+# exactly n // 2 frames, tied with a lower mode and as the only mode
+@example(walk=(_columns([12, 12, 40, 40, 7]), "auto"))
+@example(walk=(_columns([7, 7, 30, 30, 30, 7], [50, 9, 50, 50, 1, 2]), "auto"))
 def test_majority_step_matches_the_brute_oracles(block_bytes, walk):
-    """The median and the cdm reference, decided by counting where the
-    middle frame's value fills more than half of the run and by
+    """The median, histogram and cdm references, decided by counting
+    where the middle frame's value fills more than half of the run and by
     selection elsewhere, equal the brute-force oracles; exactly the
     pixels without such a majority go to selection."""
     stack, threshold = walk
@@ -351,10 +360,12 @@ def test_majority_step_matches_the_brute_oracles(block_bytes, walk):
     with mock.patch.object(background, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(background, "_majority", majority):
         median = model_median(seq).reference.pixels
+        histogram = model_histogram(seq).reference.pixels
         cdm = model_cdm(seq, threshold) if len(stack) >= 2 else None
     columns = [stack[:, r, c].tolist() for r, c in np.ndindex(stack.shape[1:])]
     assert median.ravel().tolist() == [brute_lower_median(v) for v in columns]
-    runs = [columns]  # the median's run is the whole walk
+    assert histogram.ravel().tolist() == [brute_mode(v) for v in columns]
+    runs = [columns, columns]  # the median's and the histogram's run is the whole walk
     if cdm is not None:
         t = cdm.cdm_threshold
         assert cdm.reference.pixels.ravel().tolist() == [brute_cdm(v, t) for v in columns]
@@ -413,9 +424,9 @@ def test_loading_memory_is_bounded(tmp_path):
 
 def test_otsu_separates_bimodal_values():
     values = np.array([10] * 100 + [200] * 100, dtype=np.uint8)
-    t = otsu_threshold(values)
+    t = otsu_split(values)
     assert 10 <= t < 200
-    assert otsu_threshold(np.array([42] * 10, dtype=np.uint8)) == 42
+    assert otsu_split(np.array([42] * 10, dtype=np.uint8)) == 42
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,7 +436,7 @@ def test_otsu_separates_bimodal_values():
 @example(np.array([0, 255], dtype=np.uint8))
 def test_otsu_maximises_between_class_variance(values):
     values = values.tolist()
-    t = otsu_threshold(values)
+    t = otsu_split(values)
     variances = [brute_between_class_variance(values, s) for s in range(256)]
     best = max(variances)
     assert abs(variances[t] - best) <= 1e-9 * best
@@ -441,45 +452,36 @@ def brute_otsu(values):
 
 class TestOtsuEdges:
     def test_all_zeros(self):
-        assert otsu_threshold(np.zeros(50, np.uint8)) == 0
+        assert otsu_split(np.zeros(50, np.uint8)) == 0
 
     def test_no_zeros(self):
         # classes {100} and {200}: a phantom zero would split off {0}
-        assert otsu_threshold(np.array([100, 200], np.uint8)) == 100
+        assert otsu_split(np.array([100, 200], np.uint8)) == 100
         rng = np.random.default_rng(8)
         values = rng.integers(1, 256, size=300).astype(np.uint8)
-        assert otsu_threshold(values) == brute_otsu(values.tolist())
+        assert otsu_split(values) == brute_otsu(values.tolist())
 
     def test_single_nonzero_value(self):
         for v in (1, 9, 255):
             values = [0] * 40 + [v]
-            assert otsu_threshold(np.array(values, np.uint8)) == brute_otsu(values) == 0
+            assert otsu_split(np.array(values, np.uint8)) == brute_otsu(values) == 0
 
     def test_zero_weight_moves_the_split(self):
         # four zeros split {0, 30} from {60}, five split {0} from {30, 60}
         splits = []
         for zeros in range(1, 9):
             values = [0] * zeros + [30] * 5 + [60] * 5
-            splits.append(otsu_threshold(np.array(values, np.uint8)))
+            splits.append(otsu_split(np.array(values, np.uint8)))
             assert splits[-1] == brute_otsu(values)
         assert splits == [30] * 4 + [0] * 4
-
-    def test_values_beyond_8_bits_rejected(self):
-        # 300 would wrap to 44 as uint8
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            otsu_threshold(np.array([10] * 50 + [300] * 50, np.int16))
-        with pytest.raises(ValueError):
-            otsu_threshold([-1, 10])
-
-    def test_non_integer_values_rejected(self):
-        with pytest.raises(ValueError, match="integer"):
-            otsu_threshold(np.array([10.0, 200.5]))
 
     def test_two_dimensional_input_equals_its_ravel(self):
         rng = np.random.default_rng(9)
         stack = rng.integers(0, 4, size=(12, 5, 7)).astype(np.uint8) * 60
         diffs = np.abs(np.diff(stack.astype(np.int16), axis=0)).astype(np.uint8).reshape(11, 35)
-        assert otsu_threshold(diffs) == otsu_threshold(diffs.ravel())
+        pooled = otsu_histograms(diffs).sum(axis=0)
+        assert np.array_equal(pooled, otsu_histograms(diffs.ravel()[None])[0])
+        assert otsu_from_histograms(pooled[None])[0] == otsu_split(diffs.ravel())
 
 
 def test_background_file_round_trip(tmp_path):
@@ -490,6 +492,15 @@ def test_background_file_round_trip(tmp_path):
     assert np.array_equal(back.reference.pixels, model.reference.pixels)
     assert back.technique == "cdm"
     assert back.cdm_threshold == 20
+
+
+# 256 is the auto threshold of a walk whose every difference is 255
+@pytest.mark.parametrize("text, threshold", [("0", 0), ("007", 7), ("256", 256), ("0" * 5000 + "9", 9)],
+                         ids=["0", "007", "256", "5000-zeros-9"])
+def test_provenance_threshold_in_range_loads(tmp_path, text, threshold):
+    path = tmp_path / "bg.pgm"
+    write_pgm(path, np.zeros((2, 3)), comment=f"gaitlock-background technique=cdm threshold={text}")
+    assert load_background(path).cdm_threshold == threshold
 
 
 # comment-less 1-row references whose raster bytes spell a provenance comment

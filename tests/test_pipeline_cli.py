@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -477,10 +478,14 @@ class TestCli:
         save_background(back, tmp_path / "again.pgm")
         assert (tmp_path / "again.pgm").read_bytes() == bg.read_bytes()
 
-    def test_bad_background_provenance_is_a_data_error(self, tmp_path, capsys):
+    # int() reads 1_0 as 10 and +5 as 5; an auto threshold is at most 256
+    @pytest.mark.parametrize("threshold", ["x1", "1_0", "+5", "-3", "999", "257", "", "9" * 5000],
+                             ids=["x1", "1_0", "+5", "-3", "999", "257", "empty", "5000-nines"])
+    def test_bad_background_provenance_is_a_data_error(self, tmp_path, capsys, threshold):
         bg = tmp_path / "bg.pgm"
-        write_pgm(bg, np.zeros((4, 4)), comment="gaitlock-background technique=cdm threshold=x1")
-        with pytest.raises(DecodeError, match="threshold=x1"):
+        write_pgm(bg, np.zeros((4, 4)),
+                  comment=f"gaitlock-background technique=cdm threshold={threshold}")
+        with pytest.raises(DecodeError, match=re.escape(f"{bg}: bad threshold")):
             load_background(bg)
         assert main(["segment", "--bg", str(bg), "--in", str(tmp_path / "frames"),
                      "--out", str(tmp_path / "sil")]) == 2
