@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodeError, TooFewFrames
-from .imagery import Frame, FrameSequence, read_pnm, write_pgm
+from .imagery import Frame, FrameSequence, decimal_number, read_pnm, write_pgm
 
 TECHNIQUE_CDM = "cdm"
 TECHNIQUE_MEDIAN = "median"
@@ -217,12 +217,24 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     # so the largest key is the longest run and, on equal lengths, the earlier.
     # Keys stay below n * (n + 1): the smallest signed type holding -n * (n + 1)
     # holds them (int16 up to n = 180)
-    key = np.full(p, 2 * n - 1, dtype=np.min_scalar_type(-n * (n + 1)))  # frame 0
+    key_type = np.min_scalar_type(-n * (n + 1))
+    key = np.full(p, 2 * n - 1, dtype=key_type)  # frame 0
     best = key.copy()
-    for t in range(1, n):
-        key += n  # one frame longer
-        np.copyto(key, 2 * n - 1 - t, where=fires[t - 1])  # a new run starts at t
-        np.maximum(best, key, out=best)
+    # per frame t, reset holds the key 2n - 1 - t of a run starting at t where
+    # a change fires, else the type's max. A run still going at t has key + n
+    # >= 3n - t, above the start key, and below n * (n + 1) <= max, so one
+    # minimum starts the new runs without a masked copy
+    big = np.iinfo(key_type).max
+    reset = np.empty((min(step, n - 1), p), dtype=key_type)
+    for i in range(1, n, step):
+        block = reset[:min(step, n - i)]
+        starts = (2 * n - 1 - np.arange(i, i + len(block))).astype(key_type)
+        np.multiply(fires[i - 1:i - 1 + len(block)], starts[:, None] - big, out=block)
+        block += big
+        for row in block:
+            key += n  # one frame longer
+            np.minimum(key, row, out=key)  # a new run starts where a change fires
+            np.maximum(best, key, out=best)
     # frame numbers in the smallest unsigned type holding n - 1 (uint16 up to
     # n = 65,536), where frames before a pixel's run wrap past its end: one
     # compare finds the frames outside the run, and these gain 256, so they
@@ -270,10 +282,10 @@ def load_background(path) -> BackgroundModel:
                 if key == "technique" and value in TECHNIQUES:
                     technique = value
                 elif key == "threshold":
-                    # decimal digits only, as read_pnm reads header numbers, up to
-                    # 256: the auto threshold when every difference is 255
-                    digits = value.lstrip("0") or "0"  # int() refuses 4,301 digits
-                    if not (value.isdigit() and len(digits) <= 3 and int(digits) <= 256):
-                        raise DecodeError(f"{path}: bad threshold in comment {line!r}")
-                    cdm_threshold = int(digits)
+                    # read as read_pnm reads header numbers, up to 256: the
+                    # auto threshold when every difference is 255
+                    try:
+                        cdm_threshold = decimal_number(value, 256)
+                    except ValueError:
+                        raise DecodeError(f"{path}: bad threshold in comment {line!r}") from None
     return BackgroundModel(Frame(pixels), technique, cdm_threshold)

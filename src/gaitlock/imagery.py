@@ -30,6 +30,23 @@ _SKIP = rb"(?:\s|#[^\n]*(?![^\n]))*"
 _HEADER_RE = re.compile((_SKIP + rb"([^\s#]\S*)(?!\S)") * 4)
 _COMMENT_RE = re.compile(rb"#([^\n]*)")
 
+# the largest number a PNM header or a model-file count may spell: the
+# largest C int, Netpbm's own limit on a header number
+NUMBER_MAX = 2**31 - 1
+
+
+def decimal_number(text: str, cap: int = NUMBER_MAX) -> int:
+    """The value of ``text`` when it is ASCII decimal digits only and at
+    most ``cap``; ValueError otherwise. Leading zeros are stripped first,
+    so any number of them reads as the value they lead and int() never
+    meets more digits than ``cap`` has (it refuses over 4,300)."""
+    digits = text.lstrip("0") or "0"
+    if not (text.isascii() and text.isdigit() and len(digits) <= len(str(cap))
+            and int(digits) <= cap):
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ValueError(f"not a decimal number in [0, {cap}]: {shown}")
+    return int(digits)
+
 
 def _grid(pixels) -> np.ndarray:
     """``pixels`` as a non-empty 2-D array of integers in [0, 255]."""
@@ -150,7 +167,9 @@ def read_pnm(path) -> tuple[np.ndarray, list[str]]:
 
     Returns the pixel grid as (height, width) uint8 (PPM converted to
     luminance) together with the header's comment lines. A P5 grid is a
-    read-only view of the file's bytes.
+    read-only view of the file's bytes. Header numbers are read by
+    ``decimal_number``: leading zeros are ignored, and a number above
+    ``NUMBER_MAX`` is a DecodeError.
     """
     pixels, comments, _ = _read_pnm(path)
     return pixels, comments
@@ -170,10 +189,10 @@ def _read_pnm(path) -> tuple[np.ndarray, list[str], bytes | None]:
     magic, *numbers = header.groups()
     if magic not in (b"P5", b"P6"):
         raise DecodeError(f"{path}: unsupported magic {magic!r}")
-    for token in numbers:
-        if not token.isdigit():  # ASCII decimal digits only, as Netpbm reads them
-            raise DecodeError(f"{path}: malformed header (not a decimal number: {token!r})")
-    w, h, mv = map(int, numbers)
+    try:  # ASCII decimal digits only, as Netpbm reads them; latin-1 decodes any byte
+        w, h, mv = (decimal_number(token.decode("latin-1")) for token in numbers)
+    except ValueError as exc:
+        raise DecodeError(f"{path}: malformed header ({exc})") from None
     if w <= 0 or h <= 0:
         raise DecodeError(f"{path}: non-positive dimensions {w}x{h}")
     if mv != 255:

@@ -22,6 +22,7 @@ from .errors import (
     TooFewClasses,
     VersionMismatch,
 )
+from .imagery import decimal_number
 
 KERNEL_LINEAR = "linear"
 KERNEL_POLY = "poly"
@@ -522,58 +523,73 @@ def _check_finite(values, record: str) -> None:
 def load_model(path) -> SvmModel:
     """Parse a model file written by :func:`save_model`, one line at a time.
     Support-vector rows with the same text are parsed once, as one row of
-    the pool."""
+    the pool. A file it cannot read raises FormatError (VersionMismatch for
+    another version) with the message ``<path> line <n>: <problem>``, lines
+    counted as ``str.splitlines`` splits the text; counts are read by
+    ``imagery.decimal_number``."""
+    line_no = 1  # the line an error names
     with open(path, encoding="ascii", errors="replace") as file:
         head = f"{MODEL_MAGIC} {MODEL_VERSION}\n"
         first = file.readline()
-        if first and first != head and head.startswith(first):  # a write cut inside the header
-            raise FormatError("model file is truncated")
         # str.splitlines of each line splits the records as it splits the whole text
-        lines = (record for line in itertools.chain([first], file) for record in line.splitlines())
-        header = next(lines, "").split()
-        if len(header) != 2 or header[0] != MODEL_MAGIC:
-            raise FormatError("not a gaitlock SVM model file")
-        if header[1] != MODEL_VERSION:
-            raise VersionMismatch(f"unsupported model version {header[1]!r}")
+        lines = itertools.chain([first], file)
+        numbered = enumerate((record for line in lines for record in line.splitlines()), start=1)
 
         def expect(keyword: str) -> list[str]:
-            parts = next(lines).split()
+            nonlocal line_no
+            line_no, line = next(numbered)
+            parts = line.split()
             if not parts or parts[0] != keyword:
                 raise FormatError(f"expected '{keyword}' record")
             return parts[1:]
 
-        def rows(count_str: str, record: str) -> list[str]:
-            # the lines a record announces, read before any array is sized by the count
-            count = int(count_str)
-            if count < 0:
-                raise FormatError(f"{record} has a negative count")
-            taken = list(itertools.islice(lines, count))
-            if len(taken) < count:
-                raise FormatError(f"{record} announces {count} lines, the file holds {len(taken)}")
+        def count(text: str, record: str) -> int:
+            try:
+                return decimal_number(text)
+            except ValueError as exc:
+                raise FormatError(f"{record} has a bad count: {exc}") from None
+
+        def rows(count_str: str, record: str) -> list[tuple[int, str]]:
+            # the numbered lines a record announces, read before any array is
+            # sized by the count
+            n = count(count_str, record)
+            taken = list(itertools.islice(numbered, n))
+            if len(taken) < n:
+                raise FormatError(f"{record} announces {n} lines, the file holds {len(taken)}")
             return taken
 
         try:
+            if first and first != head and head.startswith(first):  # a write cut inside the header
+                raise FormatError("model file is truncated")
+            header = next(numbered, (1, ""))[1].split()
+            if len(header) != 2 or header[0] != MODEL_MAGIC:
+                raise FormatError("not a gaitlock SVM model file")
+            if header[1] != MODEL_VERSION:
+                raise VersionMismatch(f"unsupported model version {header[1]!r}")
             (k_str,) = expect("classes")
-            classes = rows(k_str, f"record 'classes {k_str}'")
+            class_rows = rows(k_str, f"record 'classes {k_str}'")
+            classes = [name for _, name in class_rows]
             if len(classes) < 2 or classes != sorted(set(classes)):
                 raise FormatError(
                     f"record 'classes {k_str}' needs 2 or more distinct sorted classes"
                 )
+            line_no = class_rows[-1][0]
             (dim_str,) = expect("normalization")
             mean, std = [], []
-            for line in rows(dim_str, f"record 'normalization {dim_str}'"):
-                m_str, s_str = line.split()
-                mean.append(float(m_str))
-                std.append(float(s_str))
+            for line_no, line in rows(dim_str, f"record 'normalization {dim_str}'"):
+                fields = line.split()
+                record = f"normalization record '{' '.join(fields)}'"
+                if len(fields) != 2:
+                    raise FormatError(f"{record} needs a mean and a std")
+                mean.append(float(fields[0]))
+                std.append(float(fields[1]))
                 if not (np.isfinite(mean[-1]) and 0.0 < std[-1] < np.inf):
-                    raise FormatError(
-                        f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
-                    )
+                    raise FormatError(f"{record} needs a finite mean and std > 0")
             dim = len(mean)
             mean, std = np.array(mean), np.array(std)
             (m_count_str,) = expect("machines")
             n_pairs = len(classes) * (len(classes) - 1) // 2
-            if int(m_count_str) != n_pairs:
+            if count(m_count_str, f"record 'machines {m_count_str}'") != n_pairs:
                 raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
             machines, pool, slot = [], [], {}  # slot: row text -> pool row
             for pair in itertools.combinations(classes, 2):  # the order of train_multiclass
@@ -600,10 +616,12 @@ def load_model(path) -> SvmModel:
                 of_pair = f"of pair {pair[0]} {pair[1]}"
                 _check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
                 n_sv_str, sv_dim_str = expect("vectors")
-                if int(sv_dim_str) != dim:
+                record = f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"
+                if count(sv_dim_str, record) != dim:
                     raise FormatError("support vector dimension differs from normalization")
                 coefs, index = [], []
-                for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
+                vectors = rows(n_sv_str, record)
+                for line_no, line in vectors:
                     parts = line.split(maxsplit=1)
                     text = parts[1] if len(parts) == 2 else ""
                     if text not in slot:
@@ -616,15 +634,21 @@ def load_model(path) -> SvmModel:
                     coefs.append(float(parts[0]))
                     index.append(slot[text])
                 coefs = np.array(coefs, dtype=float)
-                _check_finite(coefs, f"a 'vectors' row {of_pair}")
+                finite = np.isfinite(coefs)
+                if not finite.all():
+                    line_no = vectors[int(finite.argmin())][0]
+                    raise FormatError(f"a 'vectors' row {of_pair} holds a non-finite number")
                 index = np.array(index, dtype=np.intp)
                 machines.append((index, coefs, float(bias_str), spec, pair))
-            if next(lines) != "end":
+            line_no, line = next(numbered)
+            if line != "end":
                 raise FormatError("missing end record")
         except StopIteration:
-            raise FormatError("model file is truncated") from None
+            raise FormatError(f"{path} line {line_no + 1}: model file is truncated") from None
         except (ValueError, IndexError) as exc:
-            raise FormatError(f"malformed model file: {exc}") from exc
+            raise FormatError(f"{path} line {line_no}: malformed record: {exc}") from exc
+        except (FormatError, VersionMismatch) as exc:
+            raise type(exc)(f"{path} line {line_no}: {exc}") from None
     pool = np.array(pool, dtype=float).reshape(len(pool), dim)
     binaries = [BinarySvm(pool, *machine) for machine in machines]
     return SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)

@@ -135,9 +135,10 @@ def test_header_comments_ignored(tmp_path):
     assert seq[0].pixels[0, 0] == 0x42
 
 
-def test_header_size_beyond_the_raster_is_a_decode_error(tmp_path):
+@pytest.mark.parametrize("size", [b"100000 100000", b"2147483647 1"])  # the largest number
+def test_header_size_beyond_the_raster_is_a_decode_error(tmp_path, size):
     # the header's counts must not size anything before the raster is checked
-    (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n100000 100000\n255\n" + bytes(16))
+    (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
     with pytest.raises(DecodeError, match=r"frame_0001\.pgm: truncated raster"):
         load_sequence(tmp_path, fps=25)
 
@@ -225,7 +226,11 @@ def reference_read_pnm(data: bytes) -> tuple[np.ndarray, list[str]]:
     numbers = (width, height, maxval)
     if not all(re.fullmatch(rb"[0-9]+", token) for token in numbers):
         raise DecodeError("header numbers must be ASCII decimal digits")
-    w, h, mv = map(int, numbers)
+    # leading zeros do not count, and no number is above the largest C int
+    values = [token.lstrip(b"0") or b"0" for token in numbers]
+    if any(len(value) > 10 or int(value) >= 2**31 for value in values):
+        raise DecodeError("header number above 2**31 - 1")
+    w, h, mv = map(int, values)
     if w <= 0 or h <= 0 or mv != 255:
         raise DecodeError("unsupported dimensions or maxval")
     pos += 1  # single whitespace byte separates header from raster
@@ -273,6 +278,8 @@ def pnm_files(draw) -> bytes:
 @example(data=b"P5\n2 1\n255\n\x01\x02")
 @example(data=b"P5\n1_0 1\n255\n" + bytes(10))  # int() reads 1_0 as 10
 @example(data=b"P5\n+2 1\n255\n\x01\x02")
+@example(data=b"P5\n" + b"0" * 5000 + b"1 1\n" + b"0" * 5000 + b"255\n\x07")  # int() refuses
+@example(data=b"P5\n" + b"9" * 5000 + b" 1\n255\n\x07")  # over 4,300 digits
 def test_header_grammar_matches_the_token_reader(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "grammar.pnm"
     path.write_bytes(data)

@@ -364,6 +364,20 @@ class TestCli:
         assert "accuracy = 1.000000" in out
         assert "[confusion-matrix]" in out and "[measures]" in out  # the report's sections
 
+    def test_background_techniques_agree_on_a_noise_free_walk(self, tmp_path):
+        spec = tmp_path / "walker.cfg"
+        spec.write_text("period_frames = 16\n")
+        frames = tmp_path / "frames"
+        assert main(["synth", "--spec", str(spec), "--out", str(frames), "--quiet"]) == 0
+        references = []
+        for technique in ("cdm", "median", "histogram"):
+            bg = tmp_path / f"bg-{technique}.pgm"
+            assert main(["background", "--technique", technique, "--in", str(frames),
+                         "--out", str(bg), "--quiet"]) == 0
+            references.append(load_background(bg).reference.pixels)
+        for reference in references:
+            assert reference.tobytes() == references[0].tobytes()
+
     def test_segment_writes_the_per_frame_chain(self, tmp_path):
         spec = WalkerSpec(body_height=36, body_width=12, period_frames=12, stride_px=24,
                           leg_swing_amplitude=22, start_x=36, noise_rate=0.01, seed=7)
@@ -490,13 +504,25 @@ class TestCli:
         assert main(["segment", "--bg", str(bg), "--in", str(tmp_path / "frames"),
                      "--out", str(tmp_path / "sil")]) == 2
         assert f"error: {bg}: " in capsys.readouterr().err
+        assert not (tmp_path / "sil").exists()
 
-    @pytest.mark.parametrize("width", [b"1_0", b"+10"])  # int() reads both as 10
-    def test_header_number_beyond_decimal_digits_is_a_data_error(self, tmp_path, capsys, width):
+    @pytest.mark.parametrize(
+        "width, problem",
+        [
+            (b"1_0", "not a decimal number"),  # int() reads both as 10
+            (b"+10", "not a decimal number"),
+            # int() refuses more than 4,300 digits
+            (b"9" * 5000, "in [0, 2147483647]: '99999999999999999999'... (5000 characters)"),
+            (b"0" * 5000 + b"2147483648", "in [0, 2147483647]: '00000000000000000000'... (5010 "),
+        ],
+        ids=["1_0", "+10", "5000-nines", "above-the-cap"],
+    )
+    def test_header_number_beyond_decimal_digits_is_a_data_error(self, tmp_path, capsys, width,
+                                                                 problem):
         frame = tmp_path / "frames" / "frame_0001.pgm"
         frame.parent.mkdir()
         frame.write_bytes(b"P5\n" + width + b" 1\n255\n" + bytes(10))
-        with pytest.raises(DecodeError, match="not a decimal number"):
+        with pytest.raises(DecodeError, match=re.escape(problem)):
             read_pnm(frame)
         assert main(["background", "--in", str(frame.parent), "--out", str(tmp_path / "bg.pgm"),
                      "--quiet"]) == 2
@@ -607,6 +633,7 @@ class TestModelFile:
             ("kernel", 0, "kernel linear inf", "record 'kernel linear inf' holds"),
             ("bias", 0, "bias nan", "record 'bias nan' of pair ann bob holds"),
             ("vectors", 1, "1" + " nan" * 14, "a 'vectors' row of pair ann bob holds"),
+            ("vectors", 2, "inf" + " 0.5" * 14, "a 'vectors' row of pair ann bob holds"),
             # counts beyond the file must not size an allocation
             ("vectors", 0, "vectors 100000000000 14", "record 'vectors 100000000000 14'"),
             ("normalization", 0, "normalization 100000000000",
@@ -614,24 +641,54 @@ class TestModelFile:
             ("vectors", 0, "vectors -1 14", "record 'vectors -1 14' of pair ann bob has"),
             ("normalization", 0, "normalization -14", "record 'normalization -14' has"),
             ("classes", 0, "classes -2", "record 'classes -2' has"),
+            # int() refuses more than 4,300 digits
+            ("machines", 0, "machines " + "9" * 5000,
+             "has a bad count: not a decimal number in [0, 2147483647]: '99999999999999999999'..."),
+            ("normalization", 1, "0.5 1 2",
+             "normalization record '0.5 1 2' needs a mean and a std"),
         ],
         ids=["zero-std", "infinite-mean", "infinite-c", "nan-bias", "nan-vector",
-             "huge-vectors-count", "huge-normalization-count", "negative-vectors-count",
-             "negative-normalization-count", "negative-classes-count"],
+             "infinite-second-coefficient", "huge-vectors-count", "huge-normalization-count",
+             "negative-vectors-count", "negative-normalization-count", "negative-classes-count",
+             "5000-digit-machines-count", "three-field-normalization"],
     )
     def test_corrupt_numbers_are_a_data_error(self, tmp_path, capsys, model, keyword, offset,
                                               text, message):
         lines = model.read_text().splitlines()
-        lines[next(i for i, ln in enumerate(lines) if ln.startswith(keyword)) + offset] = text
+        index = next(i for i, ln in enumerate(lines) if ln.startswith(keyword)) + offset
+        lines[index] = text
         model.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=message):
+        where = f"{model} line {index + 1}: "  # the line that was changed
+        with pytest.raises(FormatError, match=re.escape(where) + ".*" + re.escape(message)):
             svm.load_model(model)
         feats = tmp_path / "f.csv"
         feats.write_text(HEADER + _row("ann", "s0"))
         assert main(["predict", "--model", str(model), "--features", str(feats)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert message in err
+        assert f"error: {where}" in err and message in err
+
+    def test_gallery_scale_model_round_trips_and_predicts_as_it_evaluates(self, tmp_path,
+                                                                           capsys, monkeypatch):
+        # the benchmark's seed-0 gallery: 48 subjects x 8 walks, so 1,128 machines
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "gaitbench"))
+        from workloads import write_gallery
+
+        gallery, model = tmp_path / "gallery.csv", tmp_path / "model.svm"
+        write_gallery(gallery, 0)
+        assert main(["train", "--features", str(gallery), "--out", str(model), "--quiet"]) == 0
+        assert "machines 1128" in model.read_text().splitlines()
+        svm.save_model(svm.load_model(model), tmp_path / "again.svm")
+        assert (tmp_path / "again.svm").read_bytes() == model.read_bytes()
+        assert main(["predict", "--model", str(model), "--features", str(gallery)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "subject,sequence,predicted" and len(lines) == 1 + 384
+        rows = [ln.split(",") for ln in lines[1:]]
+        share = sum(subject == predicted for subject, _, predicted in rows) / len(rows)
+        assert main(["evaluate", "--model", str(model), "--features", str(gallery)]) == 0
+        (accuracy,) = [ln.split(" = ")[1] for ln in capsys.readouterr().out.splitlines()
+                       if ln.startswith("accuracy = ")]
+        assert f"{share:.6f}" == accuracy
 
 
 class TestFeaturesFile:
@@ -967,12 +1024,16 @@ class TestOptions:
         runs += [([command, "--data", str(small_dataset), "--out", str(tmp_path / command),
                    "--quiet"], ["--resume"])
                  for command in ("pipeline", "ablation", "kernel-sweep")]
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        def tree():  # each file's bytes, and None for each directory
+            return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
         capsys.readouterr()
         for command, flag in runs:
             assert main(command + flag) == 1
             out, err = capsys.readouterr()
             assert out == "" and f"error: unrecognized arguments: {' '.join(flag)}" in err
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert tree() == before
         for command, _ in runs:  # each runs without the flag
             assert main(command) == 0

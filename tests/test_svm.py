@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaitlock import pipeline, svm
+from gaitlock.imagery import decimal_number
 from gaitlock.errors import (
     DimensionMismatch,
     FormatError,
@@ -576,104 +578,131 @@ def reference_save_model(model, path):
 
 def reference_load_model(path):
     """The whole-text reader ``load_model`` was before it read one line at
-    a time, kept as the oracle, with the one rule added since: a file that
-    is a non-empty prefix of the header line is truncated."""
-    check_finite = svm._check_finite
+    a time, kept as the oracle, with the rules added since: a file that is
+    a non-empty proper prefix of the header line is truncated, counts are read by
+    ``decimal_number``, and each error names the file and the line at
+    fault, lines numbered as ``str.splitlines`` splits the text."""
     text = Path(path).read_text(encoding="ascii", errors="replace")
-    if text and f"{svm.MODEL_MAGIC} {svm.MODEL_VERSION}\n".startswith(text):
-        raise FormatError("model file is truncated")
-    lines = iter(text.splitlines())
-    header = next(lines, "").split()
+    lines = text.splitlines()
+    read = 1  # lines read, the header's included
+    at = 1  # the line at fault
+
+    def fail(message, kind=FormatError):
+        raise kind(f"{path} line {at}: {message}")
+
+    def check_finite(values, record):
+        if not np.isfinite(values).all():
+            fail(f"{record} holds a non-finite number")
+
+    head = f"{svm.MODEL_MAGIC} {svm.MODEL_VERSION}\n"
+    if text and text != head and head.startswith(text):
+        fail("model file is truncated")
+    header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != svm.MODEL_MAGIC:
-        raise FormatError("not a gaitlock SVM model file")
+        fail("not a gaitlock SVM model file")
     if header[1] != svm.MODEL_VERSION:
-        raise VersionMismatch(f"unsupported model version {header[1]!r}")
+        fail(f"unsupported model version {header[1]!r}", VersionMismatch)
+
+    def take():
+        nonlocal read, at
+        read += 1
+        at = read
+        if read > len(lines):
+            fail("model file is truncated")
+        return lines[read - 1]
 
     def expect(keyword):
-        parts = next(lines).split()
+        parts = take().split()
         if not parts or parts[0] != keyword:
-            raise FormatError(f"expected '{keyword}' record")
+            fail(f"expected '{keyword}' record")
         return parts[1:]
 
+    def count(count_str, record):
+        try:
+            return decimal_number(count_str)
+        except ValueError as exc:
+            fail(f"{record} has a bad count: {exc}")
+
     def rows(count_str, record):
-        count = int(count_str)
-        if count < 0:
-            raise FormatError(f"{record} has a negative count")
-        taken = list(itertools.islice(lines, count))
-        if len(taken) < count:
-            raise FormatError(f"{record} announces {count} lines, the file holds {len(taken)}")
-        return taken
+        nonlocal read
+        n = count(count_str, record)
+        taken = lines[read:read + n]
+        if len(taken) < n:
+            fail(f"{record} announces {n} lines, the file holds {len(taken)}")
+        read += n
+        return enumerate(taken, start=read - n + 1)
 
     try:
         (k_str,) = expect("classes")
-        classes = rows(k_str, f"record 'classes {k_str}'")
+        classes = [line for _, line in rows(k_str, f"record 'classes {k_str}'")]
         if len(classes) < 2 or classes != sorted(set(classes)):
-            raise FormatError(f"record 'classes {k_str}' needs 2 or more distinct sorted classes")
+            fail(f"record 'classes {k_str}' needs 2 or more distinct sorted classes")
         (dim_str,) = expect("normalization")
         mean, std = [], []
-        for line in rows(dim_str, f"record 'normalization {dim_str}'"):
-            m_str, s_str = line.split()
+        for at, line in rows(dim_str, f"record 'normalization {dim_str}'"):
+            fields = line.split()
+            if len(fields) != 2:
+                fail(f"normalization record '{' '.join(fields)}' needs a mean and a std")
+            m_str, s_str = fields
             mean.append(float(m_str))
             std.append(float(s_str))
             if not (np.isfinite(mean[-1]) and 0.0 < std[-1] < np.inf):
-                raise FormatError(
-                    f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0"
-                )
+                fail(f"normalization record '{m_str} {s_str}' needs a finite mean and std > 0")
         dim = len(mean)
         mean, std = np.array(mean), np.array(std)
         (m_count_str,) = expect("machines")
         n_pairs = len(classes) * (len(classes) - 1) // 2
-        if int(m_count_str) != n_pairs:
-            raise FormatError(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
+        if count(m_count_str, f"record 'machines {m_count_str}'") != n_pairs:
+            fail(f"record 'machines {m_count_str}' should be 'machines {n_pairs}'")
         machines, pool, slot = [], [], {}
         for pair in itertools.combinations(classes, 2):
             labels = expect("pair")
             if labels != list(pair):
                 want = " ".join(pair)
-                raise FormatError(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
+                fail(f"record 'pair {' '.join(labels)}' should be 'pair {want}'")
             kparts = expect("kernel")
             record = f"record 'kernel {' '.join(kparts)}'"
             if not machines:
                 first_kernel = kparts
                 names = svm.KERNEL_PARAMS.get(kparts[0]) if kparts else None
                 if names is None or len(kparts) != 2 + len(names):
-                    raise FormatError(f"{record} needs a kernel kind, c and its parameters")
+                    fail(f"{record} needs a kernel kind, c and its parameters")
                 try:
                     values = [float(v) for v in kparts[1:]]
                     check_finite(values, record)
                     spec = KernelSpec(kparts[0], values[0], **dict(zip(names, values[1:])))
                 except ValueError as exc:
-                    raise FormatError(f"{record}: {exc}") from exc
+                    fail(f"{record}: {exc}")
             elif kparts != first_kernel:
-                raise FormatError(f"{record} differs from the model's first kernel record")
+                fail(f"{record} differs from the model's first kernel record")
             (bias_str,) = expect("bias")
             of_pair = f"of pair {pair[0]} {pair[1]}"
             check_finite([float(bias_str)], f"record 'bias {bias_str}' {of_pair}")
             n_sv_str, sv_dim_str = expect("vectors")
-            if int(sv_dim_str) != dim:
-                raise FormatError("support vector dimension differs from normalization")
-            coefs, index = [], []
-            for line in rows(n_sv_str, f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"):
+            record = f"record 'vectors {n_sv_str} {sv_dim_str}' {of_pair}"
+            if count(sv_dim_str, record) != dim:
+                fail("support vector dimension differs from normalization")
+            coefs, index = {}, []
+            for at, line in rows(n_sv_str, record):
                 parts = line.split(maxsplit=1)
                 text = parts[1] if len(parts) == 2 else ""
                 if text not in slot:
                     values = text.split()
                     if not parts or len(values) != dim:
-                        raise FormatError(f"a 'vectors' row {of_pair} has wrong arity")
+                        fail(f"a 'vectors' row {of_pair} has wrong arity")
                     slot[text] = len(pool)
                     pool.append([float(v) for v in values])
                     check_finite(pool[-1], f"a 'vectors' row {of_pair}")
-                coefs.append(float(parts[0]))
+                coefs[at] = float(parts[0])
                 index.append(slot[text])
-            coefs = np.array(coefs, dtype=float)
-            check_finite(coefs, f"a 'vectors' row {of_pair}")
+            for at, coef in coefs.items():  # the coefficients are checked last
+                check_finite([coef], f"a 'vectors' row {of_pair}")
+            coefs = np.array(list(coefs.values()), dtype=float)
             machines.append((np.array(index, dtype=np.intp), coefs, float(bias_str), spec, pair))
-        if next(lines) != "end":
-            raise FormatError("missing end record")
-    except StopIteration:
-        raise FormatError("model file is truncated") from None
+        if take() != "end":
+            fail("missing end record")
     except (ValueError, IndexError) as exc:
-        raise FormatError(f"malformed model file: {exc}") from exc
+        fail(f"malformed record: {exc}")
     pool = np.array(pool, dtype=float).reshape(len(pool), dim)
     binaries = [svm.BinarySvm(pool, *machine) for machine in machines]
     return svm.SvmModel(classes=classes, binaries=binaries, norm_mean=mean, norm_std=std)
@@ -789,8 +818,10 @@ class TestStreamedModelFile:
         cut = tmp_path / "cut.svm"
         for size in range(len(data) - 1):  # all but the final newline
             cut.write_bytes(data[:size])
-            truncated = "^model file is truncated$" if 1 <= size < header else None
-            with pytest.raises(FormatError, match=truncated):
+            problem = r" line \d+: "
+            if 1 <= size <= header:  # the header line, cut or whole, and nothing after it
+                problem = f" line {1 if size < header else 2}: model file is truncated$"
+            with pytest.raises(FormatError, match="^" + re.escape(str(cut)) + problem):
                 load_model(cut)
 
     def test_a_write_stopped_by_a_class_name_leaves_a_rejected_file(self, tmp_path):

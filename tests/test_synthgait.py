@@ -123,6 +123,9 @@ def test_truth_csv(tmp_path):
     assert lines[0] == "# period_frames=24 stride_px=40"
     assert lines[1] == "frame,x_min,y_min,x_max,y_max,centroid_x"
     assert len(lines) == 2 + len(seq)
+    # the box rows are those of the walker pixels, which alone differ from the background 40
+    boxes = np.loadtxt(path, delimiter=",", skiprows=2, usecols=(1, 2, 3, 4), dtype=np.int64)
+    assert np.array_equal(boxes, bounding_boxes(seq.pixels != 40))
 
 
 def test_truth_record_fields():
