@@ -32,7 +32,7 @@ from .errors import (
     StageError,
     TooFewSequences,
 )
-from .imagery import WalkBuffers, load_sequence
+from .imagery import WalkBuffers, decimal_number, load_sequence
 from .segmentation import bounding_boxes, centroids_x, segment_sequence
 
 # not called here; gaitbench/tracer.py wraps pipeline.difference_mask and
@@ -111,11 +111,14 @@ class PipelineConfig:
 
 
 def check_threshold(value, name: str = "threshold"):
-    """``auto`` or the integer in [0, 255] that ``value`` spells."""
-    text = str(value)
-    if value != "auto" and not (text.isascii() and text.isdecimal() and int(text) <= 255):
-        raise ValueError(f"{name} must be auto or an integer in [0, 255], got {value!r}")
-    return value if value == "auto" else int(value)
+    """``auto`` or the integer in [0, 255] that ``value`` spells, read by
+    ``imagery.decimal_number``."""
+    if value == "auto":
+        return value
+    try:
+        return decimal_number(str(value), 255)
+    except ValueError:
+        raise ValueError(f"{name} must be auto or an integer in [0, 255], got {value!r}") from None
 
 
 def read_kv_file(path) -> dict[str, str]:

@@ -253,22 +253,24 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
 
     tau = 1e-12
     iteration = 0
+    pos, neg = y > 0, y < 0
     while ids.size:
         rows = np.arange(ids.size)
         scores = y - f_free  # -y * dual gradient, bias-free optimality score
-        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
+        up = (pos & (alpha < c)) | (neg & (alpha > 0))
+        low = (pos & (alpha > 0)) | (neg & (alpha < c))
         # excluded slots hold -inf/+inf, so argmax keeps the first of tied scores
         i = np.where(up, scores, -np.inf).argmax(axis=1)
         score_i = scores[rows, i]
-        gap = score_i - np.where(low, scores, np.inf).min(axis=1)
+        # a machine without low slots gets a finite gap here, but stops on ~low.any
+        gap = score_i - scores[rows, np.where(low, scores, np.inf).argmin(axis=1)]
         stop = ~up.any(axis=1) | ~low.any(axis=1) | (gap <= tol) | (budget <= iteration)
         # partner with the largest analytic objective gain
         k_i = k[ids, i]
         cand = low & (scores < score_i[:, None])
         diffs = score_i[:, None] - scores
         etas = k_i[rows, i][:, None] + diag[ids] - 2.0 * k_i
-        etas = np.where(etas > tau, etas, tau)
+        etas = np.fmax(etas, tau)  # NaN too becomes tau
         j = np.where(cand, diffs * diffs / etas, -np.inf).argmax(axis=1)
         k_j = k[ids, j]
 
@@ -290,19 +292,21 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
         )
         # flat direction: move to whichever clip end gains dual objective
         best_gain, aj_flat = np.zeros(ids.size), aj_old
-        for end in (lo_b, hi_b):
-            dj = end - aj_old
-            di = -s * dj
-            ui, uj = yi * di, yj * dj
-            gain = (
-                di
-                + dj
-                - ui * f_i
-                - uj * f_j
-                - 0.5 * (ui * ui * k_ii + uj * uj * k_jj + 2.0 * ui * uj * k_ij)
-            )
-            better = gain > best_gain + 1e-15
-            best_gain, aj_flat = np.where(better, gain, best_gain), np.where(better, end, aj_flat)
+        if not steep.all():
+            for end in (lo_b, hi_b):
+                dj = end - aj_old
+                di = -s * dj
+                ui, uj = yi * di, yj * dj
+                gain = (
+                    di
+                    + dj
+                    - ui * f_i
+                    - uj * f_j
+                    - 0.5 * (ui * ui * k_ii + uj * uj * k_jj + 2.0 * ui * uj * k_ij)
+                )
+                better = gain > best_gain + 1e-15
+                best_gain = np.where(better, gain, best_gain)
+                aj_flat = np.where(better, end, aj_flat)
         aj = boxed(np.where(steep, aj_steep, aj_flat))
         ai = boxed(np.minimum(c, np.maximum(0.0, ai_old + s * (aj_old - aj))))
         stop |= (lo_b >= hi_b) | ((ai == ai_old) & (aj == aj_old))
@@ -311,7 +315,9 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
             alpha_out[ids[stop]] = alpha[stop]
             f_out[ids[stop]] = f_free[stop]
             go = ~stop
-            y, alpha, f_free, budget, ids = (v[go] for v in (y, alpha, f_free, budget, ids))
+            y, pos, neg, alpha, f_free, budget, ids = (
+                v[go] for v in (y, pos, neg, alpha, f_free, budget, ids)
+            )
             i, j, ai, aj, ai_old, aj_old, yi, yj, k_i, k_j = (
                 v[go] for v in (i, j, ai, aj, ai_old, aj_old, yi, yj, k_i, k_j)
             )
@@ -360,9 +366,12 @@ class SvmModel:
     one machine per pair of the sorted classes, in training order, all
     under one kernel, all with support vectors in one pool.
 
-    The first prediction compiles the machines into flat arrays that
-    every later prediction reuses, so a model's machines must not be
-    replaced after its first prediction."""
+    The first prediction compiles the machines into arrays that every
+    later prediction reuses, so a model's machines must not be replaced
+    after its first prediction. They hold each support vector once, laid
+    out by slot: machines in order of falling support-vector count, and
+    slot t holding the t-th support vector of each machine that has more
+    than t, so that it covers a prefix of that machine order."""
 
     classes: list[str]
     binaries: list[BinarySvm]
@@ -389,16 +398,32 @@ class SvmModel:
         return (np.asarray(x, dtype=np.float64) - self.norm_mean) / self.norm_std
 
     @functools.cached_property
-    def _compiled(self) -> tuple[np.ndarray, ...]:
-        """Each machine's two classes and bias, then every support vector's
-        pool row, machine and coefficient, then the pool's squared norms."""
-        first, second = np.triu_indices(len(self.classes), 1)
-        biases = np.array([m.bias for m in self.binaries])
-        index = np.concatenate([m.index for m in self.binaries])
-        owner = np.repeat(np.arange(len(self.binaries)), [m.index.size for m in self.binaries])
-        coef = np.concatenate([m.coefficients for m in self.binaries])
+    def _compiled(self) -> tuple:
+        """Each machine's place in the order of falling support-vector
+        count; each machine's two classes and bias in that order; every
+        support vector's pool row and coefficient in slot order; each
+        slot's (machine count, start, end) there; and the pool's squared
+        norms."""
+        sizes = np.array([m.index.size for m in self.binaries])
+        order = np.argsort(-sizes, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        first, second = (c[order] for c in np.triu_indices(len(self.classes), 1))
+        biases = np.array([m.bias for m in self.binaries])[order]
+        counts = sizes.size - np.cumsum(np.bincount(sizes))[:-1]  # machines with more than t
+        starts = np.cumsum(counts) - counts
+        # the t-th vector of machine m goes to starts[t] + place[m]
+        rank = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        at = starts[rank] + np.repeat(place, sizes)
+        index = np.empty(at.size, dtype=np.intp)
+        coef = np.empty(at.size)
+        index[at] = np.concatenate([m.index for m in self.binaries])
+        coef[at] = np.concatenate([m.coefficients for m in self.binaries])
+        if index.size and not 0 <= index.min() <= index.max() < len(self.pool):
+            raise IndexError("a support-vector index lies outside the pool")  # take clips it
+        slots = tuple(zip(counts.tolist(), starts.tolist(), (starts + counts).tolist()))
         norms = (self.pool * self.pool).sum(axis=1)[None, :]
-        return first, second, biases, index, owner, coef, norms
+        return place, first, second, biases, index, coef, slots, norms
 
 
 def train_multiclass(
@@ -457,30 +482,50 @@ def predict_many(model: SvmModel, x) -> list[str]:
 
     Ties go to the tied label with the largest sum of absolute decision
     values over the machines that voted for it, then to class order.
-    Each row costs one kernel evaluation against the model's pool; every
-    machine's decision value sums its own columns of it, through flat
-    arrays built once per model at its first prediction.
+    Each row costs one kernel evaluation against the model's pool and one
+    add per slot of the compiled layout (see :class:`SvmModel`), that is,
+    as many adds as the largest machine has support vectors; see
+    :func:`_decision_values`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != model.dimension:
         raise DimensionMismatch(f"expected {model.dimension} features, got {x.shape[-1]}")
     if not np.isfinite(x).all():
         raise NonFinite("probe features contain NaN or infinity")
-    z = model.normalize(x)
-    n_machines = len(model.binaries)
-    first, second, biases, index, owner, coef, norms = model._compiled
+    place, first, second = model._compiled[:3]
+    n_classes = len(model.classes)
     labels = []
+    for d in _decision_values(model, model.normalize(x)):
+        winner = np.where(d >= 0.0, first, second)
+        votes = np.bincount(winner, minlength=n_classes)
+        best = votes.argmax()
+        if np.count_nonzero(votes == votes[best]) > 1:
+            # the strengths add up in machine order
+            strength = np.bincount(winner[place], weights=np.abs(d[place]), minlength=n_classes)
+            best = np.argmax(np.where(votes == votes[best], strength, -np.inf))
+        labels.append(model.classes[best])
+    return labels
+
+
+def _decision_values(model: SvmModel, z: np.ndarray):
+    """Yield every machine's decision value on each normalized row of
+    ``z``, in the compiled order (``d[place]`` is in machine order). Slot
+    t adds its terms to the sums of the machines it covers, so each sum
+    starts at 0.0 and adds its machine's terms in support-vector order, as
+    ``np.bincount`` would; the bias comes last."""
+    _, _, _, biases, index, coef, slots, norms = model._compiled
+    terms, total = np.empty(index.size), np.empty(biases.size)
     for row in z[:, None, :]:
         # kernel_matrix(model.kernel, row, model.pool), on the compiled pool norms
         dots = row @ model.pool.T
         k = _kernel_from_dots(model.kernel, dots, (row * row).sum(axis=1)[:, None], norms)[0]
-        d = biases + np.bincount(owner, weights=k[index] * coef, minlength=n_machines)
-        winner = np.where(d >= 0.0, first, second)
-        votes = np.bincount(winner, minlength=len(model.classes))
-        strength = np.bincount(winner, weights=np.abs(d), minlength=len(model.classes))
-        best = np.argmax(np.where(votes == votes.max(), strength, -np.inf))
-        labels.append(model.classes[best])
-    return labels
+        np.take(k, index, out=terms, mode="clip")  # in range; "raise" would copy through a buffer
+        terms *= coef
+        total.fill(0.0)
+        for count, start, end in slots:
+            part = total[:count]  # a named view: += writes nothing back through a slice
+            part += terms[start:end]
+        yield biases + total
 
 
 def _fmt(v: float) -> str:

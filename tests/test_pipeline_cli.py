@@ -904,6 +904,30 @@ class TestThresholds:
         assert "[ingestion]" not in err and err.count("must be auto or an integer in [0, 255]") == 3
         assert not (tmp_path / "out").exists()
 
+    def test_thousands_of_digits_name_the_flag_or_key(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits with a message of its own
+        nines = "9" * 5000
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"background_threshold = {nines}\n")
+        assert main(["pipeline", "--config", str(cfg), "--data", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "error: background_threshold must be auto or an integer" in capsys.readouterr().err
+        for command in (["background", "--in", str(tmp_path / "none"), "--out",
+                         str(tmp_path / "bg.pgm")],
+                        ["segment", "--bg", str(tmp_path / "none.pgm"), "--in",
+                         str(tmp_path / "none"), "--out", str(tmp_path / "sil")]):
+            assert main([*command, "--threshold", nines]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: threshold must be auto or an integer in [0, 255]")
+            assert "Exceeds" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_leading_zeros_read_as_the_value_they_lead(self):
+        value = "0" * 5000 + "7"
+        assert pipeline.check_threshold(value) == 7
+        cfg = pipeline.config_from_values({"segmentation_threshold": value})
+        assert pipeline.check_threshold(cfg.segmentation_threshold) == 7
+
 
 SYNTH_SPEC = (
     "body_height = 50\nbody_width = 15\nperiod_frames = 16\nstride_px = 30\n"

@@ -917,6 +917,82 @@ def problems(draw):
     return x, labels, spec, np.vstack([x, probes.round(decimals), (x[i] + x[j]) / 2.0])
 
 
+def bincount_decisions(model, z):
+    """The decision sums ``predict_many`` made before the slot layout, kept
+    as the oracle: every support vector in machine order with its owning
+    machine, and per row one weighted ``bincount``, which adds each
+    machine's terms from 0.0 in support-vector order."""
+    n_machines = len(model.binaries)
+    index = np.concatenate([m.index for m in model.binaries])
+    owner = np.repeat(np.arange(n_machines), [m.index.size for m in model.binaries])
+    coef = np.concatenate([m.coefficients for m in model.binaries])
+    biases = np.array([m.bias for m in model.binaries])
+    out = np.empty((len(z), n_machines))
+    for d, row in zip(out, z):
+        k = kernel_matrix(model.kernel, row[None, :], model.pool)[0]
+        d[:] = biases + np.bincount(owner, weights=k[index] * coef, minlength=n_machines)
+    return out
+
+
+def decision_values(model, z):
+    """``svm._decision_values`` as a (rows, machines) array in machine order."""
+    place = model._compiled[0]
+    rows = [d[place] for d in svm._decision_values(model, z)]
+    return np.array(rows).reshape(len(z), len(model.binaries))
+
+
+def bincount_vote(model, d):
+    """The vote ``predict_many`` took before it skipped the strength sums
+    of a unique winner."""
+    first, second = np.triu_indices(len(model.classes), 1)
+    winner = np.where(d >= 0.0, first, second)
+    votes = np.bincount(winner, minlength=len(model.classes))
+    strength = np.bincount(winner, weights=np.abs(d), minlength=len(model.classes))
+    return model.classes[np.argmax(np.where(votes == votes.max(), strength, -np.inf))]
+
+
+def assert_same_bits(got, want):
+    """Bit-equal float arrays, where any NaN equals any NaN."""
+    assert got.shape == want.shape
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (got, want)
+
+
+@st.composite
+def built_models(draw):
+    """Models put together from machines, not trained: 2 to 6 classes, so
+    one to 15 machines; each machine has 0 to 9 support vectors of a shared
+    pool, repeats allowed, with coefficients of either sign. Poly kernels
+    of degree 200 and 201 overflow to +-inf on most pool rows, so sums meet
+    inf - inf. Probe counts start at 0."""
+    n_classes = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 3))
+    values = st.floats(-4.0, 4.0)
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 8)), dim), elements=values))
+    kind, params = draw(st.sampled_from(
+        KERNEL_CASES + (("poly", {"degree": 200}), ("poly", {"degree": 201}))))
+    machines = []
+    for _ in range(n_classes * (n_classes - 1) // 2):
+        size = draw(st.integers(0, 9))
+        index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+        coef = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+        machines.append((index, coef, draw(st.floats(-2.0, 2.0))))
+    probes = draw(arrays(np.float64, (draw(st.integers(0, 5)), dim), elements=values))
+    return n_classes, pool, (kind, params), machines, probes
+
+
+def model_from(n_classes, pool, kernel, machines):
+    classes = [f"c{i}" for i in range(n_classes)]
+    spec = KernelSpec(kernel[0], 1.0, **kernel[1])
+    binaries = [
+        svm.BinarySvm(pool, np.array(index, dtype=np.intp), np.array(coef, dtype=float),
+                      bias, spec, pair)
+        for (index, coef, bias), pair in zip(machines, itertools.combinations(classes, 2))
+    ]
+    dim = pool.shape[1]
+    return svm.SvmModel(classes, binaries, np.zeros(dim), np.ones(dim))
+
+
 def _model_text(biases, vectors=((), (), ())):
     """A hand-written 3-class, 1-D linear model; ``vectors`` holds each
     machine's ``coef value`` rows."""
@@ -934,7 +1010,11 @@ class TestPredictMany:
     @given(problems())
     def test_matches_the_per_machine_loop(self, problem):
         x, labels, spec, rows = problem
-        assert_matches_reference(train_multiclass(x, labels, spec), rows)
+        model = train_multiclass(x, labels, spec)
+        assert_matches_reference(model, rows)
+        want = bincount_decisions(model, model.normalize(rows))
+        assert_same_bits(decision_values(model, model.normalize(rows)), want)
+        assert predict_many(model, rows) == [bincount_vote(model, d) for d in want]
 
     @pytest.mark.parametrize(
         "biases, expected",
@@ -1039,12 +1119,45 @@ class TestPredictMany:
             assert predict(model, probes[3]) == predict_many(model, probes)[3]
             assert all(a is b for a, b in zip(model._compiled, built, strict=True))
 
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_support_vector_outside_the_pool_rejected(self, row):
+        machine = ([0, row], [1.0, 1.0], 0.0)
+        model = model_from(2, np.array([[1.0], [2.0]]), ("linear", {}), [machine])
+        with pytest.raises(IndexError, match="outside the pool"):
+            predict(model, [0.0])
+
     def test_non_finite_probe_rejected(self):
         model = train_multiclass(XOR_X, XOR_Y, KernelSpec("rbf", 10.0, sigma=0.5))
         with pytest.raises(NonFinite):
             predict(model, [np.nan, 0.0])
         with pytest.raises(NonFinite):
             predict_many(model, [[0.0, 0.0], [np.inf, 1.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(built_models())
+    @example((2, np.array([[1.0], [-2.0]]), ("rbf", {"sigma": 1.0}),
+              [([1, 0, 1], [0.5, -1.0, 0.25], 0.1)], np.array([[0.5], [3.0]])))
+    @example((3, np.array([[1.0, 2.0]]), ("linear", {}),
+              [([], [], -0.5), ([0, 0], [1.0, -3.0], 0.0), ([0], [2.0], 1.0)],
+              np.array([[1.0, -1.0]])))
+    @example((3, np.array([[3.0], [-3.0]]), ("poly", {"degree": 201}),
+              [([0, 1], [1.0, 1.0], 0.0), ([0, 0], [1.0, -1.0], 0.0), ([1], [0.0], 0.0)],
+              np.array([[4.0], [-4.0]])))
+    @example((4, np.array([[0.0]]), ("linear", {}), [([0], [1.0], 0.0)] * 6,
+              np.empty((0, 1))))
+    def test_slot_sums_equal_the_bincount_sums(self, built):
+        """Decision values are bit-equal to the per-machine ``bincount``
+        sums, and the labels to its vote: two-class models, machines
+        without support vectors, uneven machine sizes, poly kernels that
+        overflow to inf and empty probe arrays alike."""
+        n_classes, pool, kernel, machines, probes = built
+        model = model_from(n_classes, pool, kernel, machines)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = bincount_decisions(model, model.normalize(probes))
+            got = decision_values(model, model.normalize(probes))
+            labels = predict_many(model, probes)
+        assert_same_bits(got, want)
+        assert labels == [bincount_vote(model, d) for d in want]  # [] for no probes
 
 
 @st.composite
