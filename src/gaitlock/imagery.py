@@ -43,9 +43,14 @@ def decimal_number(text: str, cap: int = NUMBER_MAX) -> int:
     digits = text.lstrip("0") or "0"
     if not (text.isascii() and text.isdigit() and len(digits) <= len(str(cap))
             and int(digits) <= cap):
-        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise ValueError(f"not a decimal number in [0, {cap}]: {shown}")
+        raise ValueError(f"not a decimal number in [0, {cap}]: {shown(text)}")
     return int(digits)
+
+
+def shown(text: str) -> str:
+    """``text`` as an error message quotes it: its repr up to 20
+    characters, else the repr of the first 20 and the length."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def _grid(pixels) -> np.ndarray:

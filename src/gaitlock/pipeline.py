@@ -32,7 +32,7 @@ from .errors import (
     StageError,
     TooFewSequences,
 )
-from .imagery import WalkBuffers, decimal_number, load_sequence
+from .imagery import WalkBuffers, decimal_number, load_sequence, shown
 from .segmentation import bounding_boxes, centroids_x, segment_sequence
 
 # not called here; gaitbench/tracer.py wraps pipeline.difference_mask and
@@ -115,10 +115,13 @@ def check_threshold(value, name: str = "threshold"):
     ``imagery.decimal_number``."""
     if value == "auto":
         return value
+    text = str(value)
     try:
-        return decimal_number(str(value), 255)
+        return decimal_number(text, 255)
     except ValueError:
-        raise ValueError(f"{name} must be auto or an integer in [0, 255], got {value!r}") from None
+        raise ValueError(
+            f"{name} must be auto or an integer in [0, 255], got {shown(text)}"
+        ) from None
 
 
 def read_kv_file(path) -> dict[str, str]:

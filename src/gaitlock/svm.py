@@ -235,8 +235,12 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
 
     ``k`` is (machines, n, n), ``y`` (machines, n) and ``budget`` each
     machine's iteration limit. A machine leaves the active set at the
-    iteration where it stops: its gap is closed, its pair admits no
-    step, the step moves nothing, or its budget is spent. Returns the
+    iteration where it stops: it has no up or no low slot, its gap is
+    closed, its pair admits no step, the step moves nothing, or its
+    budget is spent. The up and low flags come from the masked extremes
+    that pick ``i`` and the gap, and only a machine whose extreme is
+    infinite or NaN reads its mask. The state arrays and a copy of the
+    kernel diagonals are compacted to the active machines. Returns the
     final ``alpha`` and ``f_free`` of every machine.
     """
     alpha_out = np.zeros(y.shape)
@@ -245,7 +249,7 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
     alpha = np.zeros(y.shape)
     # f_free[m, t] = sum_s alpha_s y_s K(s, t): the decision values without bias
     f_free = np.zeros(y.shape)
-    diag = k.diagonal(axis1=1, axis2=2)
+    diag = k.diagonal(axis1=1, axis2=2).copy()  # compacted with the machines
     snap = 1e-12 * max(1.0, c)  # keep alphas exactly on the box bounds
 
     def boxed(value):
@@ -260,16 +264,28 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
         up = (pos & (alpha < c)) | (neg & (alpha > 0))
         low = (pos & (alpha > 0)) | (neg & (alpha < c))
         # excluded slots hold -inf/+inf, so argmax keeps the first of tied scores
-        i = np.where(up, scores, -np.inf).argmax(axis=1)
+        # and a machine has an up (low) slot when its extreme is above -inf
+        # (below inf); only an extreme at -inf (inf) or NaN needs the mask
+        extreme = np.where(up, scores, -np.inf)
+        i = extreme.argmax(axis=1)
+        no_up = ~(extreme[rows, i] > -np.inf)
+        extreme = np.where(low, scores, np.inf)
+        lo_i = extreme.argmin(axis=1)
+        no_low = ~(extreme[rows, lo_i] < np.inf)
+        del extreme
+        if no_up.any():
+            no_up[no_up] = ~up[no_up].any(axis=1)
+        if no_low.any():
+            no_low[no_low] = ~low[no_low].any(axis=1)
         score_i = scores[rows, i]
-        # a machine without low slots gets a finite gap here, but stops on ~low.any
-        gap = score_i - scores[rows, np.where(low, scores, np.inf).argmin(axis=1)]
-        stop = ~up.any(axis=1) | ~low.any(axis=1) | (gap <= tol) | (budget <= iteration)
+        # a machine without low slots gets a finite gap here, but stops on no_low
+        gap = score_i - scores[rows, lo_i]
+        stop = no_up | no_low | (gap <= tol) | (budget <= iteration)
         # partner with the largest analytic objective gain
         k_i = k[ids, i]
         cand = low & (scores < score_i[:, None])
         diffs = score_i[:, None] - scores
-        etas = k_i[rows, i][:, None] + diag[ids] - 2.0 * k_i
+        etas = k_i[rows, i][:, None] + diag - 2.0 * k_i
         etas = np.fmax(etas, tau)  # NaN too becomes tau
         j = np.where(cand, diffs * diffs / etas, -np.inf).argmax(axis=1)
         k_j = k[ids, j]
@@ -315,8 +331,8 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
             alpha_out[ids[stop]] = alpha[stop]
             f_out[ids[stop]] = f_free[stop]
             go = ~stop
-            y, pos, neg, alpha, f_free, budget, ids = (
-                v[go] for v in (y, pos, neg, alpha, f_free, budget, ids)
+            y, pos, neg, alpha, f_free, diag, budget, ids = (
+                v[go] for v in (y, pos, neg, alpha, f_free, diag, budget, ids)
             )
             i, j, ai, aj, ai_old, aj_old, yi, yj, k_i, k_j = (
                 v[go] for v in (i, j, ai, aj, ai_old, aj_old, yi, yj, k_i, k_j)
@@ -332,32 +348,36 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
 def _machines(pool, rows, y, alpha, f_free, spec: KernelSpec, pairs) -> list[BinarySvm]:
     """Bias and support vectors of each solved machine of a stack on
     ``pool[rows[m]]``; padding slots have y = alpha = 0, so they fall in
-    none of the masks."""
+    none of the masks.
+
+    A machine's bias is the mean score of its free vectors, taken by one
+    2-D mean per distinct free-vector count; without free vectors it is
+    the midpoint of the final gradient band, and without a band the mean
+    score of all its slots."""
     c = spec.c
     scores = y - f_free
     up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
     low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
     free = (alpha > 0.0) & (alpha < c)
     support = alpha > 0.0
-    # the midpoint of the final gradient band, for a machine without free vectors
-    band = np.where(up, scores, -np.inf).max(axis=1) + np.where(low, scores, np.inf).min(axis=1)
-    band /= 2.0
-    has_band = (up.any(axis=1) & low.any(axis=1)).tolist()
-    free_scores, index, coefficients = scores[free], rows[support], (alpha * y)[support]
-    f = [0, *np.cumsum(free.sum(axis=1)).tolist()]
+    # the midpoint of the final gradient band, kept by the machines without free vectors
+    bias = np.where(up, scores, -np.inf).max(axis=1) + np.where(low, scores, np.inf).min(axis=1)
+    bias /= 2.0
+    counts = free.sum(axis=1)
+    # one mean per free-vector count: each row of the (machines, count) array
+    # sums in numpy's pairwise order for ``count`` values, as the 1-D mean of
+    # that machine's free scores does, and that order sets the bias bits
+    for count in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        same = counts == count
+        bias[same] = scores[same][free[same]].reshape(-1, count).mean(axis=1)
+    for m in np.flatnonzero((counts == 0) & ~(up.any(axis=1) & low.any(axis=1))).tolist():
+        bias[m] = scores[m, : np.count_nonzero(y[m])].mean()
+    index, coefficients = rows[support], (alpha * y)[support]
     s = [0, *np.cumsum(support.sum(axis=1)).tolist()]
-    machines = []
-    for m, pair in enumerate(pairs):
-        if f[m + 1] > f[m]:
-            # numpy's summation order over these values sets the bias bits
-            bias = float(free_scores[f[m] : f[m + 1]].mean())
-        elif has_band[m]:
-            bias = float(band[m])
-        else:
-            bias = float(scores[m, : np.count_nonzero(y[m])].mean())
-        vectors = slice(s[m], s[m + 1])
-        machines.append(BinarySvm(pool, index[vectors], coefficients[vectors], bias, spec, pair))
-    return machines
+    return [
+        BinarySvm(pool, index[s[m] : s[m + 1]], coefficients[s[m] : s[m + 1]], b, spec, pair)
+        for m, (b, pair) in enumerate(zip(bias.tolist(), pairs))
+    ]
 
 
 @dataclass

@@ -911,7 +911,10 @@ class TestThresholds:
         cfg.write_text(f"background_threshold = {nines}\n")
         assert main(["pipeline", "--config", str(cfg), "--data", str(tmp_path / "none"),
                      "--out", str(tmp_path / "out")]) == 1
-        assert "error: background_threshold must be auto or an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: background_threshold must be auto or an integer" in err
+        # the value is cut to its first 20 characters and its length
+        assert "'99999999999999999999'... (5000 characters)" in err and len(err) < 200
         for command in (["background", "--in", str(tmp_path / "none"), "--out",
                          str(tmp_path / "bg.pgm")],
                         ["segment", "--bg", str(tmp_path / "none.pgm"), "--in",
@@ -920,6 +923,8 @@ class TestThresholds:
             err = capsys.readouterr().err
             assert err.startswith("error: threshold must be auto or an integer in [0, 255]")
             assert "Exceeds" not in err
+            assert err.rstrip("\n").endswith("'99999999999999999999'... (5000 characters)")
+            assert len(err) < 200
         assert not (tmp_path / "out").exists()
 
     def test_leading_zeros_read_as_the_value_they_lead(self):

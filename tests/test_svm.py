@@ -163,20 +163,24 @@ def reference_train_binary(x, y, spec, tol=1e-3, max_passes=10, class_pair=("+1"
         alpha[i], alpha[j] = ai, aj
         f_free += (ai - ai_old) * yi * k[i] + (aj - aj_old) * yj * k[j]
 
+    support = alpha > 0.0
+    return svm.BinarySvm(
+        x.copy(), np.flatnonzero(support), (alpha * y)[support].copy(),
+        reference_bias(y, alpha, f_free, c), spec, class_pair
+    )
+
+
+def reference_bias(y, alpha, f_free, c):
+    """The bias of one solved machine as ``reference_train_binary`` takes it."""
     scores = y - f_free
     up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
     low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
     free = (alpha > 0.0) & (alpha < c)
     if free.any():
-        bias = float(scores[free].mean())
-    elif up.any() and low.any():
-        bias = float((scores[up].max() + scores[low].min()) / 2.0)
-    else:
-        bias = float(scores.mean())
-    support = alpha > 0.0
-    return svm.BinarySvm(
-        x.copy(), np.flatnonzero(support), (alpha * y)[support].copy(), bias, spec, class_pair
-    )
+        return float(scores[free].mean())
+    if up.any() and low.any():
+        return float((scores[up].max() + scores[low].min()) / 2.0)
+    return float(scores.mean())
 
 
 def pair_problems(model, x, labels):
@@ -1249,6 +1253,84 @@ class TestLockstepTraining:
             train_multiclass(XOR_X, XOR_Y, KernelSpec("linear", 1.0), tol=0.0)
         with pytest.raises(ValueError):
             train_binary(XOR_X, [1, 1, -1, -1], KernelSpec("linear", 1.0), tol=-1.0)
+
+    @pytest.mark.parametrize("per_class, sigma", [((150, 150), 0.5), ((70, 70, 70, 6), 0.1)])
+    def test_free_vectors_past_8_and_128_sum_in_the_per_machine_order(self, per_class, sigma):
+        # numpy adds up to 8 values one by one, up to 128 in eight running
+        # sums and more by halves; a grouped mean row must keep each order.
+        # Four classes make machines of 76 and 140 rows, three of each size,
+        # and at sigma 0.1 every row is a free vector
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(sum(per_class), 3))
+        labels = [f"c{i}" for i, count in enumerate(per_class) for _ in range(count)]
+        spec = KernelSpec("rbf", 100.0, sigma=sigma)
+        model = train_multiclass(x, labels, spec)
+        free = []
+        for machine, z, y in pair_problems(model, x, labels):
+            assert_same_machine(machine, reference_train_binary(
+                z, y, spec, class_pair=machine.class_pair))
+            free.append(np.count_nonzero(np.abs(machine.coefficients) < spec.c))
+        assert min(free) > 8 and max(free) > 128, free
+        if len(free) > 1:
+            assert len(set(free)) < len(free), free  # some count covers two machines
+
+    @pytest.mark.parametrize("degree", [200, 201])
+    def test_overflowing_poly_scores_keep_the_per_machine_stop_flags(self, degree):
+        # the kernel overflows to +-inf between 0.1-sized rows and the
+        # 1000-sized ones, so steps leave +-inf and NaN scores on the large
+        # rows: a NaN or inf extreme is where the stop flags read the masks
+        x = np.array([[0.1], [-0.1], [0.0], [0.3], [-0.2], [1000.0], [-1000.0]])
+        problems = [((0, 2, 3, 5), (-1, 1, 1, -1)), ((0, 1, 3, 5), (-1, 1, 1, -1)),
+                    ((1, 2, 4, 6), (-1, 1, 1, -1)), ((0, 1, 4), (1, -1, -1))]
+        rows = np.zeros((len(problems), 4), dtype=np.intp)
+        labels = np.zeros((len(problems), 4))
+        for m, (r, y) in enumerate(problems):
+            rows[m, : len(r)], labels[m, : len(y)] = r, y
+        spec = KernelSpec("poly", 10.0, degree=degree)
+        with np.errstate(over="ignore", invalid="ignore"):
+            machines = svm._train_machines(spec, x, rows, labels, [("a", "b")] * 4, 1e-3, 10)
+            finite = []
+            for machine, (r, y) in zip(machines, problems):
+                want = reference_train_binary(x[list(r)], np.array(y, float), spec,
+                                              class_pair=("a", "b"))
+                assert_same_machine(machine, want)
+                finite.append(np.isfinite(machine.decision_many(x[list(r)])).all())
+        assert not all(finite[:3]) and finite[3], finite
+
+    def test_machines_without_free_vectors_take_the_band_midpoint(self):
+        # c = 0.001 puts every alpha of some of these machines on a bound
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(12, 2))
+        labels = ["a"] * 4 + ["b"] * 5 + ["c"] * 3
+        spec = KernelSpec("linear", 1e-3)
+        model = train_multiclass(x, labels, spec)
+        free = []
+        for machine, z, y in pair_problems(model, x, labels):
+            assert_same_machine(machine, reference_train_binary(
+                z, y, spec, class_pair=machine.class_pair))
+            free.append(np.count_nonzero(np.abs(machine.coefficients) < spec.c))
+        assert 0 in free and max(free) > 0, free
+
+    def test_machines_without_free_vectors_or_band_take_the_mean_score(self):
+        # training keeps sum(alpha * y) at 0, so a machine always has both an
+        # up and a low slot; these solved states are written by hand
+        c = 2.0
+        y = np.array([[1.0, 1.0, -1.0, 0.0], [1.0, -1.0, -1.0, -1.0], [1.0, -1.0, 0.0, 0.0],
+                      [-1.0, -1.0, 1.0, 0.0], [1.0, 1.0, -1.0, -1.0]])
+        alpha = np.array([[c, c, 0.0, 0.0], [c, c, 0.0, c], [0.0, c, 0.0, 0.0],
+                          [c, 0.0, 0.0, 0.0], [1.5, 0.5, c, 0.0]])
+        f_free = np.array([[0.3, -0.7, 0.1, 0.0], [0.25, 1.5, -0.5, 2.0], [0.1, 0.2, 0.0, 0.0],
+                           [-0.4, 0.6, 0.9, 0.0], [0.3, 0.1, -0.2, 0.7]])
+        rows = np.tile(np.arange(4), (5, 1))
+        machines = svm._machines(np.zeros((4, 1)), rows, y, alpha, f_free,
+                                 KernelSpec("linear", c), [("a", "b")] * 5)
+        for machine, ym, am, fm in zip(machines, y, alpha, f_free):
+            n = np.count_nonzero(ym)
+            want = reference_bias(ym[:n], am[:n], fm[:n], c)
+            assert np.float64(machine.bias).tobytes() == np.float64(want).tobytes()
+            support = am > 0.0
+            assert machine.index.tolist() == np.flatnonzero(support).tolist()
+            assert machine.coefficients.tobytes() == (am * ym)[support].tobytes()
 
 
 def test_training_and_the_histogram_background_leave_numpy_ma_unimported():
