@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodeError, TooFewFrames
-from .imagery import Frame, FrameSequence, decimal_number, read_pnm, write_pgm
+from .imagery import Frame, FrameSequence, decimal_number, read_pnm, shown, write_pgm
 
 TECHNIQUE_CDM = "cdm"
 TECHNIQUE_MEDIAN = "median"
@@ -287,5 +287,6 @@ def load_background(path) -> BackgroundModel:
                     try:
                         cdm_threshold = decimal_number(value, 256)
                     except ValueError:
-                        raise DecodeError(f"{path}: bad threshold in comment {line!r}") from None
+                        bad = f"{path}: bad threshold {shown(value)} in comment"
+                        raise DecodeError(bad) from None
     return BackgroundModel(Frame(pixels), technique, cdm_threshold)

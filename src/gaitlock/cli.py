@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+FPS = 25.0  # the features --fps default; background, segment and cycles load at it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +44,7 @@ def _load_masks(directory, fps: float) -> np.ndarray:
 
 def cmd_background(args) -> int:
     threshold = pipeline.check_threshold(args.threshold)
-    seq = load_sequence(args.in_dir, args.fps)
+    seq = load_sequence(args.in_dir, FPS)
     model = build_background(seq, args.technique, threshold)
     save_background(model, args.out)
     _say(args, f"background ({model.technique}) written to {args.out}")
@@ -55,7 +56,7 @@ def cmd_segment(args) -> int:
         raise ValueError(f"--out {args.out} would overwrite the frames of --in {args.in_dir}")
     threshold = pipeline.check_threshold(args.threshold)
     bg = load_background(args.bg)
-    seq = load_sequence(args.in_dir, args.fps)
+    seq = load_sequence(args.in_dir, FPS)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, mask in enumerate(segment_sequence(seq, bg, threshold), start=1):
@@ -65,7 +66,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    signal = width_signal(bounding_boxes(_load_masks(args.in_dir, args.fps)), args.fps)
+    signal = width_signal(bounding_boxes(_load_masks(args.in_dir, FPS)), FPS)
     period = estimate_period(signal)
     cycles = partition_cycles(signal, period)
     print(f"period_frames,{period}")
@@ -194,7 +195,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", default="auto", help="auto or an integer (cdm only)")
     p.add_argument("--in", dest="in_dir", required=True, help="frame directory")
     p.add_argument("--out", required=True, help="output bg.pgm")
-    p.add_argument("--fps", type=float, default=25.0)
     p.set_defaults(func=cmd_background)
 
     p = sub.add_parser("segment", parents=[quiet], help="extract silhouettes")
@@ -202,17 +202,15 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", default="auto")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True, help="silhouette output directory")
-    p.add_argument("--fps", type=float, default=25.0)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("cycles", help="estimate the gait period")
     p.add_argument("--in", dest="in_dir", required=True, help="silhouette directory")
-    p.add_argument("--fps", type=float, default=25.0)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("features", parents=[quiet], help="extract the fused descriptor")
     p.add_argument("--in", dest="in_dir", required=True, help="silhouette directory")
-    p.add_argument("--fps", type=float, default=25.0)
+    p.add_argument("--fps", type=float, default=FPS)
     p.add_argument("--out", required=True, help="output features.csv")
     p.add_argument("--subject", default="subject")
     p.add_argument("--sequence", default=None)

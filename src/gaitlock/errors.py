@@ -50,7 +50,7 @@ class SingleClass(GaitlockError):
 
 
 class NonFinite(GaitlockError):
-    """Training data contains NaN or infinity."""
+    """Training or probe data, or a kernel value or score computed from it, is not finite."""
 
 
 class TooFewClasses(GaitlockError):

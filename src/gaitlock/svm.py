@@ -161,7 +161,7 @@ def train_binary(
     violation by ``tol``. ``max_passes`` scales the iteration budget.
     The solver is fully deterministic; this is the one-machine case of
     the lockstep solver that :func:`train_multiclass` runs. The machine's
-    pool is a copy of ``x``.
+    pool is a copy of ``x``. Non-finite kernels or scores raise NonFinite.
     """
     x, y = _validate_binary_input(x, y)
     (machine,) = _train_machines(
@@ -222,7 +222,10 @@ def _train_machines(
                 xr = x[block_rows[same, :size]]
                 block[same, :size, :size] = xr @ xr.transpose(0, 2, 1)
             slot_norms = norms[block_rows]
-            _kernel_from_dots(spec, block, slot_norms[:, :, None], slot_norms[:, None, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                _kernel_from_dots(spec, block, slot_norms[:, :, None], slot_norms[:, None, :])
+            if not np.isfinite(block).all():
+                raise NonFinite(f"{_kernel_record(spec)} overflows float64")
         budget = np.maximum(5000, 500 * max_passes * part_sizes).astype(float)
         alpha, f_free = _smo_lockstep(k, y, spec.c, tol, budget)
         del k  # the memory bound holds one stack; extraction needs none
@@ -233,15 +236,15 @@ def _train_machines(
 def _smo_lockstep(k, y, c: float, tol: float, budget):
     """Run the SMO iteration of every stacked machine at once.
 
-    ``k`` is (machines, n, n), ``y`` (machines, n) and ``budget`` each
-    machine's iteration limit. A machine leaves the active set at the
-    iteration where it stops: it has no up or no low slot, its gap is
-    closed, its pair admits no step, the step moves nothing, or its
-    budget is spent. The up and low flags come from the masked extremes
-    that pick ``i`` and the gap, and only a machine whose extreme is
-    infinite or NaN reads its mask. The state arrays and a copy of the
-    kernel diagonals are compacted to the active machines. Returns the
-    final ``alpha`` and ``f_free`` of every machine.
+    ``k`` is (machines, n, n) and finite, ``y`` (machines, n) and
+    ``budget`` each machine's iteration limit. A machine leaves the active
+    set at the iteration where it stops: it has no up or no low slot (the
+    masked extreme that picks ``i`` or the gap is infinite), its gap is
+    closed, the step moves nothing, or its budget is spent. A running
+    machine's ``j`` is a low slot scoring below ``i``, and each alpha is 0,
+    c or at least ``snap`` from both, so the pair's box is never empty. The
+    state arrays and a copy of the kernel diagonals are compacted to the
+    active machines. Returns the final ``alpha`` and ``f_free`` of each.
     """
     alpha_out = np.zeros(y.shape)
     f_out = np.zeros(y.shape)
@@ -263,9 +266,8 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
         scores = y - f_free  # -y * dual gradient, bias-free optimality score
         up = (pos & (alpha < c)) | (neg & (alpha > 0))
         low = (pos & (alpha > 0)) | (neg & (alpha < c))
-        # excluded slots hold -inf/+inf, so argmax keeps the first of tied scores
-        # and a machine has an up (low) slot when its extreme is above -inf
-        # (below inf); only an extreme at -inf (inf) or NaN needs the mask
+        # excluded slots hold -inf/+inf, so argmax keeps the first of tied
+        # scores, and an extreme at -inf (inf) means no up (low) slot
         extreme = np.where(up, scores, -np.inf)
         i = extreme.argmax(axis=1)
         no_up = ~(extreme[rows, i] > -np.inf)
@@ -273,10 +275,6 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
         lo_i = extreme.argmin(axis=1)
         no_low = ~(extreme[rows, lo_i] < np.inf)
         del extreme
-        if no_up.any():
-            no_up[no_up] = ~up[no_up].any(axis=1)
-        if no_low.any():
-            no_low[no_low] = ~low[no_low].any(axis=1)
         score_i = scores[rows, i]
         # a machine without low slots gets a finite gap here, but stops on no_low
         gap = score_i - scores[rows, lo_i]
@@ -325,7 +323,7 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
                 aj_flat = np.where(better, end, aj_flat)
         aj = boxed(np.where(steep, aj_steep, aj_flat))
         ai = boxed(np.minimum(c, np.maximum(0.0, ai_old + s * (aj_old - aj))))
-        stop |= (lo_b >= hi_b) | ((ai == ai_old) & (aj == aj_old))
+        stop |= (ai == ai_old) & (aj == aj_old)
 
         if stop.any():
             alpha_out[ids[stop]] = alpha[stop]
@@ -352,8 +350,8 @@ def _machines(pool, rows, y, alpha, f_free, spec: KernelSpec, pairs) -> list[Bin
 
     A machine's bias is the mean score of its free vectors, taken by one
     2-D mean per distinct free-vector count; without free vectors it is
-    the midpoint of the final gradient band, and without a band the mean
-    score of all its slots."""
+    the midpoint of the final gradient band, which sum(alpha * y) = 0
+    keeps non-empty. A non-finite score or bias raises NonFinite."""
     c = spec.c
     scores = y - f_free
     up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
@@ -370,8 +368,10 @@ def _machines(pool, rows, y, alpha, f_free, spec: KernelSpec, pairs) -> list[Bin
     for count in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
         same = counts == count
         bias[same] = scores[same][free[same]].reshape(-1, count).mean(axis=1)
-    for m in np.flatnonzero((counts == 0) & ~(up.any(axis=1) & low.any(axis=1))).tolist():
-        bias[m] = scores[m, : np.count_nonzero(y[m])].mean()
+    bad = ~np.isfinite(np.where(y != 0, scores, bias[:, None])).all(axis=1)
+    if bad.any():
+        pair = " ".join(pairs[int(bad.argmax())])
+        raise NonFinite(f"{_kernel_record(spec)} overflows float64 on pair {pair}")
     index, coefficients = rows[support], (alpha * y)[support]
     s = [0, *np.cumsum(support.sum(axis=1)).tolist()]
     return [

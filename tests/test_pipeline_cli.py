@@ -2,6 +2,7 @@ import argparse
 import os
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +318,7 @@ class TestCli:
         assert main(["segment", "--bg", str(bg), "--in", str(frames),
                      "--out", str(sil), "--quiet"]) == 0
 
-        assert main(["cycles", "--in", str(sil), "--fps", "25"]) == 0
+        assert main(["cycles", "--in", str(sil)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("period_frames,16")
         assert "cycle," in out and "frame,width" in out
@@ -395,12 +396,11 @@ class TestCli:
             expected = np.where(reference_segment(frame.pixels, reference), 255, 0)
             assert pixels.tobytes() == expected.astype(np.uint8).tobytes()
 
-    @pytest.mark.parametrize("command", ["cycles", "features"])
-    def test_non_finite_fps_is_a_usage_error(self, tmp_path, capsys, command):
+    def test_non_finite_fps_is_a_usage_error(self, tmp_path, capsys):
         write_pgm(tmp_path / "sil" / "frame_0001.pgm", np.zeros((4, 4), np.uint8))
         out = tmp_path / "f.csv"
-        args = [command, "--in", str(tmp_path / "sil"), "--fps", "inf"]
-        assert main(args + (["--out", str(out)] if command == "features" else [])) == 1
+        assert main(["features", "--in", str(tmp_path / "sil"), "--fps", "inf",
+                     "--out", str(out)]) == 1
         assert "fps must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -432,6 +432,20 @@ class TestCli:
         assert text == library(spec, tol=0.5, max_passes=2) != library(spec)
         text = train("--config", str(cfg), "--kernel", "poly", "--degree", "2")
         assert {ln for ln in text.splitlines() if ln.startswith("kernel ")} == {"kernel poly 3 2"}
+
+    def test_train_refuses_a_kernel_that_overflows(self, tmp_path, capsys):
+        feats = _random_features(tmp_path / "f.csv")
+        out = tmp_path / "m.svm"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--features", str(feats), "--kernel", "poly", "--degree",
+                         "400", "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.err == "error: [training] kernel poly 10 400 overflows float64\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("spelling", ["f.csv", "sub/../f.csv"])
     def test_train_refuses_to_overwrite_its_features(self, tmp_path, capsys, spelling):
@@ -503,7 +517,8 @@ class TestCli:
             load_background(bg)
         assert main(["segment", "--bg", str(bg), "--in", str(tmp_path / "frames"),
                      "--out", str(tmp_path / "sil")]) == 2
-        assert f"error: {bg}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bg}: bad threshold") and len(err) < 200, err
         assert not (tmp_path / "sil").exists()
 
     @pytest.mark.parametrize(
@@ -544,7 +559,7 @@ class TestCli:
         capsys.readouterr()
 
     def test_data_error_exit_code(self, tmp_path, capsys):
-        assert main(["cycles", "--in", str(tmp_path / "nope"), "--fps", "25"]) == 2
+        assert main(["cycles", "--in", str(tmp_path / "nope")]) == 2
         assert main(["predict", "--model", str(tmp_path / "no.svm"),
                      "--features", str(tmp_path / "no.csv")]) == 2
         capsys.readouterr()
@@ -1047,6 +1062,8 @@ class TestOptions:
             (["predict", "--model", str(model), "--features", str(feats)], ["--seed", "1"]),
             (["background", "--in", str(frames), "--out", str(tmp_path / "bg.pgm")],
              ["--config", "x"]),
+            (["background", "--in", str(frames), "--out", str(tmp_path / "bg.pgm")],
+             ["--fps", "25"]),
             (["cycles", "--in", str(frames)], ["--quiet"]),
             (["synth", "--spec", str(spec), "--out", str(tmp_path / "again")], ["--resume"]),
         ]
