@@ -27,7 +27,6 @@ from .gaitcycle import (
 from .imagery import Frame, FrameSequence, load_sequence
 from .metrics import ConfusionMatrix, evaluate, measures
 from .segmentation import (
-    SilhouetteMask,
     clean_mask,
     difference_mask,
     segment_sequence,
@@ -56,7 +55,6 @@ __all__ = [
     "GaitCycle",
     "GaitlockError",
     "KernelSpec",
-    "SilhouetteMask",
     "SvmModel",
     "WalkerSpec",
     "WalkerTruth",

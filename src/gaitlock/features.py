@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .errors import BadComponentLength, BadDimensions, EmptyWindow, TooFewFrames
+from .segmentation import _silhouette, bounding_boxes
 
 WAVELET_GRID = 64
 
@@ -161,10 +162,11 @@ def wavelet_statistics(energies) -> np.ndarray:
 
 
 def wavelet_features(masks) -> np.ndarray:
-    """:func:`wavelet_statistics` of a list of silhouette masks, taken
-    mask by mask so their shapes may differ; frames without a silhouette
+    """:func:`wavelet_statistics` of a list of (h, w) bool masks, taken
+    mask by mask so their shapes may differ; masks without foreground
     are skipped."""
-    return wavelet_statistics([subband_energies(m.mask[None], m.bbox) for m in masks if not m.empty])
+    masks = [_silhouette(m)[None] for m in masks]
+    return wavelet_statistics([subband_energies(m, bounding_boxes(m)) for m in masks if m.any()])
 
 
 def fuse(spatial=None, temporal=None, wavelet=None) -> np.ndarray:

@@ -16,23 +16,12 @@ from .imagery import Frame, FrameSequence, WalkBuffers
 EMPTY_BOX = (0, 0, -1, -1)
 
 
-class SilhouetteMask:
-    """Binary walker mask for one frame; ``bbox`` is its box row as a
-    tuple of four ints, or None when the mask is empty."""
-
-    __slots__ = ("mask", "bbox")
-
-    def __init__(self, mask):
-        arr = np.asarray(mask)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DimensionMismatch(f"mask must be a non-empty 2-D grid, got shape {arr.shape}")
-        self.mask = arr.astype(bool)
-        box = tuple(bounding_boxes(self.mask[None])[0].tolist())
-        self.bbox = None if box == EMPTY_BOX else box
-
-    @property
-    def empty(self) -> bool:
-        return self.bbox is None
+def _silhouette(mask) -> np.ndarray:
+    # one frame's mask as a 2-D bool array; other shapes raise
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.size == 0:
+        raise DimensionMismatch(f"mask must be a non-empty 2-D grid, got shape {mask.shape}")
+    return mask
 
 
 def bounding_boxes(masks) -> np.ndarray:
@@ -177,27 +166,28 @@ def _keep_largest(masks: np.ndarray, out: np.ndarray, y0=0, x0=0) -> None:
     out.ravel()[_run_pixels(starts[kept], ends[kept], h, w, out.shape[1:], y0, x0)] = True
 
 
-def largest_component(mask: np.ndarray) -> np.ndarray:
+def largest_component(mask) -> np.ndarray:
     """Keep only the biggest 8-connected foreground component (ties: first
-    in scan order)."""
-    mask = np.asarray(mask, dtype=bool)
+    in scan order) of an (h, w) bool mask."""
+    mask = _silhouette(mask)
     kept = np.zeros((1,) + mask.shape, dtype=bool)
     _keep_largest(mask[None], kept)
     return kept[0]
 
 
-def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> SilhouetteMask:
-    """Mark pixels whose absolute difference from the reference exceeds
-    the threshold (strictly). ``auto`` chooses the threshold by Otsu
-    analysis of this frame's difference image.
+def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> np.ndarray:
+    """(h, w) bool mask of the pixels whose absolute difference from the
+    reference exceeds the threshold (strictly). ``auto`` chooses the
+    threshold by Otsu analysis of this frame's difference image.
     """
     _check_size(frame, bg)
-    return SilhouetteMask(_foreground(frame.pixels[None], bg.reference.pixels, threshold)[0])
+    return _foreground(frame.pixels[None], bg.reference.pixels, threshold)[0]
 
 
-def clean_mask(raw: SilhouetteMask) -> SilhouetteMask:
-    """One majority-vote smoothing pass, then largest-component selection."""
-    return SilhouetteMask(largest_component(_majority_vote(raw.mask[None])[0]))
+def clean_mask(raw) -> np.ndarray:
+    """One majority-vote smoothing pass over an (h, w) bool mask, then
+    largest-component selection."""
+    return largest_component(_majority_vote(_silhouette(raw)[None])[0])
 
 
 def segment_sequence(

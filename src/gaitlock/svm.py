@@ -227,9 +227,11 @@ def _train_machines(
             if not np.isfinite(block).all():
                 raise NonFinite(f"{_kernel_record(spec)} overflows float64")
         budget = np.maximum(5000, 500 * max_passes * part_sizes).astype(float)
-        alpha, f_free = _smo_lockstep(k, y, spec.c, tol, budget)
-        del k  # the memory bound holds one stack; extraction needs none
-        machines += _machines(x, part_rows, y, alpha, f_free, spec, pairs[part])
+        # an overflow in the solver leaves a non-finite score, which _machines refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha, f_free = _smo_lockstep(k, y, spec.c, tol, budget)
+            del k  # the memory bound holds one stack; extraction needs none
+            machines += _machines(x, part_rows, y, alpha, f_free, spec, pairs[part])
     return machines
 
 
@@ -295,29 +297,20 @@ def _smo_lockstep(k, y, c: float, tol: float, budget):
             s < 0, np.maximum(0.0, aj_old - ai_old), np.maximum(0.0, ai_old + aj_old - c)
         )
         hi_b = np.where(s < 0, np.minimum(c, c + aj_old - ai_old), np.minimum(c, ai_old + aj_old))
-        k_ii, k_jj, k_ij = k_i[rows, i], k_j[rows, j], k_i[rows, j]
-        f_i, f_j = f_free[rows, i], f_free[rows, j]
-        eta = k_ii + k_jj - 2.0 * k_ij
+        eta = k_i[rows, i] + k_j[rows, j] - 2.0 * k_i[rows, j]
         steep = eta > tau
-        e_diff = (f_i - yi) - (f_j - yj)
+        e_diff = (f_free[rows, i] - yi) - (f_free[rows, j] - yj)
         # flat machines divide by 1, so their unused steep step stays finite
         aj_steep = np.minimum(
             hi_b, np.maximum(lo_b, aj_old + yj * e_diff / np.where(steep, eta, 1.0))
         )
-        # flat direction: move to whichever clip end gains dual objective
+        # flat direction: move to whichever clip end gains dual objective;
+        # a step dj of alpha_j gains dj * (yj * e_diff - dj * eta / 2)
         best_gain, aj_flat = np.zeros(ids.size), aj_old
         if not steep.all():
             for end in (lo_b, hi_b):
                 dj = end - aj_old
-                di = -s * dj
-                ui, uj = yi * di, yj * dj
-                gain = (
-                    di
-                    + dj
-                    - ui * f_i
-                    - uj * f_j
-                    - 0.5 * (ui * ui * k_ii + uj * uj * k_jj + 2.0 * ui * uj * k_ij)
-                )
+                gain = dj * (yj * e_diff - 0.5 * dj * eta)
                 better = gain > best_gain + 1e-15
                 best_gain = np.where(better, gain, best_gain)
                 aj_flat = np.where(better, end, aj_flat)

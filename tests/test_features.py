@@ -27,7 +27,6 @@ from gaitlock.features import (
 from gaitlock.gaitcycle import width_signal
 from gaitlock.segmentation import (
     EMPTY_BOX,
-    SilhouetteMask,
     bounding_boxes,
     centroids_x,
 )
@@ -137,14 +136,14 @@ class TestWavelet:
     def _solid_mask(self, w=20, h=40, frame=(64, 64), at=(5, 5)):
         grid = np.zeros(frame, dtype=bool)
         grid[at[0]:at[0] + h, at[1]:at[1] + w] = True
-        return SilhouetteMask(grid)
+        return grid
 
     def test_identical_frames_have_zero_sigma(self):
         feats = wavelet_features([self._solid_mask()] * 5)
         assert feats[1] == feats[3] == feats[5] == 0.0
 
     def test_all_ones_grid_has_no_detail_energy(self):
-        full = SilhouetteMask(np.ones((64, 64), dtype=bool))
+        full = np.ones((64, 64), dtype=bool)
         feats = wavelet_features([full, full])
         assert feats[0] == pytest.approx(4.0)  # LL coefficients are all 2
         assert feats[2] == feats[3] == feats[4] == feats[5] == 0.0
@@ -155,7 +154,7 @@ class TestWavelet:
         assert np.allclose(wavelet_features(a), wavelet_features(b))
 
     def test_window_errors(self):
-        empty = SilhouetteMask(np.zeros((8, 8), dtype=bool))
+        empty = np.zeros((8, 8), dtype=bool)
         with pytest.raises(EmptyWindow):
             wavelet_features([empty, empty])
         with pytest.raises(TooFewFrames):
@@ -282,10 +281,7 @@ def test_descriptors_match_per_mask_references(masks):
     boxes = bounding_boxes(masks)
     singles = [reference_box(m) for m in masks]
     assert boxes.tolist() == singles
-    silhouettes = [SilhouetteMask(m) for m in masks]
-    assert [s.bbox for s in silhouettes] == [
-        None if b == list(EMPTY_BOX) else tuple(b) for b in singles
-    ]
+    assert [bounding_boxes(m[None])[0].tolist() for m in masks] == singles
     widths = np.array([x_max - x_min + 1 for x_min, _, x_max, _ in singles], dtype=np.float64)
     assert width_signal(boxes, fps=25).values.tobytes() == widths.tobytes()
 
@@ -301,15 +297,15 @@ def test_descriptors_match_per_mask_references(masks):
     expected = np.array([reference_subband_energies(m) for m in present]).reshape(-1, 3)
     energies = subband_energies(masks, boxes)
     assert energies.tobytes() == expected.tobytes()
-    one_by_one = [subband_energies(s.mask[None], s.bbox) for s in silhouettes if not s.empty]
+    one_by_one = [subband_energies(m[None], bounding_boxes(m[None])) for m in present]
     assert np.array(one_by_one).reshape(-1, 3).tobytes() == expected.tobytes()
     if len(present) < 2:
         error = EmptyWindow if not present else TooFewFrames
         with pytest.raises(error):
             wavelet_statistics(energies)
         with pytest.raises(error):
-            wavelet_features(silhouettes)
+            wavelet_features(list(masks))
         return
     six = np.array([v for s in range(3) for v in series_stats(expected[:, s])])
     assert wavelet_statistics(energies).tobytes() == six.tobytes()
-    assert wavelet_features(silhouettes).tobytes() == six.tobytes()
+    assert wavelet_features(list(masks)).tobytes() == six.tobytes()

@@ -9,10 +9,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gaitlock import segmentation
 from gaitlock.background import BackgroundModel
 from gaitlock.errors import DimensionMismatch
+from gaitlock.features import wavelet_features
 from gaitlock.imagery import Frame, FrameSequence, WalkBuffers
 from gaitlock.segmentation import (
     EMPTY_BOX,
-    SilhouetteMask,
     bounding_boxes,
     clean_mask,
     difference_mask,
@@ -25,6 +25,10 @@ from test_background import brute_between_class_variance
 
 def bg_of(pixels):
     return BackgroundModel(Frame(np.asarray(pixels, dtype=np.uint8)), "median")
+
+
+def box_of(mask):
+    return bounding_boxes(mask[None])[0].tolist()
 
 
 def flood_fill_components(mask):
@@ -108,14 +112,14 @@ class TestDifferenceMask:
     def test_identical_frame_gives_empty_mask(self):
         frame = Frame(np.full((4, 4), 90, np.uint8))
         mask = difference_mask(frame, bg_of(np.full((4, 4), 90)), threshold=10)
-        assert not mask.mask.any()
-        assert mask.bbox is None
+        assert not mask.any()
+        assert box_of(mask) == list(EMPTY_BOX)
 
     def test_threshold_is_strict(self):
         frame = Frame(np.array([[100, 80]], dtype=np.uint8))
         bg = bg_of([[30, 30]])
         mask = difference_mask(frame, bg, threshold=50)
-        assert mask.mask.tolist() == [[True, False]]  # |70| > 50, |50| == 50 stays out
+        assert mask.tolist() == [[True, False]]  # |70| > 50, |50| == 50 stays out
 
     def test_symmetric_in_sign(self):
         rng = np.random.default_rng(0)
@@ -123,7 +127,7 @@ class TestDifferenceMask:
         delta = rng.integers(-50, 51, size=(5, 5))
         up = difference_mask(Frame((base + delta).astype(np.uint8)), bg_of(base), 20)
         down = difference_mask(Frame((base - delta).astype(np.uint8)), bg_of(base), 20)
-        assert np.array_equal(up.mask, down.mask)
+        assert np.array_equal(up, down)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -133,9 +137,10 @@ class TestDifferenceMask:
         pixels = np.zeros((8, 8), np.uint8)
         pixels[2:5, 3:7] = 200
         mask = difference_mask(Frame(pixels), bg_of(np.zeros((8, 8))), 100)
-        assert mask.bbox == (3, 2, 6, 4)
-        assert all(type(v) is int for v in mask.bbox)
-        x_min, y_min, x_max, y_max = mask.bbox
+        assert mask.dtype == bool and mask.shape == (8, 8)
+        row = bounding_boxes(mask[None])[0]
+        assert row.dtype == np.int64 and row.tolist() == [3, 2, 6, 4]
+        x_min, y_min, x_max, y_max = row
         assert (x_max - x_min + 1, y_max - y_min + 1) == (4, 3)
 
 
@@ -156,7 +161,7 @@ def frame_pairs(draw):
 @example((np.full((2, 2), 255, np.uint8), np.full((2, 2), 255, np.uint8)))
 def test_auto_difference_mask_matches_brute_otsu(pair):
     frame, reference = pair
-    mask = difference_mask(Frame(frame), bg_of(reference)).mask
+    mask = difference_mask(Frame(frame), bg_of(reference))
     diffs = [abs(int(a) - int(b)) for a, b in zip(frame.ravel(), reference.ravel())]
     if len(set(diffs)) == 1:
         # no split exists: the foreground class stays empty
@@ -176,37 +181,54 @@ class TestCleanMask:
         grid[5:15, 8:28] = True  # 10x20 solid walker
         for r, c in ((30, 30), (2, 35), (35, 2)):
             grid[r, c] = True
-        cleaned = clean_mask(SilhouetteMask(grid))
-        assert not cleaned.mask[30, 30] and not cleaned.mask[2, 35] and not cleaned.mask[35, 2]
-        assert cleaned.mask[6:14, 9:27].all()  # interior intact
-        assert cleaned.bbox == (8, 5, 27, 14)
+        cleaned = clean_mask(grid)
+        assert cleaned.dtype == bool and cleaned.shape == (40, 40)
+        assert not cleaned[30, 30] and not cleaned[2, 35] and not cleaned[35, 2]
+        assert cleaned[6:14, 9:27].all()  # interior intact
+        assert box_of(cleaned) == [8, 5, 27, 14]
 
     def test_empty_stays_empty(self):
-        cleaned = clean_mask(SilhouetteMask(np.zeros((6, 6), dtype=bool)))
-        assert cleaned.bbox is None
+        cleaned = clean_mask(np.zeros((6, 6), dtype=bool))
+        assert not cleaned.any()
+        assert box_of(cleaned) == list(EMPTY_BOX)
 
     def test_solid_rectangle_keeps_interior_and_bbox(self):
         grid = np.zeros((20, 20), dtype=bool)
         grid[4:12, 3:17] = True
-        cleaned = clean_mask(SilhouetteMask(grid))
-        assert cleaned.mask[5:11, 4:16].all()
-        assert cleaned.bbox == (3, 4, 16, 11)
+        cleaned = clean_mask(grid)
+        assert cleaned[5:11, 4:16].all()
+        assert box_of(cleaned) == [3, 4, 16, 11]
 
     def test_at_most_one_component_afterwards(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             grid = rng.random((24, 24)) < 0.35
-            cleaned = clean_mask(SilhouetteMask(grid))
-            _, sizes = flood_fill_components(cleaned.mask)
+            cleaned = clean_mask(grid)
+            _, sizes = flood_fill_components(cleaned)
             assert len(sizes) <= 1
 
     def test_keeps_the_larger_component(self):
         grid = np.zeros((30, 30), dtype=bool)
         grid[2:8, 2:8] = True    # 36 px
         grid[15:25, 15:25] = True  # 100 px
-        cleaned = clean_mask(SilhouetteMask(grid))
-        assert cleaned.mask[18, 18]
-        assert not cleaned.mask[4, 4]
+        cleaned = clean_mask(grid)
+        assert cleaned[18, 18]
+        assert not cleaned[4, 4]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [clean_mask, largest_component, lambda mask: wavelet_features([mask])],
+    ids=["clean_mask", "largest_component", "wavelet_features"],
+)
+@pytest.mark.parametrize(
+    "mask",
+    [np.ones(4, bool), np.ones((2, 3, 3), bool), np.ones((0, 4), bool)],
+    ids=["1-D", "3-D", "empty"],
+)
+def test_per_frame_calls_reject_masks_that_are_not_2d_grids(call, mask):
+    with pytest.raises(DimensionMismatch, match="non-empty 2-D grid"):
+        call(mask)
 
 
 class TestConnectedComponents:
@@ -399,7 +421,7 @@ class TestSegmentSequence:
         # the per-frame API is the one-frame case of the same code
         for frame, expected in zip(frames, want):
             raw = difference_mask(Frame(frame), bg_of(reference), threshold)
-            assert clean_mask(raw).mask.tobytes() == expected.tobytes()
+            assert clean_mask(raw).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("frames_per_block", [1, 2])
     @settings(max_examples=150, deadline=None)

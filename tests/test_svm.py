@@ -143,15 +143,7 @@ def reference_train_binary(x, y, spec, tol=1e-3, max_passes=10, class_pair=("+1"
             best_gain, aj = 0.0, aj_old
             for end in (lo_b, hi_b):
                 dj = end - aj_old
-                di = -s * dj
-                ui, uj = yi * di, yj * dj
-                gain = (
-                    di
-                    + dj
-                    - ui * f_free[i]
-                    - uj * f_free[j]
-                    - 0.5 * (ui * ui * k[i, i] + uj * uj * k[j, j] + 2.0 * ui * uj * k[i, j])
-                )
+                gain = dj * (yj * e_diff - 0.5 * dj * eta)
                 if gain > best_gain + 1e-15:
                     best_gain, aj = gain, end
             if aj == aj_old:
@@ -288,6 +280,21 @@ class TestTrainBinary:
         # the conflicting pair is absorbed at the box bound, KKT-feasibly
         assert kkt_violation(machine, x, y) <= 1e-3
         assert np.all(np.abs(machine.coefficients) <= 5.0 + 1e-9)
+
+    def test_duplicate_rows_at_a_huge_c_keep_both_rows(self, tmp_path):
+        """Duplicate rows with both labels make a flat direction, whose gain
+        squares no step: at c = 1e300, alone or beside steep machines of one
+        stack, the pair still moves to the box bound."""
+        x, spec = np.array([[1.0], [1.0], [5.0], [6.0]]), KernelSpec("linear", 1e300)
+        machine = train_binary(x[:2], np.array([1.0, -1.0]), spec)
+        model = train_multiclass(x, list("abcc"), spec)
+        save_model(model, tmp_path / "m.svm")
+        back = load_model(tmp_path / "m.svm")
+        assert back.kernel == spec
+        for flat in (machine, model.binaries[0], back.binaries[0]):
+            # both rows are support vectors; a model's pool holds equal rows once
+            assert flat.support_vectors.tolist() == [flat.pool[0].tolist()] * 2
+            assert flat.coefficients.tolist() == [1e300, -1e300]
 
     def test_kkt_and_dual_constraints_on_random_problems(self):
         rng = np.random.default_rng(5)
