@@ -18,7 +18,6 @@ from .features import (
 )
 from .gaitcycle import (
     GaitCycle,
-    WidthSignal,
     estimate_period,
     partition_cycles,
     select_feature_window,
@@ -58,7 +57,6 @@ __all__ = [
     "SvmModel",
     "WalkerSpec",
     "WalkerTruth",
-    "WidthSignal",
     "clean_mask",
     "difference_mask",
     "estimate_period",

@@ -24,6 +24,18 @@ TECHNIQUES = (TECHNIQUE_CDM, TECHNIQUE_MEDIAN, TECHNIQUE_HISTOGRAM)
 _BLOCK_BYTES = 1 << 19
 
 
+def check_threshold(value, name: str = "threshold"):
+    """``auto`` or the integer in [0, 255] that ``value`` spells, read by
+    ``imagery.decimal_number``."""
+    text = str(value)
+    if text == "auto":
+        return text
+    try:
+        return decimal_number(text, 255)
+    except ValueError:
+        raise ValueError(f"{name} must be auto or an integer in [0, 255], got {shown(text)}") from None
+
+
 @dataclass(frozen=True)
 class BackgroundModel:
     """Per-pixel reference image plus the technique that produced it.
@@ -182,16 +194,13 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
     pooled inter-frame absolute differences: it fires on Otsu's ``> t``
     class. When every pooled difference is 255 that class is empty, the
     auto threshold is 256, no transition fires, and the reference is the
-    lower median of the whole sequence. A threshold the caller passes
-    must lie in [0, 255].
+    lower median of the whole sequence. Any other threshold is read by
+    ``check_threshold``.
     """
+    threshold = check_threshold(threshold)
     if len(seq) < 2:
         raise TooFewFrames("change analysis needs at least 2 frames")
     auto = threshold == "auto"
-    if not auto:
-        threshold = int(threshold)
-        if not 0 <= threshold <= 255:
-            raise ValueError("cdm threshold must lie in [0, 255]")
     n, h, w = seq.pixels.shape
     p = h * w
     flat = seq.pixels.reshape(n, p)

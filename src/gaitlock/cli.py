@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, svm, synthgait
-from .background import TECHNIQUES, build_background, load_background, save_background
+from .background import (
+    TECHNIQUES,
+    build_background,
+    check_threshold,
+    load_background,
+    save_background,
+)
 from .errors import GaitlockError, LengthMismatch
 from .gaitcycle import estimate_period, partition_cycles, width_signal
 from .imagery import frame_filename, load_sequence, save_sequence, write_pgm
@@ -23,7 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-FPS = 25.0  # the features --fps default; background, segment and cycles load at it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,13 +43,13 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _load_masks(directory, fps: float) -> np.ndarray:
-    return load_sequence(directory, fps).pixels > 127
+def _load_masks(directory) -> np.ndarray:
+    return load_sequence(directory).pixels > 127
 
 
 def cmd_background(args) -> int:
-    threshold = pipeline.check_threshold(args.threshold)
-    seq = load_sequence(args.in_dir, FPS)
+    threshold = check_threshold(args.threshold)
+    seq = load_sequence(args.in_dir)
     model = build_background(seq, args.technique, threshold)
     save_background(model, args.out)
     _say(args, f"background ({model.technique}) written to {args.out}")
@@ -54,9 +59,9 @@ def cmd_background(args) -> int:
 def cmd_segment(args) -> int:
     if Path(args.out).resolve() == Path(args.in_dir).resolve():
         raise ValueError(f"--out {args.out} would overwrite the frames of --in {args.in_dir}")
-    threshold = pipeline.check_threshold(args.threshold)
+    threshold = check_threshold(args.threshold)
     bg = load_background(args.bg)
-    seq = load_sequence(args.in_dir, FPS)
+    seq = load_sequence(args.in_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, mask in enumerate(segment_sequence(seq, bg, threshold), start=1):
@@ -66,14 +71,14 @@ def cmd_segment(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    signal = width_signal(bounding_boxes(_load_masks(args.in_dir, FPS)), FPS)
+    signal = width_signal(bounding_boxes(_load_masks(args.in_dir)))
     period = estimate_period(signal)
     cycles = partition_cycles(signal, period)
     print(f"period_frames,{period}")
     for cycle in cycles:
         print(f"cycle,{cycle.start_frame},{cycle.end_frame}")
     print("frame,width")
-    for i, w in enumerate(signal.values):
+    for i, w in enumerate(signal):
         print(f"{i},{w:g}")
     return EXIT_OK
 
@@ -82,7 +87,8 @@ def cmd_features(args) -> int:
     sequence = args.sequence or Path(args.in_dir).name
     pipeline.check_name(args.subject, "--subject")
     pipeline.check_name(sequence, "--sequence" if args.sequence else f"directory {args.in_dir}")
-    masks = _load_masks(args.in_dir, args.fps)
+    pipeline.PipelineConfig(fps=args.fps).validate()  # a bad --fps fails before any frame is read
+    masks = _load_masks(args.in_dir)
     row = pipeline.masks_feature_row(args.subject, sequence, masks, args.fps)
     pipeline.write_features_csv([row], args.out)
     _say(args, f"features for {args.subject}/{sequence} written to {args.out}")
@@ -210,7 +216,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("features", parents=[quiet], help="extract the fused descriptor")
     p.add_argument("--in", dest="in_dir", required=True, help="silhouette directory")
-    p.add_argument("--fps", type=float, default=FPS)
+    p.add_argument("--fps", type=float, default=pipeline.PipelineConfig.fps)
     p.add_argument("--out", required=True, help="output features.csv")
     p.add_argument("--subject", default="subject")
     p.add_argument("--sequence", default=None)

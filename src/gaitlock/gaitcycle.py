@@ -19,24 +19,6 @@ PEAK_THRESHOLD = 0.3
 
 
 @dataclass(frozen=True)
-class WidthSignal:
-    """Per-frame bounding-box width in pixels (0 where no silhouette)."""
-
-    values: np.ndarray
-    fps: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1:
-            raise ValueError("width signal must be 1-D")
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class GaitCycle:
     """One period of frames, inclusive indices."""
 
@@ -51,11 +33,19 @@ class GaitCycle:
             raise ValueError("cycle bounds do not span period_frames frames")
 
 
-def width_signal(boxes, fps: float) -> WidthSignal:
-    """Width signal of a silhouette sequence from its (n, 4) box rows
-    [x_min, y_min, x_max, y_max] (``segmentation.bounding_boxes``)."""
+def width_signal(boxes) -> np.ndarray:
+    """Per-frame box width in pixels (0 where no silhouette) as (n,) float64,
+    from the (n, 4) box rows of a walk (``segmentation.bounding_boxes``)."""
     boxes = np.asarray(boxes).reshape(-1, 4)
-    return WidthSignal(boxes[:, 2] - boxes[:, 0] + 1, fps)
+    return (boxes[:, 2] - boxes[:, 0] + 1).astype(np.float64)
+
+
+def _widths(signal) -> np.ndarray:
+    # a width signal as a 1-D float64 array; other shapes raise
+    values = np.asarray(signal, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"width signal must be 1-D, got shape {values.shape}")
+    return values
 
 
 def autocorrelation(values: np.ndarray, max_lag: int) -> np.ndarray:
@@ -72,15 +62,16 @@ def autocorrelation(values: np.ndarray, max_lag: int) -> np.ndarray:
     return r
 
 
-def estimate_period(signal: WidthSignal) -> int:
-    """Lag of the first autocorrelation local maximum reaching the
-    acceptance threshold, searched over lags [4, n/2].
+def estimate_period(signal) -> int:
+    """Lag of the first autocorrelation local maximum of a width signal
+    reaching the acceptance threshold, searched over lags [4, n/2].
     """
-    n = len(signal)
+    signal = _widths(signal)
+    n = signal.size
     if n < 3 * MIN_PERIOD:
         raise SequenceTooShort(f"period estimation needs >= {3 * MIN_PERIOD} frames, got {n}")
     max_search = n // 2
-    r = autocorrelation(signal.values, min(max_search + 1, n - 1))
+    r = autocorrelation(signal, min(max_search + 1, n - 1))
     for k in range(MIN_PERIOD, max_search + 1):
         if r[k] < PEAK_THRESHOLD:
             continue
@@ -114,16 +105,17 @@ def _first_peak(values: np.ndarray) -> int:
     return 0
 
 
-def partition_cycles(signal: WidthSignal, period: int) -> list[GaitCycle]:
+def partition_cycles(signal, period: int) -> list[GaitCycle]:
     """Tile cycles of the given period from the first width maximum of the
     3-frame-smoothed signal; trailing partial cycles are dropped.
     """
+    signal = _widths(signal)
     if period < MIN_PERIOD:
         raise ValueError(f"period must be >= {MIN_PERIOD}")
-    n = len(signal)
+    n = signal.size
     if n < period:
         raise SequenceTooShort(f"signal of {n} frames is shorter than one period ({period})")
-    anchor = _first_peak(_smooth3(signal.values))
+    anchor = _first_peak(_smooth3(signal))
     cycles = []
     start = anchor
     while start + period - 1 <= n - 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DecodeError, DimensionMismatch, EmptyDirectory
 
-FRAME_NAME_RE = re.compile(r"^frame_(\d+)\.(pgm|ppm)$")
+FRAME_NAME_RE = re.compile(r"^frame_([0-9]+)\.(pgm|ppm)$")
 
 # ITU-R BT.601 luminance weights for color ingestion
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -93,14 +93,14 @@ class Frame:
 
 
 class FrameSequence:
-    """Ordered frames sharing one resolution, plus the capture rate.
+    """Ordered frames sharing one resolution.
 
     ``frames`` is a sequence of ``Frame`` objects or 2-D grids, or an
     (n, height, width) array. The walk is held as ``pixels``, one
     read-only (n, height, width) uint8 array of its own.
     """
 
-    def __init__(self, frames, fps: float):
+    def __init__(self, frames):
         grids = [f.pixels if isinstance(f, Frame) else _grid(f) for f in frames]
         if not grids:
             raise EmptyDirectory("a sequence needs at least one frame")
@@ -110,23 +110,20 @@ class FrameSequence:
                 raise DimensionMismatch(
                     f"frame {i} is {g.shape[1]}x{g.shape[0]}, expected {w}x{h}"
                 )
-        self._hold(np.stack(grids).astype(np.uint8, copy=False), fps)
+        self._hold(np.stack(grids).astype(np.uint8, copy=False))
 
     @classmethod
-    def _owning(cls, pixels: np.ndarray, fps: float) -> FrameSequence:
+    def _owning(cls, pixels: np.ndarray) -> FrameSequence:
         """The sequence of a freshly filled (n, height, width) uint8 walk
         that no one else writes to while it is in use; it is frozen in
         place, not copied."""
         seq = cls.__new__(cls)
-        seq._hold(pixels, fps)
+        seq._hold(pixels)
         return seq
 
-    def _hold(self, pixels: np.ndarray, fps: float) -> None:
-        if not 0 < fps < math.inf:
-            raise ValueError(f"fps must be positive and finite, got {fps}")
+    def _hold(self, pixels: np.ndarray) -> None:
         pixels.flags.writeable = False
         self.pixels = pixels
-        self.fps = float(fps)
 
     @property
     def width(self) -> int:
@@ -258,11 +255,12 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:04d}.pgm"
 
 
-def load_sequence(directory, fps: float, buffers: WalkBuffers | None = None) -> FrameSequence:
+def load_sequence(directory, buffers: WalkBuffers | None = None) -> FrameSequence:
     """Load numbered frames from a directory, ordered by numeric index.
 
-    Files must match ``frame_<NNNN>.pgm`` (or ``.ppm``); ordering follows
-    the numeric index alone, never the filesystem listing order. Each
+    Files must match ``frame_<NNNN>.pgm`` (or ``.ppm``), ``NNNN`` in ASCII
+    digits; other names are ignored. Ordering follows the numeric index
+    alone, never the filesystem listing order. Each
     frame is read straight into the walk's one array, sized by the first:
     a later file whose bytes before the raster equal a P5 first frame's
     has its raster read in place, any other file is read and checked
@@ -297,7 +295,7 @@ def load_sequence(directory, fps: float, buffers: WalkBuffers | None = None) -> 
             (h, w), (h0, w0) = pixels.shape, first.shape
             raise DimensionMismatch(f"{path} is {w}x{h}, but {paths[0]} is {w0}x{h0}")
         walk[i] = pixels
-    return FrameSequence._owning(walk, fps)
+    return FrameSequence._owning(walk)
 
 
 def save_sequence(seq: FrameSequence, directory) -> None:

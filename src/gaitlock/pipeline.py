@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features as feat
 from . import gaitcycle, metrics, svm
-from .background import TECHNIQUES, build_background
+from .background import TECHNIQUES, build_background, check_threshold
 from .errors import (
     BadName,
     EmptyDirectory,
@@ -32,7 +32,7 @@ from .errors import (
     StageError,
     TooFewSequences,
 )
-from .imagery import WalkBuffers, decimal_number, load_sequence, shown
+from .imagery import WalkBuffers, load_sequence
 from .segmentation import bounding_boxes, centroids_x, segment_sequence
 
 # not called here; gaitbench/tracer.py wraps pipeline.difference_mask and
@@ -108,20 +108,6 @@ class PipelineConfig:
             self.c,
             **{name: getattr(self, name) for name in svm.KERNEL_PARAMS.get(self.kernel, ())},
         )
-
-
-def check_threshold(value, name: str = "threshold"):
-    """``auto`` or the integer in [0, 255] that ``value`` spells, read by
-    ``imagery.decimal_number``."""
-    if value == "auto":
-        return value
-    text = str(value)
-    try:
-        return decimal_number(text, 255)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be auto or an integer in [0, 255], got {shown(text)}"
-        ) from None
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -226,7 +212,7 @@ def masks_feature_row(subject: str, sequence: str, masks, fps: float) -> Feature
     location = f"{subject}/{sequence}"
     with _stage("gait-cycle", location):
         boxes = bounding_boxes(masks)
-        signal = gaitcycle.width_signal(boxes, fps)
+        signal = gaitcycle.width_signal(boxes)
         period = gaitcycle.estimate_period(signal)
         cycles = gaitcycle.partition_cycles(signal, period)
         window = gaitcycle.select_feature_window(cycles)
@@ -247,7 +233,7 @@ def sequence_feature_row(
     if given."""
     location = f"{subject}/{sequence}"
     with _stage("ingestion", location):
-        seq = load_sequence(seq_dir, cfg.fps, buffers=buffers)
+        seq = load_sequence(seq_dir, buffers=buffers)
     with _stage("background", location):
         bg = build_background(seq, cfg.background_technique, cfg.background_threshold)
     with _stage("segmentation", location):

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .background import _BLOCK_BYTES, BackgroundModel, otsu_from_histograms, otsu_histograms
+from .background import (
+    _BLOCK_BYTES,
+    BackgroundModel,
+    check_threshold,
+    otsu_from_histograms,
+    otsu_histograms,
+)
 from .errors import DimensionMismatch
 from .imagery import Frame, FrameSequence, WalkBuffers
 
@@ -63,13 +69,13 @@ def _check_size(image, bg: BackgroundModel) -> None:
 
 
 def _foreground(frames: np.ndarray, reference: np.ndarray, threshold) -> np.ndarray:
-    # |frame - reference| > threshold over an (n, h, w) uint8 block; auto
-    # takes one Otsu threshold per frame
+    # |frame - reference| > threshold over an (n, h, w) uint8 block, for a
+    # threshold read by check_threshold; auto takes one Otsu threshold per frame
     diff = np.maximum(frames, reference) - np.minimum(frames, reference)  # stays uint8
     if threshold == "auto":
         limits = otsu_from_histograms(otsu_histograms(diff.reshape(len(diff), -1))).astype(np.uint8)
         return diff > limits[:, None, None]
-    return diff > int(threshold)
+    return diff > threshold
 
 
 def _majority_vote(masks: np.ndarray) -> np.ndarray:
@@ -178,8 +184,10 @@ def largest_component(mask) -> np.ndarray:
 def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> np.ndarray:
     """(h, w) bool mask of the pixels whose absolute difference from the
     reference exceeds the threshold (strictly). ``auto`` chooses the
-    threshold by Otsu analysis of this frame's difference image.
+    threshold by Otsu analysis of this frame's difference image; any other
+    threshold is read by ``background.check_threshold``.
     """
+    threshold = check_threshold(threshold)
     _check_size(frame, bg)
     return _foreground(frame.pixels[None], bg.reference.pixels, threshold)[0]
 
@@ -203,6 +211,7 @@ def segment_sequence(
     With ``buffers`` the masks are painted into their ``masks`` array,
     valid only until the next walk is segmented into them.
     """
+    threshold = check_threshold(threshold)
     _check_size(seq, bg)
     n, h, w = len(seq), seq.height, seq.width
     masks = (buffers or WalkBuffers()).array("masks", (n, h, w), bool)

@@ -77,7 +77,6 @@ def generate(
     frame_h: int = 144,
     n_frames: int | None = None,
     background_level: int = 40,
-    fps: float = 25.0,
 ) -> tuple[FrameSequence, WalkerTruth]:
     """Render ``n_frames`` frames (default three periods plus 8) and the
     exact per-frame ground truth.
@@ -162,7 +161,7 @@ def generate(
         bboxes=bboxes,
         centroids=centroids,
     )
-    return FrameSequence._owning(pixels, fps), truth
+    return FrameSequence._owning(pixels), truth
 
 
 def write_truth_csv(truth: WalkerTruth, path) -> None:

@@ -12,7 +12,7 @@ from gaitlock import pipeline
 from gaitlock.background import model_cdm, model_histogram, model_median
 from gaitlock.errors import NoPeriodicity
 from gaitlock.features import haar_dwt2, haar_idwt2
-from gaitlock.gaitcycle import WidthSignal, estimate_period, width_signal
+from gaitlock.gaitcycle import estimate_period, width_signal
 from gaitlock.imagery import Frame, FrameSequence
 from gaitlock.metrics import evaluate, measures
 from gaitlock.segmentation import bounding_boxes, segment_sequence
@@ -108,16 +108,16 @@ def test_criterion_4_background_models():
                     occlusions = int(rng.integers(0, (n - 1) // 2 + 1))
                     frames = rng.choice(n, size=occlusions, replace=False)
                     stack[frames, r, c] = rng.integers(0, 256, size=occlusions)
-            seq = FrameSequence([Frame(p) for p in stack], fps=25)
+            seq = FrameSequence([Frame(p) for p in stack])
             assert np.array_equal(model_median(seq).reference.pixels, truth)
 
         tie = FrameSequence(
-            [Frame(np.array([[v]], dtype=np.uint8)) for v in (12, 12, 40, 40, 7)], fps=25
+            [Frame(np.array([[v]], dtype=np.uint8)) for v in (12, 12, 40, 40, 7)]
         )
         assert model_histogram(tie).reference.pixels[0, 0] == 12
 
         trace = FrameSequence(
-            [Frame(np.array([[v]], dtype=np.uint8)) for v in (10, 10, 10, 50, 10)], fps=25
+            [Frame(np.array([[v]], dtype=np.uint8)) for v in (10, 10, 10, 50, 10)]
         )
         assert model_cdm(trace, threshold=20).reference.pixels[0, 0] == 10
 
@@ -140,7 +140,7 @@ def test_criterion_6_period_estimation():
     with criterion(6, "exact sinusoid periods, walker periods within 1 frame, no false period"):
         for p in range(10, 41):
             t = np.arange(4 * p)
-            signal = WidthSignal(50.0 + 10.0 * np.sin(2 * np.pi * t / p), fps=25)
+            signal = 50.0 + 10.0 * np.sin(2 * np.pi * t / p)
             assert estimate_period(signal) == p
 
         for period, noise, seed in ((12, 0.005, 1), (20, 0.01, 2), (28, 0.01, 3)):
@@ -151,11 +151,11 @@ def test_criterion_6_period_estimation():
             seq, truth = generate(spec, 272, 104, 3 * period + 8)
             background = model_median(seq)
             masks = segment_sequence(seq, background, "auto")
-            estimated = estimate_period(width_signal(bounding_boxes(masks), 25.0))
+            estimated = estimate_period(width_signal(bounding_boxes(masks)))
             assert abs(estimated - truth.period_frames) <= 1
 
         with pytest.raises(NoPeriodicity):
-            estimate_period(WidthSignal(np.full(60, 50.0), fps=25))
+            estimate_period(np.full(60, 50.0))
 
 
 def test_criterion_7_svm_solver(benchmark_run):

@@ -25,11 +25,11 @@ from gaitlock.synthgait import WalkerSpec, generate
 
 
 def seq_1x1(values):
-    return FrameSequence([Frame(np.array([[v]], dtype=np.uint8)) for v in values], fps=25)
+    return FrameSequence([Frame(np.array([[v]], dtype=np.uint8)) for v in values])
 
 
 def seq_from_stack(stack):
-    return FrameSequence([Frame(p) for p in stack], fps=25)
+    return FrameSequence([Frame(p) for p in stack])
 
 
 def brute_mode(values):
@@ -243,7 +243,7 @@ class TestCdm:
             [200] * half + middle + [10] * half,
         ]
         stack = np.array(columns, dtype=np.uint8).T[:, None, :]
-        ref = model_cdm(FrameSequence(stack, fps=25), threshold=50).reference.pixels[0]
+        ref = model_cdm(FrameSequence(stack), threshold=50).reference.pixels[0]
         assert ref.tolist() == [brute_cdm(v, 50) for v in columns] == [41, 10, 200]
 
     @pytest.mark.parametrize("n", [256, 257, 65535, 65536, 66015])
@@ -251,7 +251,7 @@ class TestCdm:
         # frame numbers are uint8 up to 256 frames and uint16 up to 65,536;
         # the longest run is the last 15 frames, starting past 65,535 at 66,015
         values = ([0, 100] * 33000 + [7] * 10 + [8] * 5)[-n:]
-        model = model_cdm(FrameSequence(_column(values), fps=25), threshold=50)
+        model = model_cdm(FrameSequence(_column(values)), threshold=50)
         assert model.reference.pixels[0, 0] == brute_cdm(values, 50) == 7
 
     def test_auto_threshold_on_walker(self):
@@ -385,7 +385,7 @@ def test_modelling_memory_is_bounded(model):
     """On a noisy 352x144x120 walk each technique allocates at most three
     times the walk's bytes."""
     rng = np.random.default_rng(12)
-    seq = FrameSequence(rng.integers(30, 201, size=(120, 144, 352), dtype=np.uint8), fps=25)
+    seq = FrameSequence(rng.integers(30, 201, size=(120, 144, 352), dtype=np.uint8))
     tracemalloc.start()
     try:
         model(seq)
@@ -417,7 +417,7 @@ def test_loading_memory_is_bounded(tmp_path):
     1.5 times its bytes: the walk's one array and a file at a time."""
     seq, _ = generate(WalkerSpec(noise_rate=0.01, seed=12), 352, 144, 120)
     save_sequence(seq, tmp_path)
-    loaded, peak = _traced_peak(lambda: load_sequence(tmp_path, fps=25))
+    loaded, peak = _traced_peak(lambda: load_sequence(tmp_path))
     assert loaded.pixels.tobytes() == seq.pixels.tobytes()
     assert peak <= 1.5 * seq.pixels.nbytes, peak / seq.pixels.nbytes
 

@@ -283,7 +283,7 @@ def test_descriptors_match_per_mask_references(masks):
     assert boxes.tolist() == singles
     assert [bounding_boxes(m[None])[0].tolist() for m in masks] == singles
     widths = np.array([x_max - x_min + 1 for x_min, _, x_max, _ in singles], dtype=np.float64)
-    assert width_signal(boxes, fps=25).values.tobytes() == widths.tobytes()
+    assert width_signal(boxes).tobytes() == widths.tobytes()
 
     want = np.array([reference_centroid_x(m) for m in masks])
     got = centroids_x(masks)

@@ -8,7 +8,6 @@ from gaitlock import gaitcycle
 from gaitlock.errors import InsufficientCycles, NoPeriodicity, SequenceTooShort
 from gaitlock.gaitcycle import (
     GaitCycle,
-    WidthSignal,
     estimate_period,
     partition_cycles,
     select_feature_window,
@@ -19,7 +18,7 @@ from gaitlock.segmentation import bounding_boxes
 
 def sine_signal(period, n, base=50.0, amp=10.0, phase=0.0):
     t = np.arange(n)
-    return WidthSignal(base + amp * np.sin(2 * np.pi * (t - phase) / period), fps=25)
+    return base + amp * np.sin(2 * np.pi * (t - phase) / period)
 
 
 class TestEstimatePeriod:
@@ -32,16 +31,16 @@ class TestEstimatePeriod:
 
     def test_constant_signal_has_no_period(self):
         with pytest.raises(NoPeriodicity):
-            estimate_period(WidthSignal(np.full(60, 50.0), fps=25))
+            estimate_period(np.full(60, 50.0))
 
     def test_too_short(self):
         with pytest.raises(SequenceTooShort):
-            estimate_period(WidthSignal(np.arange(11, dtype=float), fps=25))
+            estimate_period(np.arange(11, dtype=float))
 
     def test_shift_and_scale_invariance(self):
         base = sine_signal(18, 90)
-        shifted = WidthSignal(base.values + 1000.0, fps=25)
-        scaled = WidthSignal(base.values * 7.5, fps=25)
+        shifted = base + 1000.0
+        scaled = base * 7.5
         assert estimate_period(base) == estimate_period(shifted) == estimate_period(scaled) == 18
 
     def test_arch_train_like_walker_widths(self):
@@ -50,34 +49,41 @@ class TestEstimatePeriod:
             t = np.arange(4 * p)
             sep = 30.0 * np.abs(np.sin(np.pi * t / p))
             w = np.maximum(20.0, sep + 4.0)
-            assert estimate_period(WidthSignal(w, fps=25)) == p
+            assert estimate_period(w) == p
+
+
+@pytest.mark.parametrize("signal", [np.float64(50.0), np.full((2, 30), 50.0)], ids=["0-D", "2-D"])
+def test_signal_must_be_one_dimensional(signal):
+    with pytest.raises(ValueError, match="1-D"):
+        estimate_period(signal)
+    with pytest.raises(ValueError, match="1-D"):
+        partition_cycles(signal, 4)
 
 
 class TestPartitionCycles:
     def test_tiling_from_first_peak(self):
         # peak of the cosine at frame 5, period 30, 90 frames
         t = np.arange(90)
-        sig = WidthSignal(50 + 10 * np.cos(2 * np.pi * (t - 5) / 30), fps=25)
+        sig = 50 + 10 * np.cos(2 * np.pi * (t - 5) / 30)
         cycles = partition_cycles(sig, 30)
         assert [(c.start_frame, c.end_frame) for c in cycles] == [(5, 34), (35, 64)]
 
     def test_single_period_starting_at_maximum(self):
         t = np.arange(30)
-        sig = WidthSignal(50 + 10 * np.cos(2 * np.pi * t / 30), fps=25)
+        sig = 50 + 10 * np.cos(2 * np.pi * t / 30)
         cycles = partition_cycles(sig, 30)
         assert [(c.start_frame, c.end_frame) for c in cycles] == [(0, 29)]
 
     def test_too_short(self):
         with pytest.raises(SequenceTooShort):
-            partition_cycles(WidthSignal(np.ones(29), fps=25), 30)
+            partition_cycles(np.ones(29), 30)
 
     def test_cycles_are_disjoint_contiguous_and_period_long(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             p = int(rng.integers(5, 20))
             n = int(rng.integers(3 * p, 6 * p))
-            sig = WidthSignal(50 + 10 * np.sin(2 * np.pi * np.arange(n) / p)
-                              + rng.normal(0, 0.5, n), fps=25)
+            sig = 50 + 10 * np.sin(2 * np.pi * np.arange(n) / p) + rng.normal(0, 0.5, n)
             cycles = partition_cycles(sig, p)
             for a, b in zip(cycles, cycles[1:]):
                 assert b.start_frame == a.end_frame + 1
@@ -130,6 +136,6 @@ def test_gait_cycle_invariants():
 def test_width_signal_from_masks():
     masks = np.zeros((2, 6, 10), dtype=bool)  # frame 0 empty -> width 0
     masks[1, 2:4, 3:8] = True
-    sig = width_signal(bounding_boxes(masks), fps=25)
-    assert sig.values.tolist() == [0.0, 5.0]
+    sig = width_signal(bounding_boxes(masks))
+    assert sig.tolist() == [0.0, 5.0]
     assert len(sig) == 2

@@ -37,10 +37,7 @@ def test_frame_invariants():
 
 def test_sequence_requires_uniform_size():
     with pytest.raises(DimensionMismatch):
-        FrameSequence([Frame(gray(0, (4, 4))), Frame(gray(0, (8, 8)))], fps=25)
-    for fps in (0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            FrameSequence([Frame(gray(0))], fps=fps)
+        FrameSequence([Frame(gray(0, (4, 4))), Frame(gray(0, (8, 8)))])
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):
@@ -75,16 +72,15 @@ def test_pgm_comment_that_cannot_read_back_is_refused(tmp_path, comment):
 def test_load_constant_frames(tmp_path):
     for i in range(1, 4):
         write_pgm(tmp_path / frame_filename(i), gray(128))
-    seq = load_sequence(tmp_path, fps=25)
+    seq = load_sequence(tmp_path)
     assert len(seq) == 3
-    assert seq.fps == 25
     assert all(np.array_equal(f.pixels, gray(128)) for f in seq)
 
 
 def test_load_preserves_exact_bytes(tmp_path):
     pixels = np.array([[0, 255], [128, 64]], dtype=np.uint8)
     write_pgm(tmp_path / frame_filename(1), pixels)
-    seq = load_sequence(tmp_path, fps=25)
+    seq = load_sequence(tmp_path)
     assert np.array_equal(seq[0].pixels, pixels)
 
 
@@ -93,8 +89,19 @@ def test_load_order_is_numeric_not_lexical(tmp_path):
     write_pgm(tmp_path / "frame_10.pgm", gray(10))
     write_pgm(tmp_path / "frame_2.pgm", gray(2))
     write_pgm(tmp_path / "frame_0001.pgm", gray(1))
-    seq = load_sequence(tmp_path, fps=25)
+    seq = load_sequence(tmp_path)
     assert [f.pixels[0, 0] for f in seq] == [1, 2, 10]
+
+
+def test_frame_indices_are_ascii_digits_only(tmp_path):
+    # U+0662 and U+0661, the ARABIC-INDIC digits two and one, match a
+    # Unicode \d; a name spelled with them is no frame name and is ignored
+    write_pgm(tmp_path / "frame_\u0662.pgm", gray(2))
+    with pytest.raises(EmptyDirectory):
+        load_sequence(tmp_path)
+    write_pgm(tmp_path / "frame_0001.pgm", gray(1))
+    write_pgm(tmp_path / "frame_\u0661.pgm", gray(3))  # no duplicate of index 1
+    assert [f.pixels[0, 0] for f in load_sequence(tmp_path)] == [1]
 
 
 def test_load_mixed_sizes_rejected(tmp_path):
@@ -102,36 +109,36 @@ def test_load_mixed_sizes_rejected(tmp_path):
     write_pgm(tmp_path / frame_filename(2), gray(0, (8, 8)))
     message = r"frame_0002\.pgm is 8x8, but .*frame_0001\.pgm is 4x4"
     with pytest.raises(DimensionMismatch, match=message):
-        load_sequence(tmp_path, fps=25)
+        load_sequence(tmp_path)
 
 
 def test_load_empty_or_missing_directory(tmp_path):
     with pytest.raises(EmptyDirectory):
-        load_sequence(tmp_path, fps=25)
+        load_sequence(tmp_path)
     with pytest.raises(EmptyDirectory):
-        load_sequence(tmp_path / "nope", fps=25)
+        load_sequence(tmp_path / "nope")
 
 
 def test_malformed_file_rejected(tmp_path):
     (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n4 4\n255\nxx")  # truncated raster
     with pytest.raises(DecodeError):
-        load_sequence(tmp_path, fps=25)
+        load_sequence(tmp_path)
     (tmp_path / "frame_0001.pgm").write_bytes(b"P3\n1 1\n255\n0\n")
     with pytest.raises(DecodeError):
-        load_sequence(tmp_path, fps=25)
+        load_sequence(tmp_path)
 
 
 def test_ppm_converts_to_luminance(tmp_path):
     # one red, one white pixel: 0.299*255 -> 76, full white -> 255
     body = bytes([255, 0, 0, 255, 255, 255])
     (tmp_path / "frame_0001.ppm").write_bytes(b"P6\n2 1\n255\n" + body)
-    seq = load_sequence(tmp_path, fps=25)
+    seq = load_sequence(tmp_path)
     assert seq[0].pixels.tolist() == [[76, 255]]
 
 
 def test_header_comments_ignored(tmp_path):
     (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n# a comment\n1 1\n255\n\x42")
-    seq = load_sequence(tmp_path, fps=25)
+    seq = load_sequence(tmp_path)
     assert seq[0].pixels[0, 0] == 0x42
 
 
@@ -140,14 +147,14 @@ def test_header_size_beyond_the_raster_is_a_decode_error(tmp_path, size):
     # the header's counts must not size anything before the raster is checked
     (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
     with pytest.raises(DecodeError, match=r"frame_0001\.pgm: truncated raster"):
-        load_sequence(tmp_path, fps=25)
+        load_sequence(tmp_path)
 
 
 def test_sequence_constructors_agree():
     stack = np.random.default_rng(5).integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
     for frames in ([Frame(p) for p in stack], [p.tolist() for p in stack], stack,
                    stack.astype(np.int64)):
-        seq = FrameSequence(frames, fps=25)
+        seq = FrameSequence(frames)
         assert seq.pixels.dtype == np.uint8 and seq.pixels.shape == (5, 3, 4)
         assert seq.pixels.tobytes() == stack.tobytes()
         assert (len(seq), seq.width, seq.height) == (5, 4, 3)
@@ -157,7 +164,7 @@ def test_sequence_constructors_agree():
 def test_sequence_pixels_are_read_only_and_private():
     stack = np.zeros((3, 2, 2), dtype=np.uint8)
     grids = list(stack)
-    by_array, by_grids = FrameSequence(stack, fps=25), FrameSequence(grids, fps=25)
+    by_array, by_grids = FrameSequence(stack), FrameSequence(grids)
     for seq in (by_array, by_grids):
         assert not seq.pixels.flags.writeable
         with pytest.raises(ValueError):
@@ -180,14 +187,14 @@ def test_sequence_rejects_grids_as_frame_does(grid):
         Frame(grid)
     for frames in ([grid], np.asarray(grid)[None]):  # a list of grids, an (n, h, w) array
         with pytest.raises(from_frame.type):
-            FrameSequence(frames, fps=25)
+            FrameSequence(frames)
 
 
 def test_sequence_of_grids_names_the_index():
     with pytest.raises(DimensionMismatch, match="frame 1 is 8x8, expected 4x4"):
-        FrameSequence([gray(0, (4, 4)), gray(0, (8, 8))], fps=25)
+        FrameSequence([gray(0, (4, 4)), gray(0, (8, 8))])
     with pytest.raises(EmptyDirectory):
-        FrameSequence(np.zeros((0, 2, 2), dtype=np.uint8), fps=25)
+        FrameSequence(np.zeros((0, 2, 2), dtype=np.uint8))
 
 
 def _reference_token(data: bytes, pos: int, comments: list) -> tuple[bytes, int]:
@@ -294,7 +301,7 @@ def test_header_grammar_matches_the_token_reader(tmp_path_factory, data):
     assert comments == header_comments
 
 
-def reference_load_sequence(directory, fps: float) -> FrameSequence:
+def reference_load_sequence(directory) -> FrameSequence:
     """The per-file loop ``load_sequence`` ran before it read rasters in
     place, kept as the oracle: every frame through ``read_pnm``."""
     directory = Path(directory)
@@ -322,7 +329,7 @@ def reference_load_sequence(directory, fps: float) -> FrameSequence:
             (h, w), (h0, w0) = pixels.shape, first.shape
             raise DimensionMismatch(f"{path} is {w}x{h}, but {paths[0]} is {w0}x{h0}")
         walk[i] = pixels
-    return FrameSequence(walk, fps)
+    return FrameSequence(walk)
 
 
 # what a later frame of a walk may differ in from the first
@@ -386,18 +393,18 @@ def test_load_matches_the_per_file_loop(tmp_path_factory, files):
         else:
             (directory / name).write_bytes(data)
     try:
-        expected = reference_load_sequence(directory, 25)
+        expected = reference_load_sequence(directory)
     except GaitlockError as exc:
         for buffers in (None, _stale_buffers()):
             with pytest.raises(GaitlockError) as raised:
-                load_sequence(directory, 25, buffers=buffers)
+                load_sequence(directory, buffers=buffers)
             assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return
     for buffers in (None, _stale_buffers()):
-        seq = load_sequence(directory, 25, buffers=buffers)
+        seq = load_sequence(directory, buffers=buffers)
         assert seq.pixels.shape == expected.pixels.shape
         assert seq.pixels.tobytes() == expected.pixels.tobytes()
-        assert seq.fps == 25 and not seq.pixels.flags.writeable
+        assert not seq.pixels.flags.writeable
 
 
 def test_buffers_grow_only_for_a_larger_walk(tmp_path):
@@ -407,11 +414,11 @@ def test_buffers_grow_only_for_a_larger_walk(tmp_path):
     for n, value in ((3, 7), (2, 9), (4, 5)):
         for i in range(1, n + 1):
             write_pgm(tmp_path / f"w{n}" / frame_filename(i), gray(value))
-    big = load_sequence(tmp_path / "w3", 25, buffers=buffers)
-    small = load_sequence(tmp_path / "w2", 25, buffers=buffers)
+    big = load_sequence(tmp_path / "w3", buffers=buffers)
+    small = load_sequence(tmp_path / "w2", buffers=buffers)
     assert np.shares_memory(big.pixels, small.pixels)
     assert (small.pixels == 9).all() and big.pixels[:2].tolist() == small.pixels.tolist()
-    larger = load_sequence(tmp_path / "w4", 25, buffers=buffers)
+    larger = load_sequence(tmp_path / "w4", buffers=buffers)
     assert not np.shares_memory(larger.pixels, small.pixels) and (larger.pixels == 5).all()
-    owned = load_sequence(tmp_path / "w2", 25)
+    owned = load_sequence(tmp_path / "w2")
     assert not np.shares_memory(owned.pixels, larger.pixels)

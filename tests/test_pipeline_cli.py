@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlock import pipeline, svm
-from gaitlock.background import load_background, save_background
+from gaitlock.background import check_threshold, load_background, save_background
 from gaitlock.cli import build_parser, main
 from gaitlock.errors import BadName, DecodeError, FormatError, StageError, TooFewSequences
 from gaitlock.features import FEATURE_NAMES
@@ -126,9 +126,9 @@ class TestPipeline:
         load = pipeline.load_sequence
         used = []
 
-        def loading(directory, fps, buffers=None):
+        def loading(directory, buffers=None):
             used.append(buffers)
-            return load(directory, fps, buffers=buffers)
+            return load(directory, buffers=buffers)
 
         monkeypatch.setattr(pipeline, "load_sequence", loading)
         for largest_first in (True, False):
@@ -294,7 +294,7 @@ class TestConfigFile:
         assert not (tmp_path / "out" / "features.csv").exists()
         assert not (tmp_path / "out" / "report.txt").exists()
         with pytest.raises(ValueError, match="threshold"):
-            pipeline.check_threshold("\u0663")
+            check_threshold("\u0663")
 
 
 class TestCli:
@@ -944,9 +944,9 @@ class TestThresholds:
 
     def test_leading_zeros_read_as_the_value_they_lead(self):
         value = "0" * 5000 + "7"
-        assert pipeline.check_threshold(value) == 7
+        assert check_threshold(value) == 7
         cfg = pipeline.config_from_values({"segmentation_threshold": value})
-        assert pipeline.check_threshold(cfg.segmentation_threshold) == 7
+        assert check_threshold(cfg.segmentation_threshold) == 7
 
 
 SYNTH_SPEC = (
@@ -960,11 +960,13 @@ def _frame_bytes(directory):
 
 
 class TestSynth:
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    # fps is no spec key: the frame rate is read by the features stage alone
+    @pytest.mark.parametrize("key", ["noise = 0.2", "fps = 30"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
         spec = tmp_path / "walker.cfg"
-        spec.write_text(SYNTH_SPEC + "noise = 0.2\n")
+        spec.write_text(SYNTH_SPEC + key + "\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "f"), "--quiet"]) == 1
-        assert "unknown walker spec key 'noise'" in capsys.readouterr().err
+        assert f"unknown walker spec key {key.split()[0]!r}" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
 
     def test_seed_flag_overrides_the_spec(self, tmp_path):

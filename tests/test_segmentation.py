@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from gaitlock import segmentation
-from gaitlock.background import BackgroundModel
+from gaitlock.background import BackgroundModel, model_cdm
 from gaitlock.errors import DimensionMismatch
 from gaitlock.features import wavelet_features
 from gaitlock.imagery import Frame, FrameSequence, WalkBuffers
@@ -20,7 +20,7 @@ from gaitlock.segmentation import (
     segment_sequence,
 )
 
-from test_background import brute_between_class_variance
+from test_background import brute_between_class_variance, brute_cdm, otsu_split
 
 
 def bg_of(pixels):
@@ -413,7 +413,7 @@ class TestSegmentSequence:
         n, h, w = frames.shape
         block_bytes = h * w * (frames_per_block or n)
         with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
-            seq = FrameSequence([Frame(f) for f in frames], fps=25)
+            seq = FrameSequence([Frame(f) for f in frames])
             got = segment_sequence(seq, bg_of(reference), threshold)
         want = np.array([reference_segment(f, reference, threshold) for f in frames])
         assert got.dtype == bool and got.shape == (n, h, w)
@@ -453,7 +453,7 @@ class TestSegmentSequence:
 
     def test_corner_pixel_is_kept_alone(self):
         frames, reference, threshold = _corner_pixel()
-        masks = segment_sequence(FrameSequence(frames, fps=25), bg_of(reference), threshold)
+        masks = segment_sequence(FrameSequence(frames), bg_of(reference), threshold)
         assert np.flatnonzero(masks[1]).tolist() == [1 * 9 + 1]
         assert masks[0, 4:6, 6:8].all() and not masks[0, 1, 1]
 
@@ -465,7 +465,7 @@ class TestSegmentSequence:
         all-True masks equal the masks of a call without buffers."""
         frames, reference, threshold = walk
         n, h, w = frames.shape
-        seq, bg = FrameSequence(frames, fps=25), bg_of(reference)
+        seq, bg = FrameSequence(frames), bg_of(reference)
         buffers = WalkBuffers()
         stale = buffers.array("masks", (n + 1, h + 1, w), bool)
         stale.fill(True)
@@ -478,11 +478,61 @@ class TestSegmentSequence:
 
     def test_tie_keeps_the_first_plus(self):
         frames, reference, threshold = _two_plus_shapes()
-        seq = FrameSequence([Frame(frames[0])], fps=25)
+        seq = FrameSequence([Frame(frames[0])])
         kept = segment_sequence(seq, bg_of(reference), threshold)[0]
         assert kept[2, 1] and not kept[2, 6]
 
     def test_dimension_mismatch(self):
-        seq = FrameSequence([Frame(np.zeros((2, 2), np.uint8))], fps=25)
+        seq = FrameSequence([Frame(np.zeros((2, 2), np.uint8))])
         with pytest.raises(DimensionMismatch):
             segment_sequence(seq, bg_of(np.zeros((3, 3))))
+
+
+def _cdm_oracle(frames, reference, limit):
+    # brute_cdm per pixel; auto fires on Otsu's upper class of the pooled differences
+    if limit == "auto":
+        limit = otsu_split(np.abs(np.diff(frames.astype(np.int16), axis=0))) + 1
+    return np.array([[brute_cdm(frames[:, r, c].tolist(), limit) for c in range(frames.shape[2])]
+                     for r in range(frames.shape[1])])
+
+
+def _difference_oracle(frames, reference, limit):
+    diff = np.abs(frames[0].astype(int) - reference.astype(int))
+    return diff > (reference_otsu(diff) if limit == "auto" else limit)
+
+
+def _segment_oracle(frames, reference, limit):
+    return np.array([reference_segment(f, reference, limit) for f in frames])
+
+
+# each threshold-taking call and its oracle, as functions of (frames, reference, threshold)
+THRESHOLD_CALLS = {
+    "model_cdm": (lambda f, ref, t: model_cdm(FrameSequence(f), t).reference.pixels, _cdm_oracle),
+    "segment_sequence": (lambda f, ref, t: segment_sequence(FrameSequence(f), bg_of(ref), t),
+                         _segment_oracle),
+    "difference_mask": (lambda f, ref, t: difference_mask(Frame(f[0]), bg_of(ref), t),
+                        _difference_oracle),
+}
+
+
+@pytest.mark.parametrize("call", THRESHOLD_CALLS)
+@pytest.mark.parametrize(
+    "threshold, limit",
+    [(300, None), (-1, None), (20.7, None), (True, None), ("abc", None),
+     ("auto", "auto"), (0, 0), (255, 255), ("20", 20), (np.uint8(20), 20)],
+    ids=["300", "-1", "20.7", "True", "abc", "auto", "0", "255", "str-20", "uint8-20"],
+)
+def test_threshold_rule(call, threshold, limit):
+    """The three threshold-taking calls read their threshold by one rule:
+    auto or an integer in [0, 255] spelled in ASCII digits; a threshold
+    outside it (limit None) raises ValueError naming it."""
+    rng = np.random.default_rng(6)
+    frames = rng.integers(0, 256, size=(6, 8, 8), dtype=np.uint8)
+    reference = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+    run, oracle = THRESHOLD_CALLS[call]
+    if limit is None:
+        with pytest.raises(ValueError, match="threshold"):
+            run(frames, reference, threshold)
+    else:
+        got = run(frames, reference, threshold)
+        assert got.tobytes() == oracle(frames, reference, limit).astype(got.dtype).tobytes()

@@ -1367,7 +1367,7 @@ def test_training_and_the_histogram_background_leave_numpy_ma_unimported():
         "from gaitlock.imagery import FrameSequence",
         "from gaitlock.svm import KernelSpec, train_binary",
         "train_binary([[0.0], [1.0]], [-1, 1], KernelSpec('linear', 1.0))",
-        "model_histogram(FrameSequence(np.arange(24, dtype=np.uint8).reshape(2, 3, 4), 25))",
+        "model_histogram(FrameSequence(np.arange(24, dtype=np.uint8).reshape(2, 3, 4)))",
         "print('numpy.ma' in sys.modules)",
     ])
     src = str(Path(svm.__file__).parents[1])

@@ -51,9 +51,7 @@ def test_width_signal_period_matches_spec_without_noise():
 
 
 def width_signal_from_widths(widths):
-    from gaitlock.gaitcycle import WidthSignal
-
-    return WidthSignal(np.asarray(widths, dtype=float), fps=25.0)
+    return np.asarray(widths, dtype=float)
 
 
 def test_truth_bboxes_match_segmentation_within_2px():
@@ -73,7 +71,7 @@ def test_estimated_period_within_one_frame_of_truth():
             spec_for(period=period, noise=0.01, seed=seed), 300, 100, 3 * period + 8
         )
         masks = segment_all(seq)
-        estimated = estimate_period(width_signal(bounding_boxes(masks), 25.0))
+        estimated = estimate_period(width_signal(bounding_boxes(masks)))
         assert abs(estimated - truth.period_frames) <= 1
 
 
