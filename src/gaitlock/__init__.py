@@ -23,7 +23,7 @@ from .gaitcycle import (
     select_feature_window,
     width_signal,
 )
-from .imagery import Frame, FrameSequence, load_sequence
+from .imagery import FrameSequence, load_sequence
 from .metrics import ConfusionMatrix, evaluate, measures
 from .segmentation import (
     clean_mask,
@@ -49,7 +49,6 @@ __all__ = [
     "BinarySvm",
     "ConfusionMatrix",
     "FEATURE_NAMES",
-    "Frame",
     "FrameSequence",
     "GaitCycle",
     "GaitlockError",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodeError, TooFewFrames
-from .imagery import Frame, FrameSequence, decimal_number, read_pnm, shown, write_pgm
+from .imagery import FrameSequence, _grid, decimal_number, read_pnm, shown, write_pgm
 
 TECHNIQUE_CDM = "cdm"
 TECHNIQUE_MEDIAN = "median"
@@ -36,26 +36,31 @@ def check_threshold(value, name: str = "threshold"):
         raise ValueError(f"{name} must be auto or an integer in [0, 255], got {shown(text)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackgroundModel:
     """Per-pixel reference image plus the technique that produced it.
 
-    ``cdm_threshold`` records the inter-frame change threshold actually
-    used; it is None for the median and histogram techniques and for
-    models reloaded from files that carry no provenance.
+    ``reference`` is checked as a frame is and held as a read-only
+    (height, width) uint8 array of its own. ``cdm_threshold`` records the
+    inter-frame change threshold actually used; it is None for the median
+    and histogram techniques and for models reloaded from files that
+    carry no provenance. Models are equal when all three fields are.
     """
 
-    reference: Frame
+    reference: np.ndarray
     technique: str | None
     cdm_threshold: int | None = None
 
-    @property
-    def width(self) -> int:
-        return self.reference.width
+    def __post_init__(self):
+        reference = _grid(self.reference).astype(np.uint8, copy=True)
+        reference.flags.writeable = False
+        object.__setattr__(self, "reference", reference)
 
-    @property
-    def height(self) -> int:
-        return self.reference.height
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.technique == other.technique and self.cdm_threshold == other.cdm_threshold
+                and np.array_equal(self.reference, other.reference))
 
 
 def otsu_histograms(rows: np.ndarray) -> np.ndarray:
@@ -162,7 +167,7 @@ def model_median(seq: FrameSequence) -> BackgroundModel:
     for cols, block in _pixel_blocks(seq.pixels, np.uint8, n, undecided):
         block.partition(k, axis=1)
         reference[cols] = block[:, k]
-    return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_MEDIAN)
+    return BackgroundModel(reference.reshape(h, w), TECHNIQUE_MEDIAN)
 
 
 def model_histogram(seq: FrameSequence) -> BackgroundModel:
@@ -180,7 +185,7 @@ def model_histogram(seq: FrameSequence) -> BackgroundModel:
         codes += np.arange(0, 256 * width, 256)[:, None]  # pixel i counts in bins 256 i ..
         counts = np.bincount(codes.ravel(), minlength=256 * width)
         reference[cols] = counts.reshape(width, 256).argmax(axis=1)  # the lowest on ties
-    return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_HISTOGRAM)
+    return BackgroundModel(reference.reshape(h, w), TECHNIQUE_HISTOGRAM)
 
 
 def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
@@ -258,7 +263,7 @@ def model_cdm(seq: FrameSequence, threshold="auto") -> BackgroundModel:
         vals |= outside.view(np.uint8) * np.uint16(256)
         vals.sort(axis=1)
         reference[cols] = vals[np.arange(len(vals)), last[cols] // 2]
-    return BackgroundModel(Frame(reference.reshape(h, w)), TECHNIQUE_CDM, cdm_threshold=threshold)
+    return BackgroundModel(reference.reshape(h, w), TECHNIQUE_CDM, cdm_threshold=threshold)
 
 
 def build_background(seq: FrameSequence, technique: str, threshold="auto") -> BackgroundModel:
@@ -276,7 +281,7 @@ def save_background(model: BackgroundModel, path) -> None:
     comment = f"gaitlock-background technique={model.technique or 'unknown'}"
     if model.cdm_threshold is not None:
         comment += f" threshold={model.cdm_threshold}"
-    write_pgm(path, model.reference.pixels, comment=comment)
+    write_pgm(path, model.reference, comment=comment)
 
 
 def load_background(path) -> BackgroundModel:
@@ -298,4 +303,4 @@ def load_background(path) -> BackgroundModel:
                     except ValueError:
                         bad = f"{path}: bad threshold {shown(value)} in comment"
                         raise DecodeError(bad) from None
-    return BackgroundModel(Frame(pixels), technique, cdm_threshold)
+    return BackgroundModel(pixels, technique, cdm_threshold)

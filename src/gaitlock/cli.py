@@ -22,7 +22,7 @@ from .background import (
 )
 from .errors import GaitlockError, LengthMismatch
 from .gaitcycle import estimate_period, partition_cycles, width_signal
-from .imagery import frame_filename, load_sequence, save_sequence, write_pgm
+from .imagery import FRAME_NAME_RE, frame_filename, load_sequence, save_sequence, write_pgm
 from .segmentation import bounding_boxes, segment_sequence
 
 EXIT_OK = 0
@@ -47,6 +47,12 @@ def _load_masks(directory) -> np.ndarray:
     return load_sequence(directory).pixels > 127
 
 
+def _check_frameless(out) -> None:
+    # frames written beside those of another walk would be read as one walk
+    if Path(out).is_dir() and any(FRAME_NAME_RE.match(p.name) for p in Path(out).iterdir()):
+        raise ValueError(f"--out {out} already holds frame files")
+
+
 def cmd_background(args) -> int:
     threshold = check_threshold(args.threshold)
     seq = load_sequence(args.in_dir)
@@ -59,6 +65,7 @@ def cmd_background(args) -> int:
 def cmd_segment(args) -> int:
     if Path(args.out).resolve() == Path(args.in_dir).resolve():
         raise ValueError(f"--out {args.out} would overwrite the frames of --in {args.in_dir}")
+    _check_frameless(args.out)
     threshold = check_threshold(args.threshold)
     bg = load_background(args.bg)
     seq = load_sequence(args.in_dir)
@@ -139,6 +146,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_frameless(args.out)
     kv = pipeline.read_kv_file(args.spec)
     if args.seed is not None:
         kv["seed"] = args.seed

@@ -47,6 +47,12 @@ def spatial_features(boxes) -> np.ndarray:
     return np.array([mean_h, mean_w, angles.mean(), mean_h / mean_w])
 
 
+def check_fps(fps) -> None:
+    """The frame rate's one rule: positive and finite."""
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
+
+
 def temporal_features(centroids, period: int, fps: float) -> np.ndarray:
     """Stride length, step length, cadence and velocity.
 
@@ -55,8 +61,7 @@ def temporal_features(centroids, period: int, fps: float) -> np.ndarray:
     skipped. One cycle covers two steps, so cadence doubles the cycle rate.
     """
     x = np.asarray(centroids, dtype=np.float64)
-    if not 0 < fps < math.inf:
-        raise ValueError(f"fps must be positive and finite, got {fps}")
+    check_fps(fps)
     if period < 1 or x.size < period + 1:
         raise EmptyWindow(
             f"window of {x.size} frames cannot span a cycle of {period} frames at lag distance"
@@ -169,21 +174,11 @@ def wavelet_features(masks) -> np.ndarray:
     return wavelet_statistics([subband_energies(m, bounding_boxes(m)) for m in masks if m.any()])
 
 
-def fuse(spatial=None, temporal=None, wavelet=None) -> np.ndarray:
-    """Concatenate the given components in spatial, temporal, wavelet order.
-
-    Each present component must carry its full dimension (4/4/6); passing
-    all three yields the 14-dimensional fused descriptor. The feature-set
-    comparison does not fuse subsets: it selects columns of the full
-    descriptor (``pipeline.FEATURE_SETS``).
+def fuse(spatial, temporal, wavelet) -> np.ndarray:
+    """The 14-dimensional fused descriptor: the spatial, temporal and
+    wavelet components in that order, each of its full dimension (4/4/6).
+    The feature-set comparison does not fuse subsets: it selects columns
+    of the full descriptor (``pipeline.FEATURE_SETS``).
     """
-    parts = []
-    if spatial is not None:
-        parts.append(_component(spatial, 4, "spatial"))
-    if temporal is not None:
-        parts.append(_component(temporal, 4, "temporal"))
-    if wavelet is not None:
-        parts.append(_component(wavelet, 6, "wavelet"))
-    if not parts:
-        raise BadComponentLength("fusion needs at least one component")
-    return np.concatenate(parts)
+    return np.concatenate([_component(spatial, 4, "spatial"), _component(temporal, 4, "temporal"),
+                           _component(wavelet, 6, "wavelet")])

@@ -1,8 +1,9 @@
-"""Frame and sequence data model plus PGM/PPM file ingestion.
+"""Sequence data model plus PGM/PPM file ingestion.
 
-Frames are single-channel 8-bit images. Binary PGM (P5, maxval 255) is the
-canonical interchange format; binary PPM (P6) is accepted at ingestion and
-converted to luminance. Emitted images are always P5 PGM.
+Frames are single-channel 8-bit images, each an (height, width) uint8
+array. Binary PGM (P5, maxval 255) is the canonical interchange format;
+binary PPM (P6) is accepted at ingestion and converted to luminance.
+Emitted images are always P5 PGM.
 """
 
 from __future__ import annotations
@@ -66,42 +67,16 @@ def _grid(pixels) -> np.ndarray:
     return arr
 
 
-class Frame:
-    """One grayscale image; pixels are an (height, width) uint8 array."""
-
-    __slots__ = ("pixels",)
-
-    def __init__(self, pixels):
-        # frames are immutable once constructed; freeze a private copy
-        arr = _grid(pixels).astype(np.uint8, copy=True)
-        arr.flags.writeable = False
-        self.pixels = arr
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Frame) and np.array_equal(self.pixels, other.pixels)
-
-    def __repr__(self) -> str:
-        return f"Frame({self.width}x{self.height})"
-
-
 class FrameSequence:
     """Ordered frames sharing one resolution.
 
-    ``frames`` is a sequence of ``Frame`` objects or 2-D grids, or an
-    (n, height, width) array. The walk is held as ``pixels``, one
-    read-only (n, height, width) uint8 array of its own.
+    ``frames`` is a sequence of 2-D grids, or an (n, height, width)
+    array. The walk is held as ``pixels``, one read-only (n, height,
+    width) uint8 array of its own.
     """
 
     def __init__(self, frames):
-        grids = [f.pixels if isinstance(f, Frame) else _grid(f) for f in frames]
+        grids = [_grid(f) for f in frames]
         if not grids:
             raise EmptyDirectory("a sequence needs at least one frame")
         h, w = grids[0].shape
@@ -135,12 +110,6 @@ class FrameSequence:
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    def __iter__(self):
-        return map(Frame, self.pixels)
-
-    def __getitem__(self, i: int) -> Frame:
-        return Frame(self.pixels[i])
 
 
 class WalkBuffers:

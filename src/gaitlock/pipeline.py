@@ -90,8 +90,7 @@ class PipelineConfig:
         if self.background_technique not in TECHNIQUES:
             raise ValueError(f"unknown background technique {self.background_technique!r}")
         self.kernel_spec()
-        if not 0 < self.fps < math.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
+        feat.check_fps(self.fps)
         if not 0 < self.smo_tol < math.inf:
             raise ValueError(f"smo_tol must be positive and finite, got {self.smo_tol}")
         if self.smo_max_passes < 1:

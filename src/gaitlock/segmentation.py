@@ -16,7 +16,7 @@ from .background import (
     otsu_histograms,
 )
 from .errors import DimensionMismatch
-from .imagery import Frame, FrameSequence, WalkBuffers
+from .imagery import FrameSequence, WalkBuffers, _grid
 
 # box row of an empty mask: x_max < x_min, so width and height are 0
 EMPTY_BOX = (0, 0, -1, -1)
@@ -61,11 +61,11 @@ def centroids_x(masks) -> np.ndarray:
         return (counts @ np.arange(masks.shape[2])) / counts.sum(axis=1)
 
 
-def _check_size(image, bg: BackgroundModel) -> None:
-    if image.width != bg.width or image.height != bg.height:
-        raise DimensionMismatch(
-            f"frame {image.width}x{image.height} vs background {bg.width}x{bg.height}"
-        )
+def _check_size(frames: np.ndarray, bg: BackgroundModel) -> None:
+    # the frames of an (n, h, w) array against the reference
+    if frames.shape[1:] != bg.reference.shape:
+        (h, w), (bh, bw) = frames.shape[1:], bg.reference.shape
+        raise DimensionMismatch(f"frame {w}x{h} vs background {bw}x{bh}")
 
 
 def _foreground(frames: np.ndarray, reference: np.ndarray, threshold) -> np.ndarray:
@@ -181,15 +181,17 @@ def largest_component(mask) -> np.ndarray:
     return kept[0]
 
 
-def difference_mask(frame: Frame, bg: BackgroundModel, threshold="auto") -> np.ndarray:
-    """(h, w) bool mask of the pixels whose absolute difference from the
+def difference_mask(frame, bg: BackgroundModel, threshold="auto") -> np.ndarray:
+    """(h, w) bool mask of the pixels of the (h, w) grid ``frame``, checked
+    as ``FrameSequence`` checks a frame, whose absolute difference from the
     reference exceeds the threshold (strictly). ``auto`` chooses the
     threshold by Otsu analysis of this frame's difference image; any other
     threshold is read by ``background.check_threshold``.
     """
     threshold = check_threshold(threshold)
-    _check_size(frame, bg)
-    return _foreground(frame.pixels[None], bg.reference.pixels, threshold)[0]
+    frames = _grid(frame).astype(np.uint8, copy=False)[None]
+    _check_size(frames, bg)
+    return _foreground(frames, bg.reference, threshold)[0]
 
 
 def clean_mask(raw) -> np.ndarray:
@@ -212,13 +214,13 @@ def segment_sequence(
     valid only until the next walk is segmented into them.
     """
     threshold = check_threshold(threshold)
-    _check_size(seq, bg)
-    n, h, w = len(seq), seq.height, seq.width
+    _check_size(seq.pixels, bg)
+    n, h, w = seq.pixels.shape
     masks = (buffers or WalkBuffers()).array("masks", (n, h, w), bool)
     masks.fill(False)
     step = max(1, _BLOCK_BYTES // (h * w))
     for i in range(0, n, step):
-        raw = _foreground(seq.pixels[i:i + step], bg.reference.pixels, threshold)
+        raw = _foreground(seq.pixels[i:i + step], bg.reference, threshold)
         voted = _majority_vote(raw)
         seen = voted.any(axis=0)
         rows, cols = np.flatnonzero(seen.any(axis=1)), np.flatnonzero(seen.any(axis=0))

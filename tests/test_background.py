@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from gaitlock import background
 from gaitlock.background import (
+    BackgroundModel,
     load_background,
     model_cdm,
     model_histogram,
@@ -19,17 +20,17 @@ from gaitlock.background import (
     otsu_histograms,
     save_background,
 )
-from gaitlock.errors import TooFewFrames
-from gaitlock.imagery import Frame, FrameSequence, load_sequence, save_sequence, write_pgm
+from gaitlock.errors import DimensionMismatch, TooFewFrames
+from gaitlock.imagery import FrameSequence, load_sequence, save_sequence, write_pgm
 from gaitlock.synthgait import WalkerSpec, generate
 
 
 def seq_1x1(values):
-    return FrameSequence([Frame(np.array([[v]], dtype=np.uint8)) for v in values])
+    return FrameSequence([np.array([[v]], dtype=np.uint8) for v in values])
 
 
 def seq_from_stack(stack):
-    return FrameSequence([Frame(p) for p in stack])
+    return FrameSequence(list(stack))
 
 
 def brute_mode(values):
@@ -100,28 +101,28 @@ def _column(values):
 class TestMedian:
     def test_constant_sequence(self):
         model = model_median(seq_1x1([128] * 5))
-        assert model.reference.pixels[0, 0] == 128
+        assert model.reference[0, 0] == 128
 
     def test_outlier_rejected(self):
         # sorted {5,5,6,7,200}: middle is 6
-        assert model_median(seq_1x1([5, 7, 200, 6, 5])).reference.pixels[0, 0] == 6
+        assert model_median(seq_1x1([5, 7, 200, 6, 5])).reference[0, 0] == 6
 
     def test_even_count_takes_lower_middle(self):
-        assert model_median(seq_1x1([10, 20, 30, 40])).reference.pixels[0, 0] == 20
+        assert model_median(seq_1x1([10, 20, 30, 40])).reference[0, 0] == 20
 
     def test_occluded_pixel_recovered(self):
         # background 40 visible in 16 of 20 frames
         values = [40] * 20
         for i in (3, 7, 8, 15):
             values[i] = 180
-        assert model_median(seq_1x1(values)).reference.pixels[0, 0] == 40
+        assert model_median(seq_1x1(values)).reference[0, 0] == 40
 
     def test_matches_brute_oracle_on_random_stacks(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(1, 12))
             stack = rng.integers(0, 256, size=(n, 3, 4), dtype=np.uint8)
-            ref = model_median(seq_from_stack(stack)).reference.pixels
+            ref = model_median(seq_from_stack(stack)).reference
             for r in range(3):
                 for c in range(4):
                     assert ref[r, c] == brute_lower_median(stack[:, r, c].tolist())
@@ -138,19 +139,19 @@ class TestMedian:
                     k = int(rng.integers(0, (n - 1) // 2 + 1))  # strictly < n/2
                     hit = rng.choice(n, size=k, replace=False)
                     stack[hit, r, c] = rng.integers(0, 256, size=k)
-            ref = model_median(seq_from_stack(stack)).reference.pixels
+            ref = model_median(seq_from_stack(stack)).reference
             assert np.array_equal(ref, bg)
 
 
 class TestHistogram:
     def test_constant_sequence(self):
-        assert model_histogram(seq_1x1([77] * 5)).reference.pixels[0, 0] == 77
+        assert model_histogram(seq_1x1([77] * 5)).reference[0, 0] == 77
 
     def test_mode(self):
-        assert model_histogram(seq_1x1([10, 10, 200, 10, 30])).reference.pixels[0, 0] == 10
+        assert model_histogram(seq_1x1([10, 10, 200, 10, 30])).reference[0, 0] == 10
 
     def test_tie_resolves_to_lowest_intensity(self):
-        assert model_histogram(seq_1x1([12, 12, 40, 40, 7])).reference.pixels[0, 0] == 12
+        assert model_histogram(seq_1x1([12, 12, 40, 40, 7])).reference[0, 0] == 12
 
     def test_matches_brute_oracle_on_random_stacks(self):
         rng = np.random.default_rng(3)
@@ -159,7 +160,7 @@ class TestHistogram:
             # narrow ranges make pixels decided by a majority, wide ones pixels binned
             top = int(rng.choice([4, 256]))
             stack = rng.integers(0, top, size=(n, 4, 3), dtype=np.uint8)
-            ref = model_histogram(seq_from_stack(stack)).reference.pixels
+            ref = model_histogram(seq_from_stack(stack)).reference
             for r in range(4):
                 for c in range(3):
                     assert ref[r, c] == brute_mode(stack[:, r, c].tolist())
@@ -169,7 +170,7 @@ class TestHistogram:
         bg = rng.integers(0, 256, size=(6, 7), dtype=np.uint8)
         seq = seq_from_stack(np.repeat(bg[None], 9, axis=0))
         assert np.array_equal(
-            model_histogram(seq).reference.pixels, model_median(seq).reference.pixels
+            model_histogram(seq).reference, model_median(seq).reference
         )
 
 
@@ -179,16 +180,16 @@ class TestCdm:
         bg = rng.integers(0, 256, size=(3, 3), dtype=np.uint8)
         seq = seq_from_stack(np.repeat(bg[None], 6, axis=0))
         model = model_cdm(seq, threshold=10)
-        assert np.array_equal(model.reference.pixels, bg)
+        assert np.array_equal(model.reference, bg)
 
     def test_hand_trace(self):
         # changes fire at transitions 3->4 and 4->5; longest run is frames 1-3
         model = model_cdm(seq_1x1([10, 10, 10, 50, 10]), threshold=20)
-        assert model.reference.pixels[0, 0] == 10
+        assert model.reference[0, 0] == 10
         assert model.cdm_threshold == 20
 
     def test_tie_prefers_earlier_run(self):
-        assert model_cdm(seq_1x1([10, 50]), threshold=20).reference.pixels[0, 0] == 10
+        assert model_cdm(seq_1x1([10, 50]), threshold=20).reference[0, 0] == 10
 
     def test_too_few_frames(self):
         with pytest.raises(TooFewFrames):
@@ -220,14 +221,14 @@ class TestCdm:
         for r in range(h):
             for c in range(w):
                 expected = brute_cdm(stack[:, r, c].tolist(), model.cdm_threshold)
-                assert model.reference.pixels[r, c] == expected
+                assert model.reference[r, c] == expected
 
     def test_run_starts_past_the_int16_frame_range(self):
         # 40,000 frames: a 5,001-frame run, then single-frame runs, then the
         # longest run starting at frame 33,000, beyond 32,767
         values = [20] * 5000 + [0, 100] * 14000 + [7, 8] * 3500
         model = model_cdm(seq_1x1(values), threshold=50)
-        assert model.reference.pixels[0, 0] == brute_cdm(values, 50) == 7
+        assert model.reference[0, 0] == brute_cdm(values, 50) == 7
 
     @pytest.mark.parametrize("n", [180, 181])
     def test_run_keys_at_the_int16_boundary(self, n):
@@ -243,7 +244,7 @@ class TestCdm:
             [200] * half + middle + [10] * half,
         ]
         stack = np.array(columns, dtype=np.uint8).T[:, None, :]
-        ref = model_cdm(FrameSequence(stack), threshold=50).reference.pixels[0]
+        ref = model_cdm(FrameSequence(stack), threshold=50).reference[0]
         assert ref.tolist() == [brute_cdm(v, 50) for v in columns] == [41, 10, 200]
 
     @pytest.mark.parametrize("n", [256, 257, 65535, 65536, 66015])
@@ -252,7 +253,7 @@ class TestCdm:
         # the longest run is the last 15 frames, starting past 65,535 at 66,015
         values = ([0, 100] * 33000 + [7] * 10 + [8] * 5)[-n:]
         model = model_cdm(FrameSequence(_column(values)), threshold=50)
-        assert model.reference.pixels[0, 0] == brute_cdm(values, 50) == 7
+        assert model.reference[0, 0] == brute_cdm(values, 50) == 7
 
     def test_auto_threshold_on_walker(self):
         spec = WalkerSpec(
@@ -264,7 +265,7 @@ class TestCdm:
         # clean two-valued scene: any nonzero difference is a change
         assert model.cdm_threshold is not None and model.cdm_threshold >= 1
         # the static background dominates every pixel's longest run
-        assert np.array_equal(model.reference.pixels, np.full((64, 200), 40, np.uint8))
+        assert np.array_equal(model.reference, np.full((64, 200), 40, np.uint8))
 
 
 # pixel blocks of a few bytes: many blocks, partial last blocks and, at the
@@ -285,13 +286,13 @@ def test_oracles_across_pixel_blocks(monkeypatch, block_bytes):
     for stack in stacks:
         seq = seq_from_stack(stack)
         columns = [stack[:, 0, c].tolist() for c in range(13)]
-        ref = model_histogram(seq).reference.pixels[0]
+        ref = model_histogram(seq).reference[0]
         assert ref.tolist() == [brute_mode(v) for v in columns]
-        assert model_median(seq).reference.pixels[0].tolist() == [
+        assert model_median(seq).reference[0].tolist() == [
             brute_lower_median(v) for v in columns
         ]
         if len(stack) >= 2:
-            ref = model_cdm(seq, threshold=60).reference.pixels[0]
+            ref = model_cdm(seq, threshold=60).reference[0]
             assert ref.tolist() == [brute_cdm(v, 60) for v in columns]
 
 
@@ -359,8 +360,8 @@ def test_majority_step_matches_the_brute_oracles(block_bytes, walk):
 
     with mock.patch.object(background, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(background, "_majority", majority):
-        median = model_median(seq).reference.pixels
-        histogram = model_histogram(seq).reference.pixels
+        median = model_median(seq).reference
+        histogram = model_histogram(seq).reference
         cdm = model_cdm(seq, threshold) if len(stack) >= 2 else None
     columns = [stack[:, r, c].tolist() for r, c in np.ndindex(stack.shape[1:])]
     assert median.ravel().tolist() == [brute_lower_median(v) for v in columns]
@@ -368,7 +369,7 @@ def test_majority_step_matches_the_brute_oracles(block_bytes, walk):
     runs = [columns, columns]  # the median's and the histogram's run is the whole walk
     if cdm is not None:
         t = cdm.cdm_threshold
-        assert cdm.reference.pixels.ravel().tolist() == [brute_cdm(v, t) for v in columns]
+        assert cdm.reference.ravel().tolist() == [brute_cdm(v, t) for v in columns]
         runs.append([brute_longest_run(v, t) for v in columns])
     # no majority: the middle frame's value fills at most half of the run
     assert selected == [
@@ -489,9 +490,34 @@ def test_background_file_round_trip(tmp_path):
     path = tmp_path / "bg.pgm"
     save_background(model, path)
     back = load_background(path)
-    assert np.array_equal(back.reference.pixels, model.reference.pixels)
+    assert np.array_equal(back.reference, model.reference)
     assert back.technique == "cdm"
     assert back.cdm_threshold == 20
+
+
+@pytest.mark.parametrize("build", [model_median, model_histogram, partial(model_cdm, threshold=20)],
+                         ids=["median", "histogram", "cdm"])
+def test_reloaded_model_equals_the_saved_one(tmp_path, build):
+    stack = np.random.default_rng(4).integers(0, 4, size=(7, 3, 5)).astype(np.uint8) * 60
+    model = build(FrameSequence(stack))
+    save_background(model, tmp_path / "bg.pgm")
+    back = load_background(tmp_path / "bg.pgm")
+    assert back == model and not back != model
+    assert back != BackgroundModel(model.reference, model.technique, 7)
+    assert back != BackgroundModel(255 - model.reference, model.technique, model.cdm_threshold)
+
+
+def test_reference_is_a_private_read_only_grid():
+    grid = np.array([[0, 255], [128, 64]])
+    model = BackgroundModel(grid, "median")
+    assert model.reference.dtype == np.uint8 and model.reference.tolist() == grid.tolist()
+    assert not model.reference.flags.writeable
+    grid[:] = 7  # the caller's grid
+    assert model.reference.tolist() == [[0, 255], [128, 64]]
+    for bad, error in (([[0, 256]], ValueError), ([[-1, 0]], ValueError),
+                       (np.zeros(4, dtype=np.uint8), DimensionMismatch)):
+        with pytest.raises(error):
+            BackgroundModel(bad, "median")
 
 
 # 256 is the auto threshold of a walk whose every difference is 255
@@ -520,7 +546,7 @@ def test_raster_bytes_are_not_header_comments(tmp_path, raster):
     write_one_row_pgm(path, raster)
     back = load_background(path)
     assert (back.technique, back.cdm_threshold) == (None, None)
-    assert back.reference.pixels.tobytes() == raster
+    assert back.reference.tobytes() == raster
 
 
 @pytest.mark.slow

@@ -197,15 +197,11 @@ class TestFuse:
         assert fused.size == 14
         assert fused.tolist() == [1.0] * 4 + [2.0] * 4 + [3.0] * 6
 
-    def test_single_component_variant(self):
-        assert fuse(spatial=np.ones(4)).size == 4
-        assert fuse(wavelet=np.ones(6)).size == 6
-
     def test_bad_lengths(self):
         with pytest.raises(BadComponentLength):
             fuse(np.ones(4), np.ones(3), np.ones(6))
-        with pytest.raises(BadComponentLength):
-            fuse()
+        with pytest.raises(BadComponentLength, match="wavelet component must have 6 values"):
+            fuse(np.ones(4), np.ones(4), np.ones(4))
 
     def test_fused_ordering_and_names(self):
         assert fuse(np.arange(4), np.arange(4, 8), np.arange(8, 14)).tolist() == list(range(14))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaitlock.background import BackgroundModel
 from gaitlock.errors import DecodeError, DimensionMismatch, EmptyDirectory, GaitlockError
 from gaitlock.imagery import (
     FRAME_NAME_RE,
-    Frame,
     FrameSequence,
     WalkBuffers,
     frame_filename,
@@ -24,20 +24,9 @@ def gray(value, shape=(4, 4)):
     return np.full(shape, value, dtype=np.uint8)
 
 
-def test_frame_invariants():
-    f = Frame([[0, 255], [128, 64]])
-    assert (f.width, f.height) == (2, 2)
-    with pytest.raises(ValueError):
-        Frame([[0, 256]])
-    with pytest.raises(ValueError):
-        Frame([[-1, 0]])
-    with pytest.raises(DimensionMismatch):
-        Frame(np.zeros(4, dtype=np.uint8))
-
-
 def test_sequence_requires_uniform_size():
     with pytest.raises(DimensionMismatch):
-        FrameSequence([Frame(gray(0, (4, 4))), Frame(gray(0, (8, 8)))])
+        FrameSequence([gray(0, (4, 4)), gray(0, (8, 8))])
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):
@@ -74,14 +63,14 @@ def test_load_constant_frames(tmp_path):
         write_pgm(tmp_path / frame_filename(i), gray(128))
     seq = load_sequence(tmp_path)
     assert len(seq) == 3
-    assert all(np.array_equal(f.pixels, gray(128)) for f in seq)
+    assert all(np.array_equal(f, gray(128)) for f in seq.pixels)
 
 
 def test_load_preserves_exact_bytes(tmp_path):
     pixels = np.array([[0, 255], [128, 64]], dtype=np.uint8)
     write_pgm(tmp_path / frame_filename(1), pixels)
     seq = load_sequence(tmp_path)
-    assert np.array_equal(seq[0].pixels, pixels)
+    assert np.array_equal(seq.pixels[0], pixels)
 
 
 def test_load_order_is_numeric_not_lexical(tmp_path):
@@ -90,7 +79,7 @@ def test_load_order_is_numeric_not_lexical(tmp_path):
     write_pgm(tmp_path / "frame_2.pgm", gray(2))
     write_pgm(tmp_path / "frame_0001.pgm", gray(1))
     seq = load_sequence(tmp_path)
-    assert [f.pixels[0, 0] for f in seq] == [1, 2, 10]
+    assert [f[0, 0] for f in seq.pixels] == [1, 2, 10]
 
 
 def test_frame_indices_are_ascii_digits_only(tmp_path):
@@ -101,7 +90,7 @@ def test_frame_indices_are_ascii_digits_only(tmp_path):
         load_sequence(tmp_path)
     write_pgm(tmp_path / "frame_0001.pgm", gray(1))
     write_pgm(tmp_path / "frame_\u0661.pgm", gray(3))  # no duplicate of index 1
-    assert [f.pixels[0, 0] for f in load_sequence(tmp_path)] == [1]
+    assert [f[0, 0] for f in load_sequence(tmp_path).pixels] == [1]
 
 
 def test_load_mixed_sizes_rejected(tmp_path):
@@ -133,13 +122,13 @@ def test_ppm_converts_to_luminance(tmp_path):
     body = bytes([255, 0, 0, 255, 255, 255])
     (tmp_path / "frame_0001.ppm").write_bytes(b"P6\n2 1\n255\n" + body)
     seq = load_sequence(tmp_path)
-    assert seq[0].pixels.tolist() == [[76, 255]]
+    assert seq.pixels[0].tolist() == [[76, 255]]
 
 
 def test_header_comments_ignored(tmp_path):
     (tmp_path / "frame_0001.pgm").write_bytes(b"P5\n# a comment\n1 1\n255\n\x42")
     seq = load_sequence(tmp_path)
-    assert seq[0].pixels[0, 0] == 0x42
+    assert seq.pixels[0, 0, 0] == 0x42
 
 
 @pytest.mark.parametrize("size", [b"100000 100000", b"2147483647 1"])  # the largest number
@@ -152,13 +141,11 @@ def test_header_size_beyond_the_raster_is_a_decode_error(tmp_path, size):
 
 def test_sequence_constructors_agree():
     stack = np.random.default_rng(5).integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
-    for frames in ([Frame(p) for p in stack], [p.tolist() for p in stack], stack,
-                   stack.astype(np.int64)):
+    for frames in (list(stack), [p.tolist() for p in stack], stack, stack.astype(np.int64)):
         seq = FrameSequence(frames)
         assert seq.pixels.dtype == np.uint8 and seq.pixels.shape == (5, 3, 4)
         assert seq.pixels.tobytes() == stack.tobytes()
         assert (len(seq), seq.width, seq.height) == (5, 4, 3)
-        assert list(seq) == [Frame(p) for p in stack] and seq[-1] == Frame(stack[-1])
 
 
 def test_sequence_pixels_are_read_only_and_private():
@@ -183,8 +170,9 @@ def test_sequence_pixels_are_read_only_and_private():
     np.zeros((0, 3), dtype=np.uint8),
 ])
 def test_sequence_rejects_grids_as_frame_does(grid):
+    # a background reference is checked as a frame is
     with pytest.raises((ValueError, DimensionMismatch)) as from_frame:
-        Frame(grid)
+        BackgroundModel(grid, "median")
     for frames in ([grid], np.asarray(grid)[None]):  # a list of grids, an (n, h, w) array
         with pytest.raises(from_frame.type):
             FrameSequence(frames)

@@ -375,7 +375,7 @@ class TestCli:
             bg = tmp_path / f"bg-{technique}.pgm"
             assert main(["background", "--technique", technique, "--in", str(frames),
                          "--out", str(bg), "--quiet"]) == 0
-            references.append(load_background(bg).reference.pixels)
+            references.append(load_background(bg).reference)
         for reference in references:
             assert reference.tobytes() == references[0].tobytes()
 
@@ -388,12 +388,12 @@ class TestCli:
         assert main(["background", "--in", str(frames), "--out", str(bg), "--quiet"]) == 0
         assert main(["segment", "--bg", str(bg), "--in", str(frames), "--out", str(sil),
                      "--quiet"]) == 0
-        reference = load_background(bg).reference.pixels
+        reference = load_background(bg).reference
         written = sorted(sil.iterdir())
         assert len(written) == len(seq)
-        for path, frame in zip(written, seq):
+        for path, frame in zip(written, seq.pixels):
             pixels, _ = read_pnm(path)
-            expected = np.where(reference_segment(frame.pixels, reference), 255, 0)
+            expected = np.where(reference_segment(frame, reference), 255, 0)
             assert pixels.tobytes() == expected.astype(np.uint8).tobytes()
 
     def test_non_finite_fps_is_a_usage_error(self, tmp_path, capsys):
@@ -479,6 +479,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"--out {out} " in err and f"--in {frames}" in err
 
+    def test_segment_refuses_an_out_that_holds_frames(self, tmp_path, capsys):
+        # silhouettes written over another walk's would be read as one walk
+        seq, _ = generate(WalkerSpec(body_height=36, body_width=12, period_frames=12,
+                                     stride_px=24, leg_swing_amplitude=22, start_x=36),
+                          160, 64, 36)
+        frames, bg, sil = tmp_path / "frames", tmp_path / "bg.pgm", tmp_path / "sil"
+        save_sequence(seq, frames)
+        assert main(["background", "--in", str(frames), "--out", str(bg), "--quiet"]) == 0
+        argv = ["segment", "--bg", str(bg), "--in", str(frames), "--out", str(sil), "--quiet"]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in sil.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert {p.name: p.read_bytes() for p in sil.iterdir()} == before
+        assert f"--out {sil} already holds frame files" in capsys.readouterr().err
+
     def test_pipeline_command_with_config(self, small_dataset, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
@@ -502,7 +518,7 @@ class TestCli:
                      "--out", str(bg), "--quiet"]) == 0
         back = load_background(bg)
         assert (back.technique, back.cdm_threshold) == ("cdm", 256)
-        assert back.reference.pixels.tolist() == [[0]]  # lower median of all six frames
+        assert back.reference.tolist() == [[0]]  # lower median of all six frames
         save_background(back, tmp_path / "again.pgm")
         assert (tmp_path / "again.pgm").read_bytes() == bg.read_bytes()
 
@@ -968,6 +984,20 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "f"), "--quiet"]) == 1
         assert f"unknown walker spec key {key.split()[0]!r}" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
+
+    def test_refuses_an_out_that_holds_frames(self, tmp_path, capsys):
+        # a shorter walk written over a longer one would leave its frames behind
+        spec, walk = tmp_path / "walker.cfg", tmp_path / "walk"
+        spec.write_text(SYNTH_SPEC)
+        walk.mkdir()
+        (walk / "notes.txt").write_text("no frame\n")  # other files are no frames
+        assert main(["synth", "--spec", str(spec), "--out", str(walk), "--quiet"]) == 0
+        before = {p.name: p.read_bytes() for p in walk.iterdir()}
+        spec.write_text(SYNTH_SPEC + "n_frames = 38\n")
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec), "--out", str(walk), "--quiet"]) == 1
+        assert {p.name: p.read_bytes() for p in walk.iterdir()} == before
+        assert f"--out {walk} already holds frame files" in capsys.readouterr().err
 
     def test_seed_flag_overrides_the_spec(self, tmp_path):
         spec = tmp_path / "walker.cfg"

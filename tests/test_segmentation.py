@@ -10,7 +10,7 @@ from gaitlock import segmentation
 from gaitlock.background import BackgroundModel, model_cdm
 from gaitlock.errors import DimensionMismatch
 from gaitlock.features import wavelet_features
-from gaitlock.imagery import Frame, FrameSequence, WalkBuffers
+from gaitlock.imagery import FrameSequence, WalkBuffers
 from gaitlock.segmentation import (
     EMPTY_BOX,
     bounding_boxes,
@@ -24,7 +24,7 @@ from test_background import brute_between_class_variance, brute_cdm, otsu_split
 
 
 def bg_of(pixels):
-    return BackgroundModel(Frame(np.asarray(pixels, dtype=np.uint8)), "median")
+    return BackgroundModel(np.asarray(pixels, dtype=np.uint8), "median")
 
 
 def box_of(mask):
@@ -110,13 +110,13 @@ def reference_segment(frame, reference, threshold="auto"):
 
 class TestDifferenceMask:
     def test_identical_frame_gives_empty_mask(self):
-        frame = Frame(np.full((4, 4), 90, np.uint8))
+        frame = np.full((4, 4), 90, np.uint8)
         mask = difference_mask(frame, bg_of(np.full((4, 4), 90)), threshold=10)
         assert not mask.any()
         assert box_of(mask) == list(EMPTY_BOX)
 
     def test_threshold_is_strict(self):
-        frame = Frame(np.array([[100, 80]], dtype=np.uint8))
+        frame = np.array([[100, 80]], dtype=np.uint8)
         bg = bg_of([[30, 30]])
         mask = difference_mask(frame, bg, threshold=50)
         assert mask.tolist() == [[True, False]]  # |70| > 50, |50| == 50 stays out
@@ -125,18 +125,20 @@ class TestDifferenceMask:
         rng = np.random.default_rng(0)
         base = rng.integers(60, 196, size=(5, 5)).astype(np.int16)
         delta = rng.integers(-50, 51, size=(5, 5))
-        up = difference_mask(Frame((base + delta).astype(np.uint8)), bg_of(base), 20)
-        down = difference_mask(Frame((base - delta).astype(np.uint8)), bg_of(base), 20)
+        up = difference_mask((base + delta).astype(np.uint8), bg_of(base), 20)
+        down = difference_mask((base - delta).astype(np.uint8), bg_of(base), 20)
         assert np.array_equal(up, down)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            difference_mask(Frame(np.zeros((2, 2), np.uint8)), bg_of(np.zeros((3, 3))), 10)
+            difference_mask(np.zeros((2, 2), np.uint8), bg_of(np.zeros((3, 3))), 10)
+        with pytest.raises(DimensionMismatch):  # a frame is a 2-D grid
+            difference_mask(np.zeros((1, 3, 3), np.uint8), bg_of(np.zeros((3, 3))), 10)
 
     def test_bbox_is_tight(self):
         pixels = np.zeros((8, 8), np.uint8)
         pixels[2:5, 3:7] = 200
-        mask = difference_mask(Frame(pixels), bg_of(np.zeros((8, 8))), 100)
+        mask = difference_mask(pixels, bg_of(np.zeros((8, 8))), 100)
         assert mask.dtype == bool and mask.shape == (8, 8)
         row = bounding_boxes(mask[None])[0]
         assert row.dtype == np.int64 and row.tolist() == [3, 2, 6, 4]
@@ -161,7 +163,7 @@ def frame_pairs(draw):
 @example((np.full((2, 2), 255, np.uint8), np.full((2, 2), 255, np.uint8)))
 def test_auto_difference_mask_matches_brute_otsu(pair):
     frame, reference = pair
-    mask = difference_mask(Frame(frame), bg_of(reference))
+    mask = difference_mask(frame, bg_of(reference))
     diffs = [abs(int(a) - int(b)) for a, b in zip(frame.ravel(), reference.ravel())]
     if len(set(diffs)) == 1:
         # no split exists: the foreground class stays empty
@@ -413,14 +415,14 @@ class TestSegmentSequence:
         n, h, w = frames.shape
         block_bytes = h * w * (frames_per_block or n)
         with mock.patch.object(segmentation, "_BLOCK_BYTES", block_bytes):
-            seq = FrameSequence([Frame(f) for f in frames])
+            seq = FrameSequence(list(frames))
             got = segment_sequence(seq, bg_of(reference), threshold)
         want = np.array([reference_segment(f, reference, threshold) for f in frames])
         assert got.dtype == bool and got.shape == (n, h, w)
         assert got.tobytes() == want.tobytes()
         # the per-frame API is the one-frame case of the same code
         for frame, expected in zip(frames, want):
-            raw = difference_mask(Frame(frame), bg_of(reference), threshold)
+            raw = difference_mask(frame, bg_of(reference), threshold)
             assert clean_mask(raw).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("frames_per_block", [1, 2])
@@ -478,12 +480,12 @@ class TestSegmentSequence:
 
     def test_tie_keeps_the_first_plus(self):
         frames, reference, threshold = _two_plus_shapes()
-        seq = FrameSequence([Frame(frames[0])])
+        seq = FrameSequence([frames[0]])
         kept = segment_sequence(seq, bg_of(reference), threshold)[0]
         assert kept[2, 1] and not kept[2, 6]
 
     def test_dimension_mismatch(self):
-        seq = FrameSequence([Frame(np.zeros((2, 2), np.uint8))])
+        seq = FrameSequence([np.zeros((2, 2), np.uint8)])
         with pytest.raises(DimensionMismatch):
             segment_sequence(seq, bg_of(np.zeros((3, 3))))
 
@@ -507,10 +509,10 @@ def _segment_oracle(frames, reference, limit):
 
 # each threshold-taking call and its oracle, as functions of (frames, reference, threshold)
 THRESHOLD_CALLS = {
-    "model_cdm": (lambda f, ref, t: model_cdm(FrameSequence(f), t).reference.pixels, _cdm_oracle),
+    "model_cdm": (lambda f, ref, t: model_cdm(FrameSequence(f), t).reference, _cdm_oracle),
     "segment_sequence": (lambda f, ref, t: segment_sequence(FrameSequence(f), bg_of(ref), t),
                          _segment_oracle),
-    "difference_mask": (lambda f, ref, t: difference_mask(Frame(f[0]), bg_of(ref), t),
+    "difference_mask": (lambda f, ref, t: difference_mask(f[0], bg_of(ref), t),
                         _difference_oracle),
 }
 

@@ -34,13 +34,13 @@ def segment_all(seq):
 def test_same_spec_and_seed_bit_identical():
     a, _ = generate(spec_for(noise=0.02, seed=5), 260, 100, 80)
     b, _ = generate(spec_for(noise=0.02, seed=5), 260, 100, 80)
-    assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a.pixels, b.pixels))
 
 
 def test_different_seed_changes_noise():
     a, _ = generate(spec_for(noise=0.02, seed=5), 260, 100, 80)
     c, _ = generate(spec_for(noise=0.02, seed=6), 260, 100, 80)
-    assert any(not np.array_equal(x.pixels, y.pixels) for x, y in zip(a, c))
+    assert any(not np.array_equal(x, y) for x, y in zip(a.pixels, c.pixels))
 
 
 def test_width_signal_period_matches_spec_without_noise():
